@@ -47,9 +47,21 @@ class KernelSpec:
         return (2.0 * math.pi * self.sigma_sq) ** (-dim / 2.0)
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Kernel matrix K[i, j] = K(x_i, y_j) for (n, d) and (m, d) inputs."""
-        sq = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-        return self.prefactor(x.shape[1]) * np.exp(-sq / (2.0 * self.sigma_sq))
+        """Kernel matrix K[i, j] = K(x_i, y_j) for (n, d) and (m, d) inputs.
+
+        Squared distances in matmul form ||x||^2 + ||y||^2 - 2 x.y, clipped at 0
+        against cancellation; every step after the product works in place.
+        """
+        g = x @ y.T
+        g *= -2.0
+        g += np.vecdot(x, x)[:, None]
+        g += np.vecdot(y, y)
+        np.maximum(g, 0.0, out=g)
+        g *= -1.0 / (2.0 * self.sigma_sq)
+        np.exp(g, out=g)
+        if self.normalized:
+            g *= self.prefactor(x.shape[1])
+        return g
 
     def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """grad_x K(x_i, y_j) = -(x_i - y_j) K(x_i, y_j) / sigma_sq, shape (n, m, d)."""
@@ -192,7 +204,7 @@ def kl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     pos = wm > 0
     if np.any(wn[pos] == 0):
         return math.inf
-    return float(np.sum(wm[pos] * np.log(wm[pos] / wn[pos])))
+    return max(float(np.sum(wm[pos] * np.log(wm[pos] / wn[pos]))), 0.0)
 
 
 def js(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
@@ -203,7 +215,7 @@ def js(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
     for w in (wm, w0):
         pos = w > 0
         val += 0.5 * float(np.sum(w[pos] * np.log(w[pos] / mid[pos])))
-    return val
+    return max(val, 0.0)
 
 
 def ns_kl(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
@@ -213,7 +225,7 @@ def ns_kl(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
     pos = mid > 0
     if np.any(w0[pos] == 0):
         return math.inf
-    return float(np.sum(mid[pos] * np.log(mid[pos] / w0[pos])))
+    return max(float(np.sum(mid[pos] * np.log(mid[pos] / w0[pos]))), 0.0)
 
 
 # --- MMD ---
@@ -227,9 +239,15 @@ def embedding_gram(xi: SignedMeasure, k: KernelSpec) -> float:
 
 
 def mmd_sq(mu: DiscreteMeasure, nu: DiscreteMeasure, k: KernelSpec) -> float:
-    """Squared maximum mean discrepancy (the loss itself is half of this)."""
+    """Squared maximum mean discrepancy (the loss itself is half of this).
+
+    The bilinear form w_mu' K w_mu - 2 w_mu' K w_nu + w_nu' K w_nu needs no
+    merging of coincident atoms.
+    """
     _check_dims(mu, nu)
-    return max(embedding_gram(diff(mu, nu), k), 0.0)
+    x, y, wx, wy = mu.points, nu.points, mu.weights, nu.weights
+    val = wx @ k.gram(x, x) @ wx - 2.0 * (wx @ k.gram(x, y) @ wy) + wy @ k.gram(y, y) @ wy
+    return max(float(val), 0.0)
 
 
 def loss_eval(kind: LossKind, mu: DiscreteMeasure) -> float:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass, UnknownKind
+from .errors import (DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
+                     PreconditionViolated, UnknownKind)
 
 MERGE_TOL = 1e-12   # sup-norm distance below which atoms are considered equal
 MASS_TOL = 1e-12
@@ -26,6 +27,11 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim != 2:
         raise DimensionMismatch(f"points must be (n, d), got shape {pts.shape}")
     return pts
+
+
+def _require_finite(pts: np.ndarray, w: np.ndarray) -> None:
+    if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+        raise PreconditionViolated("atom points and weights must be finite")
 
 
 def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,17 +139,19 @@ def make_discrete(points, weights) -> DiscreteMeasure:
         raise EmptySupport("a measure needs at least one atom")
     if pts.shape[0] != w.shape[0]:
         raise DimensionMismatch(f"{pts.shape[0]} points vs {w.shape[0]} weights")
+    _require_finite(pts, w)
     if np.any(w < 0):
         raise NegativeWeight("probability weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
+    if w.sum() <= 0:
         raise NegativeWeight("weights must have positive total mass")
-    pts, w = _merge_atoms(pts, w / total)
+    pts, w = _merge_atoms(pts, w)
     # drop atoms whose merged weight is exactly zero, keeping at least one
     if np.any(w > 0):
         keep = w > 0
         pts, w = pts[keep], w[keep]
-    return DiscreteMeasure(pts, w)
+    # normalize after merging: weights normalized first can merge to 1 - 1 ulp,
+    # which turns KL(mu, mu) negative
+    return DiscreteMeasure(pts, w / w.sum())
 
 
 def make_signed(points, weights) -> SignedMeasure:
@@ -154,6 +162,7 @@ def make_signed(points, weights) -> SignedMeasure:
         raise DimensionMismatch(f"{pts.shape[0]} points vs {w.shape[0]} weights")
     if pts.shape[0] == 0:
         return SignedMeasure(np.zeros((0, 1)), np.zeros(0))
+    _require_finite(pts, w)
     pts, w = _merge_atoms(pts, w)
     return SignedMeasure(pts, w)
 

@@ -132,9 +132,15 @@ def mmd_particle_grad(gen: ParticleGenerator, mu0: DiscreteMeasure, k: KernelSpe
         raise DimensionMismatch(f"particles dim {gen.dim} vs target {mu0.dim}")
     theta = gen.theta
     n = gen.n_particles
-    self_grad = np.einsum("nmd->nd", k.grad_x(theta, theta)) / n
-    target_grad = np.einsum("nmd,m->nd", k.grad_x(theta, mu0.points), mu0.weights)
-    return (self_grad - target_grad) / n
+    # grad_x K(x, y) = -(x - y) K(x, y) / sigma_sq, and row i of the weighted sum is
+    # sum_j K(theta_i, y_j) w_j (theta_i - y_j) = theta_i (K w)_i - (K diag(w) Y)_i
+    k_target = k.gram(theta, mu0.points)
+    k_target *= mu0.weights
+    k_self = k.gram(theta, theta)
+    k_self /= n
+    rows = (theta * (k_target.sum(axis=1) - k_self.sum(axis=1))[:, None]
+            - k_target @ mu0.points + k_self @ theta)
+    return rows / (n * k.sigma_sq)
 
 
 def theoretical_lr(a: float, b: float, alpha: float, beta1: float, beta2: float) -> float:

@@ -173,3 +173,9 @@ def test_verify_failing_check_exits_1(workdir, monkeypatch):
 def test_missing_file_exit_2(workdir):
     assert main(["div", "eval", "--loss", "w1", "--mu", "absent.csv",
                  "--mu0", "mu0.csv"]) == 2
+
+
+def test_non_finite_weight_exit_2(workdir, capsys):
+    (workdir / "bad.csv").write_text("x_1,w\n0.3,nan\n0.5,1\n")
+    assert main(["div", "eval", "--loss", "mmd", "--mu", "bad.csv", "--mu0", "mu0.csv"]) == 2
+    assert "nan" not in capsys.readouterr().out

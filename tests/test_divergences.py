@@ -192,6 +192,16 @@ def test_divergences_nonnegative(a, b):
     assert mmd_sq(mu, nu, KC) >= 0.0
 
 
+def test_divergences_nonnegative_merged_ulp():
+    # three atoms at one point whose normalized weights once merged to 1 - 1 ulp
+    mu, nu = make_discrete([0.0, 0.0, 0.0], [1.0, 0.25, 0.5]), make_discrete([0.0], [1.0])
+    for a, b in ((mu, nu), (nu, mu)):
+        assert kl(a, b) == 0.0
+        assert js(a, b) == 0.0
+        assert ns_kl(a, b) == 0.0
+        assert mmd_sq(a, b, KC) == 0.0
+
+
 def test_js_w1_incomparable():
     x = 1e-3
     ratio = js(make_discrete([x], [1.0]), D0) / w1_1d(make_discrete([x], [1.0]), D0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothgan.errors import (DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
-                              UnknownKind)
+                              PreconditionViolated, UnknownKind)
 from smoothgan.measures import (BoxDomain, cdf_1d, diff, make_discrete, make_signed,
                                 measure_from_csv, measure_to_csv, random_measure,
                                 require_mass_zero, sample_target)
@@ -43,6 +43,23 @@ def test_construction_errors():
         make_discrete([0.0, 1.0], [0.5, -0.1])
     with pytest.raises(DimensionMismatch):
         make_discrete([[0.0, 1.0]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("make", [make_discrete, make_signed])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(make, bad):
+    with pytest.raises(PreconditionViolated):
+        make([0.0, bad], [0.5, 0.5])
+    with pytest.raises(PreconditionViolated):
+        make([[0.0, 1.0], [0.5, bad]], [0.5, 0.5])
+    with pytest.raises(PreconditionViolated):
+        make([0.0, 1.0], [0.5, bad])
+
+
+def test_merged_weight_sums_to_one():
+    # 1/1.75 + 0.25/1.75 + 0.5/1.75 is 1 - 1 ulp; merging first makes it exact
+    m = make_discrete([0.0, 0.0, 0.0], [1.0, 0.25, 0.5])
+    assert m.n_atoms == 1 and m.weights[0] == 1.0
 
 
 @settings(max_examples=50, deadline=None)

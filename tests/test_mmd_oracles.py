@@ -1,0 +1,70 @@
+"""The matmul-form Gram, the merge-free MMD and the row-sum particle gradient
+against the direct forms they replace, written out here as oracles."""
+
+import numpy as np
+import pytest
+
+from smoothgan.divergences import KernelSpec, embedding_gram, mmd_sq
+from smoothgan.measures import DiscreteMeasure, diff, make_discrete, sample_target
+from smoothgan.trainer import ParticleGenerator, mmd_particle_grad
+
+KERNELS = (KernelSpec.critical(), KernelSpec(sigma_sq=0.3, normalized=True))
+
+
+def gram_ref(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K[i, j] from the (n, m, d) difference tensor."""
+    sq = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+    return k.prefactor(x.shape[1]) * np.exp(-sq / (2.0 * k.sigma_sq))
+
+
+def particle_grad_ref(theta: np.ndarray, mu0: DiscreteMeasure, k: KernelSpec) -> np.ndarray:
+    """Gradient of (1/2) MMD^2 as the sum of per-pair kernel gradients."""
+    n = theta.shape[0]
+    self_grad = np.einsum("nmd->nd", k.grad_x(theta, theta)) / n
+    target_grad = np.einsum("nmd,m->nd", k.grad_x(theta, mu0.points), mu0.weights)
+    return (self_grad - target_grad) / n
+
+
+@pytest.mark.parametrize("k", KERNELS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 8), (8, 1), (8, 8), (17, 5), (64, 64),
+                                 (300, 300)])
+def test_gram_matches_difference_form(k, d, n, m):
+    rng = np.random.default_rng(100 * d + n + m)
+    x, y = rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (m, d))
+    assert np.abs(k.gram(x, y) - gram_ref(k, x, y)).max() <= 1e-13
+    assert np.abs(k.gram(x, x) - gram_ref(k, x, x)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", KERNELS)
+def test_mmd_matches_merged_form(k):
+    rng = np.random.default_rng(3)
+    for d in (1, 2):
+        target = make_discrete(rng.uniform(-1, 1, (12, d)), rng.uniform(0.1, 1.0, 12))
+        theta = rng.uniform(-1, 1, (20, d))
+        theta[5] = theta[2]                  # duplicate particles
+        theta[6] = theta[2]
+        theta[:4] = target.points[:4]        # particles exactly on target atoms
+        mu = DiscreteMeasure(theta, np.full(20, 1.0 / 20))
+        merged = max(embedding_gram(diff(mu, target), k), 0.0)
+        assert mmd_sq(mu, target, k) == pytest.approx(merged, abs=1e-14)
+        assert mmd_sq(target, mu, k) == pytest.approx(merged, abs=1e-14)
+
+
+def test_mmd_particles_on_target_is_zero():
+    target = sample_target("ring", 16, 4)
+    mu = DiscreteMeasure(target.points.copy(), np.full(16, 1.0 / 16))
+    assert mmd_sq(mu, target, KernelSpec.critical()) <= 1e-15
+
+
+@pytest.mark.parametrize("k", KERNELS)
+@pytest.mark.parametrize("n", [1, 16, 64, 256])
+def test_particle_grad_matches_pairwise_form(k, n):
+    rng = np.random.default_rng(n)
+    target = sample_target("gaussian_mixture", 48, n)
+    theta = rng.uniform(-1, 1, (n, 2))
+    if n > 4:
+        theta[1] = theta[0]                  # a duplicate particle
+        theta[2] = target.points[0]          # one sitting on a target atom
+    grad = mmd_particle_grad(ParticleGenerator(theta), target, k)
+    assert np.abs(grad - particle_grad_ref(theta, target, k)).max() <= 1e-13
