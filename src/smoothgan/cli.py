@@ -26,7 +26,7 @@ from .divergences import KernelSpec, LossKind, loss_eval
 from .discriminators import DiscOracle
 from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, moreau,
                         pasch_hausdorff)
-from .errors import MalformedTrace, SmoothganError, UnknownKind
+from .errors import ConfigError, MalformedTrace, SmoothganError, UnknownKind
 from .measures import BoxDomain, measure_from_csv, sample_target
 from .nnsmooth import net_from_json, net_to_json, power_iteration_specnorm, random_mlp, \
     spectral_normalize
@@ -38,6 +38,9 @@ from .verify import run_suite
 
 _LOSS_TAGS = {"js": "minimax_js", "ns": "non_saturating_kl", "w1": "wasserstein1",
               "mmd": "mmd_sq_half"}
+_GAN2D_KEYS = {"target", "generator_init", "depth", "width", "final_scale", "beta2", "n_steps",
+               "seed", "disc_steps_per_gen", "interpolation", "lr_disc", "lr_gen"}
+_GAN2D_TARGET_KEYS = {"kind", "n", "seed"}
 
 
 def _fmt(v: float) -> str:
@@ -183,6 +186,23 @@ def cmd_nn(args) -> int:
     return 0
 
 
+def _gan2d_config(path: str | None) -> dict:
+    """The gan2d JSON config, with every key checked against the known ones."""
+    if path is None:
+        raise ConfigError("train gan2d needs --config")
+    try:
+        blob = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(blob, dict) or not isinstance(blob.get("target"), dict):
+        raise ConfigError("gan2d config must be a JSON object with a 'target' object")
+    unknown = sorted(set(blob) - _GAN2D_KEYS) + sorted(
+        f"target.{k}" for k in set(blob["target"]) - _GAN2D_TARGET_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown gan2d config keys: {', '.join(unknown)}")
+    return blob
+
+
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     if args.mode == "particles":
@@ -191,12 +211,15 @@ def cmd_train(args) -> int:
                           n_steps=args.steps, seed=args.seed, lr_ratio=args.lr_ratio)
         trace = train_particles(cfg)
     else:
-        blob = json.loads(Path(args.config).read_text())
+        blob = _gan2d_config(args.config)
         tgt = blob["target"]
         target = sample_target(tgt.get("kind", "ring"), tgt.get("n", 16),
                                tgt.get("seed", blob.get("seed", 0)))
         init = blob.get("generator_init", "atoms")
-        theta0 = target.points.copy() if init == "atoms" else np.array(init, dtype=float)
+        try:
+            theta0 = target.points.copy() if init == "atoms" else np.array(init, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"generator_init must be 'atoms' or an N x d matrix: {exc}") from exc
         cfg = GanLoopConfig(
             generator_init=theta0, target=target,
             depth=blob.get("depth", 3), width=blob.get("width", 8),

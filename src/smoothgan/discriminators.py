@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import KernelSpec
+from .divergences import KernelSpec, _cdf_levels
 from .errors import DimensionMismatch, GradientUnsupported, PointOffSupport
-from .measures import DiscreteMeasure, diff
-
-_ATOM_TOL = 1e-12
+from .measures import MERGE_TOL, DiscreteMeasure, diff
 
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -57,7 +55,7 @@ def grad_phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) ->
 
 def _atom_weight(m: DiscreteMeasure, x: np.ndarray) -> float | None:
     """Weight of the atom of m at x (sup-norm tolerance), None if x is off support."""
-    hits = np.max(np.abs(m.points - x[None, :]), axis=1) < _ATOM_TOL
+    hits = np.max(np.abs(m.points - x[None, :]), axis=1) < MERGE_TOL
     if not np.any(hits):
         return None
     return float(m.weights[hits].sum())
@@ -94,11 +92,7 @@ def _w1_segments(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray,
     sign(F_mu0 - F_mu) on each gap between pooled atoms (and 0 outside their
     convex hull, where the CDFs agree).
     """
-    xi = diff(mu, mu0)          # F_xi = F_mu - F_mu0
-    x = xi.points[:, 0]
-    order = np.argsort(x)
-    breaks = x[order]
-    cdf = np.cumsum(xi.weights[order])
+    breaks, cdf = _cdf_levels(diff(mu, mu0))     # F_mu - F_mu0
     # zero out fp noise so the potential is flat wherever the CDFs agree,
     # in particular right of the last atom (mass-zero cancellation)
     slopes = np.where(np.abs(cdf) <= 1e-12, 0.0, np.sign(-cdf))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyDomain, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
+from .errors import (ConfigError, EmptyDomain, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
                      PreconditionViolated)
 from .measures import BoxDomain
 
@@ -314,8 +314,14 @@ def gridfn_from_csv(text: str) -> GridFn:
     if dim is None:
         raise GridMismatch("grid CSV header must be x,value or x,y,value")
     body = [r for r in rows[1:] if r]
-    coords = np.array([[float(v) for v in r[:dim]] for r in body])
-    vals = np.array([np.inf if r[dim].strip().lower() == "inf" else float(r[dim]) for r in body])
+    if not body:
+        raise EmptyDomain("grid CSV has no rows")
+    try:
+        coords = np.array([[float(v) for v in r[:dim]] for r in body])
+        vals = np.array([np.inf if r[dim].strip().lower() == "inf" else float(r[dim])
+                         for r in body])
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"grid CSV rows must hold {dim + 1} numbers: {exc}") from exc
     if dim == 1:
         xs = np.unique(coords[:, 0])
         step = float(np.min(np.diff(xs))) if len(xs) > 1 else 1.0

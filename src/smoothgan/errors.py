@@ -77,8 +77,8 @@ class PreconditionViolated(SmoothganError):
     pass
 
 
-class ConfigError(SmoothganError):
-    pass
+class ConfigError(SmoothganError, ValueError):
+    """Malformed configuration or input text (a ValueError, as parse errors are)."""
 
 
 class MalformedTrace(SmoothganError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
+from .errors import (ConfigError, DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
                      PreconditionViolated, UnknownKind)
 
 MERGE_TOL = 1e-12   # sup-norm distance below which atoms are considered equal
@@ -35,18 +35,30 @@ def _require_finite(pts: np.ndarray, w: np.ndarray) -> None:
 
 
 def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combine atoms closer than MERGE_TOL in sup-norm (weights added)."""
+    """Combine atoms closer than MERGE_TOL in sup-norm, adding their weights.
+
+    weights is (n,) or (n, k), k weight vectors on the same atoms.  Each
+    coordinate in turn splits every group where its sorted values jump by
+    MERGE_TOL or more.  Atoms within MERGE_TOL of each other therefore share a
+    group, and output atoms are at least MERGE_TOL apart; a chain of sub-MERGE_TOL
+    gaps can also join atoms a few MERGE_TOL apart.  Output atoms are in
+    lexicographic order, each the lexicographically first atom of its group,
+    and each group's weights are summed one by one in that order.
+    """
     order = np.lexsort(points.T[::-1])
     pts, w = points[order], weights[order]
-    keep_pts: list[np.ndarray] = []
-    keep_w: list[float] = []
-    for p, wi in zip(pts, w):
-        if keep_pts and np.max(np.abs(p - keep_pts[-1])) < MERGE_TOL:
-            keep_w[-1] += wi
-        else:
-            keep_pts.append(p)
-            keep_w.append(wi)
-    return np.array(keep_pts), np.array(keep_w)
+    label = np.zeros(len(pts), dtype=np.intp)
+    new = np.ones(len(pts), dtype=bool)
+    for x in pts.T:
+        o = np.lexsort((x, label))
+        lab, xs = label[o], x[o]
+        new[1:] = (lab[1:] != lab[:-1]) | (xs[1:] - xs[:-1] >= MERGE_TOL)
+        label[o] = np.cumsum(new)
+    head = np.minimum.reduceat(o, np.flatnonzero(new))    # each group's first atom
+    merged = np.zeros((len(head),) + w.shape[1:])
+    np.add.at(merged, label - 1, w)                         # sums in lexicographic order
+    g = np.argsort(head)
+    return pts[head[g]], merged[g]
 
 
 @dataclass(frozen=True)
@@ -238,11 +250,14 @@ def measure_to_csv(m: DiscreteMeasure | SignedMeasure) -> str:
 def measure_from_csv(text: str, signed: bool = False) -> DiscreteMeasure | SignedMeasure:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or not rows[0] or not rows[0][-1].strip().lower() == "w":
-        raise ValueError("measure CSV must carry a header row ending in 'w'")
-    data = [[float(v) for v in row] for row in rows[1:] if row]
+        raise ConfigError("measure CSV must carry a header row ending in 'w'")
+    try:
+        data = [[float(v) for v in row] for row in rows[1:] if row]
+        arr = np.array(data)
+    except ValueError as exc:
+        raise ConfigError(f"measure CSV rows must be equal-length numbers: {exc}") from exc
     if not data:
         raise EmptySupport("measure CSV has no atom rows")
-    arr = np.array(data)
     pts, w = arr[:, :-1], arr[:, -1]
     return make_signed(pts, w) if signed else make_discrete(pts, w)
 

@@ -254,10 +254,12 @@ def net_to_json(net: MlpNet) -> str:
 
 
 def net_from_json(text: str) -> MlpNet:
-    payload = json.loads(text)
-    layers = []
-    for entry in payload["layers"]:
-        w = np.array(entry["weights"], dtype=float).reshape(entry["shape"])
-        b = np.array(entry["bias"], dtype=float)
-        layers.append((w, b))
-    return MlpNet(tuple(layers), payload["activation"], float(payload["final_scale"]))
+    try:
+        payload = json.loads(text)
+        layers = tuple((np.array(entry["weights"], dtype=float).reshape(entry["shape"]),
+                        np.array(entry["bias"], dtype=float))
+                       for entry in payload["layers"])
+        activation, final_scale = payload["activation"], float(payload["final_scale"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed network JSON: {exc!r}") from exc
+    return MlpNet(layers, activation, final_scale)

@@ -13,10 +13,11 @@ whose operator norm is available in closed form from its two eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import rel_entr
 
 from .discriminators import DiscOracle, phi_mmd, phi_w1_1d
 from .divergences import KernelSpec, LossKind, align_many, kr_norm_1d, loss_eval, w1_1d, w1_lp
@@ -42,17 +43,7 @@ class SmoothnessReport:
     beta2_saturated: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "beta1_hat": self.beta1_hat,
-            "beta2_hat": self.beta2_hat,
-            "n_trials": self.n_trials,
-            "grid_step": self.grid_step,
-            "seed": self.seed,
-            "alpha_saturated": self.alpha_saturated,
-            "beta1_saturated": self.beta1_saturated,
-            "beta2_saturated": self.beta2_saturated,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -240,38 +231,22 @@ def bregman(kind: LossKind, nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
         #   m_nu log(m_nu / (2 m_mu)) + m_mu log 2,  m = (w + w0)/2
         m_nu = 0.5 * (wn_u + w0_u)
         m_mu = 0.5 * (wm_u + w0_u)
-        total = 0.0
-        for a, b in zip(m_nu, m_mu):
-            if a == 0.0:
-                total += b * math.log(2.0)
-            elif b == 0.0:
-                return math.inf
-            else:
-                total += a * math.log(a / (2.0 * b)) + b * math.log(2.0)
-        return total
+        if np.any((m_nu > 0) & (m_mu == 0)):
+            return math.inf
+        return float(np.sum(rel_entr(m_nu, 2.0 * m_mu) + m_mu * math.log(2.0)))
 
     if kind.tag == "minimax_js":
-        total = 0.0
-        for a, b, c in zip(wn_u, wm_u, w0_u):
-            # JS(nu, mu0) piece at this atom
-            if a > 0:
-                total += 0.5 * a * math.log(a / (0.5 * (a + c)))
-            if c > 0:
-                total += 0.5 * c * math.log(c / (0.5 * (a + c)))
-            # minus JS(mu, mu0) piece
-            if b > 0:
-                total -= 0.5 * b * math.log(b / (0.5 * (b + c)))
-            if c > 0:
-                total -= 0.5 * c * math.log(c / (0.5 * (b + c)))
-            # minus Phi_mu * (w_nu - w_mu); Phi_mu = (1/2) log(b / (b + c))
-            if a - b != 0.0:
-                if b == 0.0 and c > 0:
-                    if a > 0:
-                        return math.inf
-                    # a == 0 and b == 0: no mass moved here
-                elif b > 0:
-                    total -= 0.5 * (a - b) * math.log(b / (b + c))
-        return total
+        # Phi_mu = (1/2) log(b / (b + c)) is -inf where nu moves mass onto b = 0 < c
+        if np.any((wn_u > 0) & (wm_u == 0) & (w0_u > 0)):
+            return math.inf
+        mid_n = 0.5 * (wn_u + w0_u)
+        mid_m = 0.5 * (wm_u + w0_u)
+        js_nu = rel_entr(wn_u, mid_n) + rel_entr(w0_u, mid_n)
+        js_mu = rel_entr(wm_u, mid_m) + rel_entr(w0_u, mid_m)
+        # <Phi_mu, nu - mu> per atom; where b = 0 also a = 0, so the term is 0
+        phi = 0.5 * np.log(np.where(wm_u > 0, wm_u, 1.0) / np.where(wm_u > 0, wm_u + w0_u, 1.0))
+        pair = (wn_u - wm_u) * phi
+        return float(np.sum(0.5 * (js_nu - js_mu) - pair))
 
     raise ValueError(f"bregman undefined for kind {kind.tag!r}")
 

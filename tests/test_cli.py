@@ -179,3 +179,31 @@ def test_non_finite_weight_exit_2(workdir, capsys):
     (workdir / "bad.csv").write_text("x_1,w\n0.3,nan\n0.5,1\n")
     assert main(["div", "eval", "--loss", "mmd", "--mu", "bad.csv", "--mu0", "mu0.csv"]) == 2
     assert "nan" not in capsys.readouterr().out
+
+
+def test_csv_header_without_w_exit_2(workdir, capsys):
+    (workdir / "bad.csv").write_text("x_1,v\n0.3,1\n")
+    assert main(["div", "eval", "--loss", "w1", "--mu", "bad.csv", "--mu0", "mu0.csv"]) == 2
+    assert "header" in capsys.readouterr().err
+
+
+def test_config_not_json_exit_2(workdir, capsys):
+    (workdir / "cfg.json").write_text("{not json")
+    assert main(["train", "gan2d", "--config", "cfg.json", "--out", "g.csv"]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not (workdir / "g.csv").exists()
+
+
+def test_gan2d_unknown_keys_exit_2(workdir, capsys):
+    cfg = {"target": {"kind": "ring", "n": 8, "sed": 4}, "n_stepz": 3, "depth": 2}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["train", "gan2d", "--config", "cfg.json", "--out", "g.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "n_stepz" in err and "target.sed" in err and "depth" not in err
+
+
+def test_malformed_net_and_grid_exit_2(workdir):
+    (workdir / "net.json").write_text('{"layers": [{"shape": [2, 3], "weights": [1]}]}')
+    assert main(["nn", "specnorm", "--net", "net.json"]) == 2
+    (workdir / "f.csv").write_text("x,value\n0.0,abc\n")
+    assert main(["env", "moreau", "--f", "f.csv", "--beta", "1", "--out", "o.csv"]) == 2

@@ -9,16 +9,21 @@ Derived constants frozen from independent oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from smoothgan.divergences import (KernelSpec, LossKind, js, kl, kr_norm_1d, loss_eval, mmd_sq,
                                    ns_kl, w1_1d, w1_lp)
 from smoothgan.errors import DimensionMismatch, NonZeroMass, ProblemTooLarge
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
+from smoothgan import divergences
+from smoothgan.measures import DiscreteMeasure
 
 atoms_1d = st.lists(st.tuples(st.floats(-1, 1), st.floats(0.05, 1.0)), min_size=1, max_size=6)
 
@@ -222,3 +227,66 @@ def test_dimension_mismatch():
         w1_1d(make_discrete([[0.0, 0.0]], [1.0]), make_discrete([[0.0, 0.0]], [1.0]))
     with pytest.raises(DimensionMismatch):
         mmd_sq(D0, make_discrete([[0.0, 0.0]], [1.0]), KC)
+
+
+# --- transport LP: sparse constraints against the dense form ---
+
+def _dense_constraints(m, n):
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n:(i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    return a_eq
+
+
+def _w1_lp_dense(mu, nu):
+    cost = np.sqrt(np.sum((mu.points[:, None, :] - nu.points[None, :, :]) ** 2, axis=-1))
+    a_eq = _dense_constraints(mu.n_atoms, nu.n_atoms)
+    b_eq = np.concatenate([mu.weights, nu.weights])
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None),
+                  method="highs")
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 3), (7, 9)])
+def test_w1_lp_sparse_constraints(m, n, monkeypatch):
+    seen = {}
+
+    def capture(c, A_eq, b_eq, **kw):
+        seen["a_eq"] = A_eq
+        return linprog(c, A_eq=A_eq, b_eq=b_eq, **kw)
+
+    monkeypatch.setattr(divergences, "linprog", capture)
+    rng = np.random.default_rng(m * n)
+    mu = random_measure(rng, 2, min_atoms=m, max_atoms=m)
+    nu = random_measure(rng, 2, min_atoms=n, max_atoms=n)
+    w1_lp(mu, nu)
+    a_eq = seen["a_eq"]
+    assert sparse.issparse(a_eq)
+    assert np.array_equal(a_eq.toarray(), _dense_constraints(m, n)[:-1])
+    # 2mn - m ones: an 8-byte value and a 4-byte column index each
+    assert a_eq.data.nbytes + a_eq.indices.nbytes == 12 * (2 * m * n - m)
+
+
+def test_w1_lp_sparse_matches_dense_2d():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        mu = random_measure(rng, 2, max_atoms=12)
+        nu = random_measure(rng, 2, max_atoms=12)
+        assert abs(w1_lp(mu, nu) - _w1_lp_dense(mu, nu)) <= 1e-12
+
+
+def test_w1_lp_cap_raises_before_allocating():
+    # the dense form would need (1001 + 1000) x 1001000 doubles, about 16 GB
+    assert (1001 + 1000) * 1001 * 1000 * 8 > 16 * 10 ** 9
+    mu = DiscreteMeasure(np.linspace(0, 1, 1001)[:, None], np.full(1001, 1 / 1001))
+    nu = DiscreteMeasure(np.linspace(0, 1, 1000)[:, None], np.full(1000, 1 / 1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge):
+            w1_lp(mu, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

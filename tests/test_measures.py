@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from smoothgan.errors import (DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
                               PreconditionViolated, UnknownKind)
 from smoothgan.measures import (BoxDomain, cdf_1d, diff, make_discrete, make_signed,
                                 measure_from_csv, measure_to_csv, random_measure,
                                 require_mass_zero, sample_target)
+from smoothgan.divergences import align_many
+from smoothgan.errors import ConfigError
+from smoothgan.measures import MERGE_TOL, _merge_atoms
 
 
 def test_single_atom():
@@ -184,3 +188,126 @@ def test_require_mass_zero():
 def test_box_validation():
     with pytest.raises(ValueError):
         BoxDomain(np.array([1.0]), np.array([-1.0]))
+
+
+# --- the atom-merge kernel against brute-force oracles ---
+
+def _merge_loop(points, weights):
+    """Sequential merge of lexicographic neighbours: the kernel's former loop form."""
+    order = np.lexsort(points.T[::-1])
+    pts, w = points[order], weights[order]
+    keep_pts, keep_w = [], []
+    for p, wi in zip(pts, w):
+        if keep_pts and np.max(np.abs(p - keep_pts[-1])) < MERGE_TOL:
+            keep_w[-1] += wi
+        else:
+            keep_pts.append(p)
+            keep_w.append(wi)
+    return np.array(keep_pts), np.array(keep_w)
+
+
+def _sup_dist(points):
+    return np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=-1)
+
+
+def _components(points):
+    """Connected components of the graph joining atoms closer than MERGE_TOL (O(n^2))."""
+    _, labels = connected_components(_sup_dist(points) < MERGE_TOL, directed=False)
+    return {frozenset(np.flatnonzero(labels == c)) for c in np.unique(labels)}
+
+
+def _partition(points):
+    """The kernel's groups, read off an identity weight matrix."""
+    _, member = _merge_atoms(points, np.eye(len(points)))
+    return {frozenset(np.flatnonzero(row)) for row in member}
+
+
+def _lattice(rng, d, jitter):
+    """Lattice points, each with 0-2 copies jittered by up to `jitter` per coordinate."""
+    side = {1: 40, 2: 8, 3: 4}[d]
+    grid = np.stack(np.meshgrid(*[np.linspace(-0.7, 0.7, side)] * d, indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    copies = [grid]
+    for _ in range(2):
+        pick = grid[rng.random(len(grid)) < 0.5]
+        if jitter:
+            mag = 10.0 ** rng.uniform(-14, np.log10(jitter), size=pick.shape)
+            pick = pick + rng.choice([-1.0, 1.0], size=pick.shape) * mag
+        copies.append(pick)
+    pts = np.vstack(copies)
+    return pts[rng.permutation(len(pts))]
+
+
+def _cloud(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-1, 1, size=(150, d))
+    return _lattice(rng, d, {"lattice": 0.0, "jitter_small": 1e-14, "jitter_large": 5e-13}[kind])
+
+
+def _check_merged(points, weights, out_pts, out_w):
+    assert np.isclose(out_w.sum(), weights.sum(), rtol=1e-13)
+    gaps = _sup_dist(out_pts) + np.eye(len(out_pts)) * MERGE_TOL
+    assert gaps.min() >= MERGE_TOL
+    again_pts, again_w = _merge_atoms(out_pts, out_w)
+    assert np.array_equal(again_pts, out_pts) and np.array_equal(again_w, out_w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "jitter_small", "jitter_large"])
+def test_merge_kernel_matches_components(kind, d):
+    pts = _cloud(kind, d, seed=10 * d)
+    w = np.random.default_rng(d).random(len(pts))
+    assert _partition(pts) == _components(pts)
+    _check_merged(pts, w, *_merge_atoms(pts, w))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["uniform", "lattice"])
+def test_merge_kernel_bitwise_matches_loop(kind, d):
+    # no near-duplicates: atoms are equal or at least MERGE_TOL apart
+    pts = _cloud(kind, d, seed=d)
+    w = np.random.default_rng(7 + d).random(len(pts))
+    loop_pts, loop_w = _merge_loop(pts, w)
+    out_pts, out_w = _merge_atoms(pts, w)
+    assert np.array_equal(out_pts, loop_pts) and np.array_equal(out_w, loop_w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_merge_kernel_on_dense_chains(d):
+    # 40 atoms in a box a few MERGE_TOL wide: gaps below MERGE_TOL chain atoms
+    # together, so groups can be coarser than the components, never finer
+    rng = np.random.default_rng(d)
+    pts = 0.3 + rng.uniform(0, 4 * MERGE_TOL, size=(40, d))
+    w = rng.random(40)
+    groups = _partition(pts)
+    assert all(any(c <= g for g in groups) for c in _components(pts))
+    if d == 1:
+        assert groups == _components(pts)
+    _check_merged(pts, w, *_merge_atoms(pts, w))
+
+
+def test_merge_kernel_column_weights():
+    pts = np.array([[0.5, 0.0], [0.0, 1.0], [0.5, 0.0], [0.0, 1.0 + 1e-13]])
+    w = np.arange(8.0).reshape(4, 2)
+    out_pts, out_w = _merge_atoms(pts, w)
+    assert np.array_equal(out_pts, [[0.0, 1.0], [0.5, 0.0]])
+    assert np.array_equal(out_w, [[2.0 + 6.0, 3.0 + 7.0], [0.0 + 4.0, 1.0 + 5.0]])
+
+
+def test_near_duplicates_merged():
+    pts = [[0.0, 1.0], [5e-14, 0.0], [1e-13, 1.0]]
+    m = make_discrete(pts, [1.0, 1.0, 1.0])
+    assert m.n_atoms == 2
+    assert np.array_equal(m.points, [[0.0, 1.0], [5e-14, 0.0]])
+    assert np.allclose(m.weights, [2 / 3, 1 / 3])
+    union, ws = align_many([make_discrete([p], [1.0]) for p in pts])
+    assert np.array_equal(union, m.points)
+    assert [w.tolist() for w in ws] == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("text", ["x_1,v\n0.3,1\n", "x_1,w\n0.3,abc\n",
+                                  "x_1,x_2,w\n0.3,0.1,1\n0.5,1\n"])
+def test_malformed_csv_config_error(text):
+    with pytest.raises(ConfigError):
+        measure_from_csv(text)

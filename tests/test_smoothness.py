@@ -17,6 +17,7 @@ from smoothgan.measures import BoxDomain, diff, make_discrete, random_measure
 from smoothgan.smoothness import (OracleFamily, SATURATION_THRESHOLD, bregman,
                                   bregman_kr_bound_check, build_report, estimate_alpha,
                                   estimate_beta1, estimate_beta2, kernel_cross_hessian_norm)
+from smoothgan.measures import DiscreteMeasure
 
 KC = KernelSpec.critical()
 BOX = BoxDomain.unit(1)
@@ -255,3 +256,71 @@ def test_cross_hessian_matches_dense_eigendecomposition():
         mat = math.exp(-np.dot(d, d) / (2 * s2)) * (np.outer(d, d) / s2 ** 2 - np.eye(3) / s2)
         assert kernel_cross_hessian_norm(k, x, y) == pytest.approx(
             np.linalg.norm(mat, 2), rel=1e-12)
+
+
+# --- Bregman divergences against the per-atom loop form ---
+
+def _bregman_loop(tag, wn_u, wm_u, w0_u):
+    """Per-atom Bregman divergence on aligned weights (nu, mu, mu0): the former loop form."""
+    if np.any((wn_u > 0) & (wm_u == 0) & (w0_u == 0)):
+        raise PointOffSupport("nu has mass where neither mu nor mu0 does")
+    total = 0.0
+    if tag == "non_saturating_kl":
+        for a, b in zip(0.5 * (wn_u + w0_u), 0.5 * (wm_u + w0_u)):
+            if a == 0.0:
+                total += b * math.log(2.0)
+            elif b == 0.0:
+                return math.inf
+            else:
+                total += a * math.log(a / (2.0 * b)) + b * math.log(2.0)
+        return total
+    for a, b, c in zip(wn_u, wm_u, w0_u):
+        if a > 0:
+            total += 0.5 * a * math.log(a / (0.5 * (a + c)))
+        if c > 0:
+            total += 0.5 * c * math.log(c / (0.5 * (a + c)))
+        if b > 0:
+            total -= 0.5 * b * math.log(b / (0.5 * (b + c)))
+        if c > 0:
+            total -= 0.5 * c * math.log(c / (0.5 * (b + c)))
+        if a - b != 0.0:
+            if b == 0.0 and c > 0:
+                if a > 0:
+                    return math.inf
+            elif b > 0:
+                total -= 0.5 * (a - b) * math.log(b / (b + c))
+    return total
+
+
+def _masked_weights(rng, k):
+    w = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.6)
+    if not w.any():
+        w[rng.integers(k)] = 1.0
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("tag", ["minimax_js", "non_saturating_kl"])
+def test_bregman_matches_loop_form(tag):
+    rng = np.random.default_rng(11)
+    outcomes = {"finite": 0, "inf": 0, "off_support": 0}
+    for _ in range(300):
+        k, d = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+        support = rng.uniform(-1, 1, size=(k, d))
+        wn, wm, w0 = (_masked_weights(rng, k) for _ in range(3))
+        nu, mu, mu0 = (DiscreteMeasure(support[w > 0], w[w > 0]) for w in (wn, wm, w0))
+        try:
+            expected = _bregman_loop(tag, wn, wm, w0)
+        except PointOffSupport:
+            with pytest.raises(PointOffSupport):
+                bregman(LossKind(tag, mu0), nu, mu)
+            outcomes["off_support"] += 1
+            continue
+        got = bregman(LossKind(tag, mu0), nu, mu)
+        if math.isinf(expected):
+            assert got == expected
+            outcomes["inf"] += 1
+        else:
+            assert got == pytest.approx(expected, abs=1e-12)
+            outcomes["finite"] += 1
+    assert outcomes["finite"] > 50 and outcomes["off_support"] > 10
+    assert tag == "non_saturating_kl" or outcomes["inf"] > 10
