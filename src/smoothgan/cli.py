@@ -140,6 +140,8 @@ def cmd_env(args) -> int:
         out = moreau(f, args.beta)
     elif args.op == "legendre":
         dual = None
+        if (args.dual_lo is None) != (args.dual_hi is None):
+            raise ConfigError("--dual-lo and --dual-hi must be given together")
         if args.dual_lo is not None:
             dual = BoxDomain(np.array([args.dual_lo]), np.array([args.dual_hi]))
         out = legendre(f, dual, args.dual_step)

@@ -26,6 +26,8 @@ _CELL_PAIR_CAP = 10 ** 9
 
 def grid_axes(domain: BoxDomain, step: float) -> list[np.ndarray]:
     """Per-axis coordinate arrays; endpoints must be whole numbers of steps apart."""
+    if not (math.isfinite(step) and step > 0):
+        raise GridMismatch(f"grid step must be finite and positive, got {step}")
     axes = []
     for lo, hi in zip(domain.lo, domain.hi):
         n_float = (hi - lo) / step
@@ -52,8 +54,10 @@ class GridFn:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (shape if len(shape) > 1 else (shape[0],)):
             raise GridMismatch(f"values shape {vals.shape} does not match grid {shape}")
+        if np.any(np.isnan(vals) | (vals == -np.inf)):
+            raise PreconditionViolated("grid values must be finite or +inf, not NaN or -inf")
         if not np.any(np.isfinite(vals)):
-            raise ValueError("grid function must be proper (some finite value)")
+            raise PreconditionViolated("grid function must be proper (some finite value)")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -187,12 +191,42 @@ def moreau(f: GridFn, beta: float) -> GridFn:
     return _infconv_kernel(f, g)
 
 
+def _conjugate_1d(x: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """max_j z_i x_j - v_j for increasing x, finite v and increasing z.
+
+    Only vertices of the lower convex hull of (x, v) can attain the maximum,
+    and the vertex k attains it for the z between the slopes of its two hull
+    edges.  One monotone-chain pass builds the hull, and a binary search
+    places each z among the edge slopes.
+    """
+    xl, vl = x.tolist(), v.tolist()
+    hull, slopes = [0], []
+    for j in range(1, len(xl)):
+        s = (vl[j] - vl[hull[-1]]) / (xl[j] - xl[hull[-1]])
+        while slopes and slopes[-1] >= s:      # hull[-1] lies on or above the chord
+            slopes.pop()
+            hull.pop()
+            s = (vl[j] - vl[hull[-1]]) / (xl[j] - xl[hull[-1]])
+        hull.append(j)
+        slopes.append(s)
+    k = np.asarray(hull)[np.searchsorted(slopes, z)]
+    return z * x[k] - v[k]
+
+
 def legendre(f: GridFn, dual_domain: BoxDomain | None = None,
              dual_step: float | None = None) -> GridFn:
     """Discrete Legendre conjugate: f*(z) = max over grid x of <x, z> - f(x).
 
     A maximum of affine functions of z, hence exactly convex on the dual
     grid.  The dual grid defaults to the primal one.
+
+    Exact, in the manner of Lucet's linear-time Legendre transform: in 1-D
+    the maximum is taken over the lower convex hull of the finite samples,
+    located by binary search among its edge slopes, in O(n + m log h) time
+    for n samples, m dual points and h hull vertices, with no n x m
+    intermediate.  In 2-D the maximum over the product grid factors as
+    f*(z0, z1) = max_i z0 x0_i + max_j (z1 x1_j - f_ij): the 1-D conjugate of
+    each row with a finite value, then of each dual column of those.
     """
     dom = dual_domain if dual_domain is not None else f.domain
     step = dual_step if dual_step is not None else f.step
@@ -200,24 +234,19 @@ def legendre(f: GridFn, dual_domain: BoxDomain | None = None,
         raise EmptyDomain("dual domain dimension mismatch")
     axes = grid_axes(dom, step)
     if f.dim == 1:
-        x = f.axes()[0]
         finite = np.isfinite(f.values)
-        if not np.any(finite):
-            raise EmptyDomain("conjugate of an improper function")
-        xs, vs = x[finite], f.values[finite]
-        z = axes[0]
-        vals = np.max(z[:, None] * xs[None, :] - vs[None, :], axis=1)
+        vals = _conjugate_1d(f.axes()[0][finite], f.values[finite], axes[0])
         return GridFn(dom, step, vals)
     x0, x1 = f.axes()
-    pts = np.stack(np.meshgrid(x0, x1, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals_flat = f.values.ravel()
-    finite = np.isfinite(vals_flat)
-    pts, vs = pts[finite], vals_flat[finite]
     z0, z1 = axes
+    rows = np.flatnonzero(np.isfinite(f.values).any(axis=1))
+    inner = np.empty((len(rows), len(z1)))        # inner[r, c] = (f row r)*(z1_c)
+    for r, i in enumerate(rows):
+        finite = np.isfinite(f.values[i])
+        inner[r] = _conjugate_1d(x1[finite], f.values[i, finite], z1)
     out = np.empty((len(z0), len(z1)))
-    for i, a in enumerate(z0):
-        scores = pts @ np.array([a, 0.0]) - vs
-        out[i] = np.max(scores[None, :] + z1[:, None] * pts[None, :, 1], axis=1)
+    for c in range(len(z1)):
+        out[:, c] = _conjugate_1d(x0[rows], -inner[:, c], z0)
     return GridFn(dom, step, out)
 
 

@@ -73,8 +73,8 @@ class DegenerateConstants(SmoothganError):
     pass
 
 
-class PreconditionViolated(SmoothganError):
-    pass
+class PreconditionViolated(SmoothganError, ValueError):
+    """An argument outside the function's domain (a ValueError, as bad values are)."""
 
 
 class ConfigError(SmoothganError, ValueError):

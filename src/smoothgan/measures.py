@@ -74,7 +74,7 @@ class BoxDomain:
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch("lo and hi must be vectors of equal length")
         if not np.all(lo < hi):
-            raise ValueError("box corners must satisfy lo < hi componentwise")
+            raise PreconditionViolated("box corners must satisfy lo < hi componentwise")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)

@@ -207,3 +207,46 @@ def test_malformed_net_and_grid_exit_2(workdir):
     assert main(["nn", "specnorm", "--net", "net.json"]) == 2
     (workdir / "f.csv").write_text("x,value\n0.0,abc\n")
     assert main(["env", "moreau", "--f", "f.csv", "--beta", "1", "--out", "o.csv"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_grid_value_nan_or_minus_inf_exit_2(workdir, capsys, bad):
+    # an envelope would drop the entry as if it were +inf (1.125 at x = 0.5, not -inf)
+    (workdir / "f.csv").write_text(f"x,value\n0,1\n0.5,{bad}\n1,1\n")
+    assert main(["env", "moreau", "--f", "f.csv", "--beta", "1", "--out", "o.csv"]) == 2
+    assert "NaN or -inf" in capsys.readouterr().err
+    assert not (workdir / "o.csv").exists()
+
+
+def test_grid_all_plus_inf_exit_2(workdir, capsys):
+    (workdir / "f.csv").write_text("x,value\n0,inf\n0.5,inf\n1,inf\n")
+    assert main(["env", "legendre", "--f", "f.csv", "--out", "o.csv"]) == 2
+    assert "proper" in capsys.readouterr().err
+
+
+def _quad_grid(workdir):
+    xs = np.round(np.arange(-1.0, 1.0 + 0.005, 0.25), 10)
+    (workdir / "q.csv").write_text(
+        "x,value\n" + "\n".join(f"{x},{0.5 * x * x}" for x in xs) + "\n")
+
+
+@pytest.mark.parametrize("dual", [["--dual-lo", "-1"], ["--dual-hi", "1"]])
+def test_env_legendre_half_dual_range_exit_2(workdir, capsys, dual):
+    _quad_grid(workdir)
+    assert main(["env", "legendre", "--f", "q.csv", *dual, "--out", "o.csv"]) == 2
+    assert "--dual-lo and --dual-hi" in capsys.readouterr().err
+    assert not (workdir / "o.csv").exists()
+
+
+def test_env_legendre_reversed_dual_range_exit_2(workdir, capsys):
+    _quad_grid(workdir)
+    assert main(["env", "legendre", "--f", "q.csv", "--dual-lo", "1", "--dual-hi", "-1",
+                 "--out", "o.csv"]) == 2
+    assert "lo < hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+def test_env_legendre_bad_dual_step_exit_2(workdir, capsys, step):
+    _quad_grid(workdir)
+    assert main(["env", "legendre", "--f", "q.csv", "--dual-step", step, "--out", "o.csv"]) == 2
+    assert "finite and positive" in capsys.readouterr().err

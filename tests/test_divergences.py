@@ -290,3 +290,40 @@ def test_w1_lp_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_w1_lp_cost_matches_difference_tensor(dim, monkeypatch):
+    seen = []
+
+    def capture(c, **kw):
+        seen.append(c)
+        return linprog(c, **kw)
+
+    monkeypatch.setattr(divergences, "linprog", capture)
+    rng = np.random.default_rng(10 + dim)
+    for _ in range(10):
+        mu = random_measure(rng, dim, max_atoms=12)
+        nu = random_measure(rng, dim, max_atoms=12)
+        val = w1_lp(mu, nu)
+        tensor = np.sqrt(np.sum((mu.points[:, None, :] - nu.points[None, :, :]) ** 2, axis=-1))
+        assert np.abs(seen[-1] - tensor.ravel()).max() <= 1e-12
+        assert abs(val - _w1_lp_dense(mu, nu)) <= 1e-12
+
+
+def test_w1_lp_setup_memory_independent_of_dimension(monkeypatch):
+    # no (m, n, d) temporary: building the LP takes the same memory in 1-D and 8-D
+    monkeypatch.setattr(divergences, "linprog",
+                        lambda c, **kw: type("Res", (), {"success": True, "fun": 0.0}))
+    rng = np.random.default_rng(9)
+    peaks = {}
+    for dim in (1, 8):
+        mu = DiscreteMeasure(rng.uniform(size=(300, dim)), np.full(300, 1 / 300))
+        nu = DiscreteMeasure(rng.uniform(size=(300, dim)), np.full(300, 1 / 300))
+        tracemalloc.start()
+        try:
+            w1_lp(mu, nu)
+            peaks[dim] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.05 * peaks[1]

@@ -1,5 +1,7 @@
 """Inf-convolution grid laboratory: envelopes, conjugates, invariance checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,3 +311,174 @@ def test_2d_scan_cell_cap():
     g = GridFn(dom2, step, np.hypot(xx, yy))     # euclidean norm: not separable
     with pytest.raises(GridMismatch):
         inf_conv(f, g)
+
+
+# --- the hull-based conjugate against the brute-force maximum ---
+
+def _legendre_brute(f: GridFn, dual: BoxDomain, step: float) -> np.ndarray:
+    """max over every finite grid point of <x, z> - f(x), by full enumeration."""
+    zs = grid_axes(dual, step)
+    if f.dim == 1:
+        finite = np.isfinite(f.values)
+        xs, vs = f.axes()[0][finite], f.values[finite]
+        return np.max(zs[0][:, None] * xs - vs, axis=1)
+    x0, x1 = f.axes()
+    out = np.empty((len(zs[0]), len(zs[1])))
+    for i, a in enumerate(zs[0]):
+        for j, b in enumerate(zs[1]):
+            out[i, j] = np.max(a * x0[:, None] + b * x1 - f.values)
+    return out
+
+
+def _bumpy(rng, xs):
+    amp, freq, phase = rng.uniform(0.05, 0.5, 3), rng.uniform(1, 12, 3), rng.uniform(0, 6, 3)
+    return (rng.uniform(0.2, 1.0) * xs ** 2 + rng.uniform(-1, 1) * xs
+            + sum(amp[k] * np.cos(freq[k] * xs + phase[k]) for k in range(3)))
+
+
+def _dom1(lo, hi):
+    return BoxDomain(np.array([lo]), np.array([hi]))
+
+
+def _holes(rng, vals, frac):
+    out = vals.copy()
+    out[rng.uniform(size=len(vals)) < frac] = np.inf
+    if not np.any(np.isfinite(out)):
+        out[rng.integers(len(out))] = vals[0]
+    return out
+
+
+_CASES_1D = {
+    # label: (primal lo, hi, step, values(rng, xs), dual (lo, hi, step) or None)
+    "two points": (0.0, 1.0, 1.0, lambda rng, xs: rng.normal(size=2), None),
+    "three points": (-1.0, 1.0, 1.0, lambda rng, xs: rng.normal(size=3), (-4.0, 4.0, 0.5)),
+    "single finite of two": (0.0, 1.0, 1.0, lambda rng, xs: np.array([np.inf, 0.3]), None),
+    "single finite of 101": (-1.0, 1.0, 0.02,
+                             lambda rng, xs: np.where(np.arange(101) == 37, -2.5, np.inf), None),
+    "bumpy 101": (-1.0, 1.0, 0.02, _bumpy, None),
+    "bumpy 6001": (-3.0, 3.0, 1e-3, _bumpy, None),
+    "bumpy 6001 holes": (-3.0, 3.0, 1e-3, lambda rng, xs: _holes(rng, _bumpy(rng, xs), 0.3),
+                         None),
+    "bumpy 101 sparse": (-1.0, 1.0, 0.02, lambda rng, xs: _holes(rng, _bumpy(rng, xs), 0.9),
+                         None),
+    "bumpy 101 inf ends": (-1.0, 1.0, 0.02,
+                           lambda rng, xs: np.where(np.abs(xs) > 0.6, np.inf, _bumpy(rng, xs)),
+                           None),
+    "linear": (-2.0, 2.0, 0.01, lambda rng, xs: 0.7 * xs - 0.2, None),
+    "linear coarse dual": (-2.0, 2.0, 0.01, lambda rng, xs: -1.3 * xs, (-3.0, 3.0, 0.25)),
+    "abs": (-3.0, 3.0, 1e-3, lambda rng, xs: np.abs(xs), (-2.0, 2.0, 1e-3)),
+    "abs shifted, wide dual": (-1.0, 1.0, 0.02, lambda rng, xs: 2.0 * np.abs(xs - 0.3),
+                               (-50.0, 50.0, 0.5)),
+    "bumpy wide coarse dual": (-1.0, 1.0, 0.01, _bumpy, (-20.0, 20.0, 0.4)),
+    "constant": (-1.0, 1.0, 0.05, lambda rng, xs: np.full(len(xs), 1.75), None),
+}
+
+
+@pytest.mark.parametrize("label", list(_CASES_1D))
+def test_legendre_1d_matches_brute_force(label):
+    lo, hi, step, values, dual = _CASES_1D[label]
+    dom = _dom1(lo, hi)
+    rng = np.random.default_rng(list(_CASES_1D).index(label))
+    for _ in range(3):
+        f = GridFn(dom, step, values(rng, grid_axes(dom, step)[0]))
+        ddom, dstep = (_dom1(*dual[:2]), dual[2]) if dual else (dom, step)
+        out = legendre(f, ddom, dstep)
+        assert out.values.shape == (len(grid_axes(ddom, dstep)[0]),)
+        assert np.abs(out.values - _legendre_brute(f, ddom, dstep)).max() <= 1e-12
+
+
+_DOM2 = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+
+
+def _grid2(step):
+    ax = grid_axes(_DOM2, step)
+    return np.meshgrid(ax[0], ax[1], indexing="ij")
+
+
+def _with_inf_rows(vals):
+    out = vals.copy()
+    out[[0, 1, 7, 20, -1]] = np.inf
+    return out
+
+
+_CASES_2D = {
+    # label: (step, values(gx, gy), dual (lo, hi, step) or None)
+    "separable quadratic": (0.05, lambda gx, gy: 0.5 * gx ** 2 + 1.5 * gy ** 2, None),
+    "non-separable quadratic": (
+        0.05, lambda gx, gy: gx ** 2 + gx * gy + 0.75 * gy ** 2 + 0.3 * gx, None),
+    "bumpy": (0.05, lambda gx, gy: 0.6 * gx ** 2 + 0.4 * gy ** 2
+              + 0.5 * np.cos(4 * gx) * np.sin(3 * gy), None),
+    "bumpy 101^2": (0.02, lambda gx, gy: 0.7 * gx ** 2 + 0.5 * gy ** 2
+                    + 0.4 * np.cos(3 * gx) * np.sin(2 * gy), None),
+    "inf outside a disk": (0.05, lambda gx, gy: np.where(np.hypot(gx - 0.2, gy) <= 0.55,
+                                                         np.cos(5 * gx * gy) + gy, np.inf), None),
+    "whole inf rows": (
+        0.05, lambda gx, gy: _with_inf_rows(np.abs(gx) + 2 * np.abs(gy) + gx * gy), None),
+    "one finite point": (0.05, lambda gx, gy: np.where((gx == gx[3, 0]) & (gy == gy[0, 9]),
+                                                       0.25, np.inf), None),
+    "bumpy, dual box": (0.05, lambda gx, gy: np.sin(3 * gx + gy) + gx ** 2,
+                        ([-3.0, -0.5], [2.0, 4.0], 0.25)),
+    "inf rows, wide dual": (0.05, lambda gx, gy: _with_inf_rows(gx ** 2 - gy ** 2),
+                            ([-8.0, -8.0], [8.0, 8.0], 0.5)),
+}
+
+
+@pytest.mark.parametrize("label", list(_CASES_2D))
+def test_legendre_2d_matches_brute_force(label):
+    step, values, dual = _CASES_2D[label]
+    f = GridFn(_DOM2, step, values(*_grid2(step)))
+    ddom = _DOM2 if dual is None else BoxDomain(np.array(dual[0]), np.array(dual[1]))
+    dstep = step if dual is None else dual[2]
+    out = legendre(f, ddom, dstep)
+    assert np.abs(out.values - _legendre_brute(f, ddom, dstep)).max() <= 1e-12
+
+
+def test_legendre_holds_no_score_matrix():
+    # 6001 x 6001 doubles would take 288 MB; the hull needs a few copies of n
+    f = _grid(np.minimum((XS - 1.0) ** 2, (XS + 1.0) ** 2))
+    tracemalloc.start()
+    try:
+        legendre(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
+
+
+@settings(max_examples=60, deadline=None)
+@given(values_strategy, st.sets(st.integers(0, len(_COARSE_XS) - 1),
+                                max_size=len(_COARSE_XS) - 1))
+def test_legendre_matches_brute_force_property(va, holes):
+    vals = np.array(va)
+    vals[sorted(holes)] = np.inf
+    f = GridFn(_COARSE_DOM, 0.05, vals)
+    for dual, step in ((_COARSE_DOM, 0.05), (_dom1(-90.0, 90.0), 2.5)):
+        assert np.abs(legendre(f, dual, step).values
+                      - _legendre_brute(f, dual, step)).max() <= 1e-12
+
+
+# --- grid values and grid steps the envelopes cannot read ---
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_gridfn_rejects_nan_and_minus_inf(bad):
+    v = 0.5 * XS ** 2
+    v[3000] = bad
+    with pytest.raises(PreconditionViolated):
+        _grid(v)
+
+
+def test_gridfn_rejects_all_plus_inf():
+    with pytest.raises(PreconditionViolated):
+        _grid(np.full(len(XS), np.inf))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf])
+def test_grid_axes_rejects_bad_step(step):
+    with pytest.raises(GridMismatch):
+        grid_axes(DOM, step)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5), (np.nan, 1.0)])
+def test_box_rejects_empty_or_reversed(lo, hi):
+    with pytest.raises(PreconditionViolated):
+        BoxDomain(np.array([lo]), np.array([hi]))
