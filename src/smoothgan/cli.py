@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .divergences import KernelSpec, LossKind, loss_eval
-from .discriminators import DiscOracle
+from .divergences import LOSSES, KernelSpec, LossKind, loss_eval
 from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, moreau,
                         pasch_hausdorff)
 from .errors import ConfigError, MalformedTrace, SmoothganError, UnknownKind
@@ -36,8 +35,6 @@ from .trainer import (BETA2_MMD_BOUND, GanLoopConfig, TrainConfig, trace_to_csv,
                       train_particles)
 from .verify import run_suite
 
-_LOSS_TAGS = {"js": "minimax_js", "ns": "non_saturating_kl", "w1": "wasserstein1",
-              "mmd": "mmd_sq_half"}
 _GAN2D_KEYS = {"target", "generator_init", "depth", "width", "final_scale", "beta2", "n_steps",
                "seed", "disc_steps_per_gen", "interpolation", "lr_disc", "lr_gen"}
 _GAN2D_TARGET_KEYS = {"kind", "n", "seed"}
@@ -71,18 +68,29 @@ def _load_measure(path: str, signed: bool = False):
     return measure_from_csv(Path(path).read_text(), signed=signed)
 
 
-def _kernel_from_args(args) -> KernelSpec:
-    if getattr(args, "sigma_sq", None) is None:
-        return KernelSpec.critical()
-    return KernelSpec(sigma_sq=args.sigma_sq)
+def _kernel_for(args) -> KernelSpec | None:
+    """The kernel of the --loss entry: --sigma-sq or the critical one; None if it takes none."""
+    if not LOSSES[args.loss].kernel:
+        return None
+    return KernelSpec.critical() if args.sigma_sq is None else KernelSpec(sigma_sq=args.sigma_sq)
 
 
-def _loss_kind(args, mu0) -> LossKind:
-    tag = _LOSS_TAGS.get(args.loss)
-    if tag is None:
-        raise UnknownKind(f"unknown loss {args.loss!r}")
-    kernel = _kernel_from_args(args) if tag == "mmd_sq_half" else None
-    return LossKind(tag, mu0, kernel)
+def _need(value, flag: str):
+    """The value of an option this command cannot run without."""
+    if value is None:
+        raise ConfigError(f"this command needs {flag}")
+    return value
+
+
+def _floats(text: str, flag: str) -> np.ndarray:
+    """A comma-separated list of finite numbers."""
+    try:
+        vals = np.array([float(v) for v in text.split(",")])
+        if not np.isfinite(vals).all():
+            raise ValueError(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be comma-separated finite numbers: {exc}") from exc
+    return vals
 
 
 # --- subcommand bodies ---
@@ -90,7 +98,7 @@ def _loss_kind(args, mu0) -> LossKind:
 def cmd_div(args) -> int:
     mu = _load_measure(args.mu)
     mu0 = _load_measure(args.mu0)
-    val = loss_eval(_loss_kind(args, mu0), mu)
+    val = loss_eval(LossKind(LOSSES[args.loss].tag, mu0, _kernel_for(args)), mu)
     print(_fmt(val))
     return 0
 
@@ -98,20 +106,18 @@ def cmd_div(args) -> int:
 def cmd_disc(args) -> int:
     mu = _load_measure(args.mu)
     mu0 = _load_measure(args.mu0)
-    x = np.array([float(v) for v in args.at.split(",")])
-    kind = {"mmd": "mmd", "w1": "w1", "js": "minimax", "ns": "ns"}[args.loss]
-    oracle = DiscOracle(kind, mu, mu0, _kernel_from_args(args) if kind == "mmd" else None)
-    print("phi:", _fmt(float(oracle.eval(x))))
-    if kind in ("mmd", "w1"):
-        grad = np.atleast_1d(oracle.grad(x))
+    x = _floats(args.at, "--at")[None, :]       # one point, as many coordinates as the measures
+    loss, kernel = LOSSES[args.loss], _kernel_for(args)
+    print("phi:", _fmt(float(loss.witness(mu, mu0, kernel, x)[0])))
+    if loss.grad is not None:
+        grad = np.atleast_1d(loss.grad(mu, mu0, kernel, x)[0])
         print("grad:", ",".join(_fmt(float(v)) for v in grad))
     return 0
 
 
 def cmd_smooth(args) -> int:
     t0 = time.perf_counter()
-    fam = OracleFamily(args.loss, dim=args.d,
-                       kernel=_kernel_from_args(args) if args.loss == "mmd" else None)
+    fam = OracleFamily(args.loss, dim=args.d, kernel=_kernel_for(args))
     report = build_report(fam, BoxDomain.unit(args.d), args.trials, args.grid_pts, args.seed)
     payload = report.to_dict()
     if args.format == "csv":
@@ -132,12 +138,12 @@ def cmd_env(args) -> int:
     t0 = time.perf_counter()
     f = gridfn_from_csv(Path(args.f).read_text())
     if args.op == "infconv":
-        g = gridfn_from_csv(Path(args.g).read_text())
+        g = gridfn_from_csv(Path(_need(args.g, "--g")).read_text())
         out = inf_conv(f, g)
     elif args.op == "ph":
-        out = pasch_hausdorff(f, args.alpha)
+        out = pasch_hausdorff(f, _need(args.alpha, "--alpha"))
     elif args.op == "moreau":
-        out = moreau(f, args.beta)
+        out = moreau(f, _need(args.beta, "--beta"))
     elif args.op == "legendre":
         dual = None
         if (args.dual_lo is None) != (args.dual_hi is None):
@@ -177,23 +183,21 @@ def cmd_nn(args) -> int:
                          args.final_scale)
         if args.normalize:
             net = spectral_normalize(net, seed=args.seed)
-        _write_with_manifest(args.out, net_to_json(net) + "\n", args, t0)
+        _write_with_manifest(_need(args.out, "--out"), net_to_json(net) + "\n", args, t0)
         return 0
-    net = net_from_json(Path(args.net).read_text())
+    net = net_from_json(Path(_need(args.net, "--net")).read_text())
     for i, (w, _b) in enumerate(net.layers):
         print(f"layer {i}: specnorm {_fmt(power_iteration_specnorm(w, seed=args.seed))}")
     if args.normalize:
         out = spectral_normalize(net, seed=args.seed)
-        _write_with_manifest(args.out, net_to_json(out) + "\n", args, t0)
+        _write_with_manifest(_need(args.out, "--out"), net_to_json(out) + "\n", args, t0)
     return 0
 
 
 def _gan2d_config(path: str | None) -> dict:
     """The gan2d JSON config, with every key checked against the known ones."""
-    if path is None:
-        raise ConfigError("train gan2d needs --config")
     try:
-        blob = json.loads(Path(path).read_text())
+        blob = json.loads(Path(_need(path, "--config")).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(blob, dict) or not isinstance(blob.get("target"), dict):
@@ -246,7 +250,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    ratios = [float(r) for r in args.ratios.split(",")]
+    ratios = _floats(args.ratios, "--ratios")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ratio", "seed", "min_grad_norm", "final_loss", "diverged"])
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("div", help="evaluate a divergence loss")
     ds = d.add_subparsers(dest="op", required=True)
     de = ds.add_parser("eval")
-    de.add_argument("--loss", required=True, choices=list(_LOSS_TAGS))
+    de.add_argument("--loss", required=True, choices=list(LOSSES))
     de.add_argument("--mu", required=True)
     de.add_argument("--mu0", required=True)
     de.add_argument("--sigma-sq", type=float, dest="sigma_sq")
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("disc", help="query an optimal discriminator")
     cs = c.add_subparsers(dest="op", required=True)
     ce = cs.add_parser("eval")
-    ce.add_argument("--loss", required=True, choices=["mmd", "w1", "js", "ns"])
+    ce.add_argument("--loss", required=True, choices=list(LOSSES))
     ce.add_argument("--mu", required=True)
     ce.add_argument("--mu0", required=True)
     ce.add_argument("--at", required=True, help="comma-separated point")
@@ -325,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("smooth", help="estimate regularity constants")
     ss = s.add_subparsers(dest="op", required=True)
     sr = ss.add_parser("report")
-    sr.add_argument("--loss", required=True, choices=["mmd", "w1"])
+    sr.add_argument("--loss", required=True,
+                    choices=[name for name, loss in LOSSES.items() if loss.grad is not None])
     sr.add_argument("--d", type=int, default=1)
     sr.add_argument("--trials", type=int, default=500)
     sr.add_argument("--grid-pts", type=int, default=201, dest="grid_pts")

@@ -9,16 +9,22 @@ is built from the sign of the CDF difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergences import KernelSpec, _cdf_levels
-from .errors import DimensionMismatch, GradientUnsupported, PointOffSupport
-from .measures import MERGE_TOL, DiscreteMeasure, diff
+from .errors import DimensionMismatch, PointOffSupport
+from .measures import MERGE_TOL, DiscreteMeasure, _cdf_levels, diff
+
+if TYPE_CHECKING:
+    from .divergences import KernelSpec
 
 
-def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray, bool]:
+    """x as an (n, d) batch for measures of one dimension d, and whether x is one point."""
+    dim = mu.dim
+    if mu0.dim != dim:
+        raise DimensionMismatch(f"dim {dim} vs {mu0.dim}")
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -36,53 +42,43 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
 
 def phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> float | np.ndarray:
     """MMD witness E_mu[K(x, .)] - E_mu0[K(x, .)], exact weighted kernel sums."""
-    if mu.dim != mu0.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {mu0.dim}")
-    pts, single = _as_batch(x, mu.dim)
+    pts, single = _as_batch(x, mu, mu0)
     val = k.gram(pts, mu.points) @ mu.weights - k.gram(pts, mu0.points) @ mu0.weights
     return float(val[0]) if single else val
 
 
 def grad_phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> np.ndarray:
     """Spatial gradient of the MMD witness via the analytic kernel gradient."""
-    if mu.dim != mu0.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {mu0.dim}")
-    pts, single = _as_batch(x, mu.dim)
-    g = (np.einsum("nmd,m->nd", k.grad_x(pts, mu.points), mu.weights)
-         - np.einsum("nmd,m->nd", k.grad_x(pts, mu0.points), mu0.weights))
+    pts, single = _as_batch(x, mu, mu0)
+    g = (k.grad_x_sum(pts, mu.points, mu.weights)
+         - k.grad_x_sum(pts, mu0.points, mu0.weights))
     return g[0] if single else g
 
 
-def _atom_weight(m: DiscreteMeasure, x: np.ndarray) -> float | None:
-    """Weight of the atom of m at x (sup-norm tolerance), None if x is off support."""
-    hits = np.max(np.abs(m.points - x[None, :]), axis=1) < MERGE_TOL
-    if not np.any(hits):
-        return None
-    return float(m.weights[hits].sum())
-
-
-def phi_minimax(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float:
-    """Minimax discriminator (1/2) log( mu(x) / (mu(x) + mu0(x)) ) at a support atom."""
-    pts, _ = _as_batch(x, mu.dim)
-    wm, w0 = _atom_weight(mu, pts[0]), _atom_weight(mu0, pts[0])
-    if wm is None and w0 is None:
+def _atom_weights(mu: DiscreteMeasure, mu0: DiscreteMeasure, x):
+    """Weights of mu and mu0 at each point of x (atoms within MERGE_TOL in sup-norm)
+    and whether x is one point; PointOffSupport if any point is off both supports."""
+    pts, single = _as_batch(x, mu, mu0)
+    hits = [np.max(np.abs(pts[:, None, :] - m.points), axis=2) < MERGE_TOL for m in (mu, mu0)]
+    if not np.all(hits[0].any(axis=1) | hits[1].any(axis=1)):
         raise PointOffSupport("density ratio undefined off the union support")
-    wm, w0 = wm or 0.0, w0 or 0.0
-    if wm == 0.0:
-        return -np.inf
-    return 0.5 * float(np.log(wm / (wm + w0)))
+    return hits[0] @ mu.weights, hits[1] @ mu0.weights, single
 
 
-def phi_ns(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float:
-    """Non-saturating discriminator -(1/2) log( mu0(x) / (mu(x) + mu0(x)) )."""
-    pts, _ = _as_batch(x, mu.dim)
-    wm, w0 = _atom_weight(mu, pts[0]), _atom_weight(mu0, pts[0])
-    if wm is None and w0 is None:
-        raise PointOffSupport("density ratio undefined off the union support")
-    wm, w0 = wm or 0.0, w0 or 0.0
-    if w0 == 0.0:
-        return np.inf
-    return -0.5 * float(np.log(w0 / (wm + w0)))
+def phi_minimax(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarray:
+    """Minimax discriminator (1/2) log( mu(x) / (mu(x) + mu0(x)) ) at support atoms."""
+    wm, w0, single = _atom_weights(mu, mu0, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.where(wm > 0, 0.5 * np.log(wm / (wm + w0)), -np.inf)
+    return float(val[0]) if single else val
+
+
+def phi_ns(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarray:
+    """Non-saturating discriminator -(1/2) log( mu0(x) / (mu(x) + mu0(x)) ) at support atoms."""
+    wm, w0, single = _atom_weights(mu, mu0, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.where(w0 > 0, -0.5 * np.log(w0 / (wm + w0)), np.inf)
+    return float(val[0]) if single else val
 
 
 def _w1_segments(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +100,7 @@ def phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarra
     if mu.dim != 1 or mu0.dim != 1:
         raise DimensionMismatch("phi_w1_1d requires 1-D measures")
     breaks, slopes = _w1_segments(mu, mu0)
-    pts, single = _as_batch(x, 1)
+    pts, single = _as_batch(x, mu, mu0)
     query = pts[:, 0]
 
     def integral_from_left(t: np.ndarray) -> np.ndarray:
@@ -126,39 +122,10 @@ def grad_phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.n
     if mu.dim != 1 or mu0.dim != 1:
         raise DimensionMismatch("grad_phi_w1_1d requires 1-D measures")
     breaks, slopes = _w1_segments(mu, mu0)
-    pts, single = _as_batch(x, 1)
+    pts, single = _as_batch(x, mu, mu0)
     query = pts[:, 0]
     idx = np.searchsorted(breaks, query, side="right") - 1
     out = np.zeros_like(query)
     valid = idx >= 0
     out[valid] = slopes[idx[valid]]
     return float(out[0]) if single else out
-
-
-@dataclass(frozen=True)
-class DiscOracle:
-    """Optimal-discriminator oracle for one loss kind at a fixed pair (mu, mu0)."""
-
-    kind: str                  # mmd | w1 | minimax | ns
-    mu: DiscreteMeasure
-    mu0: DiscreteMeasure
-    kernel: KernelSpec | None = None
-
-    def eval(self, x):
-        if self.kind == "mmd":
-            return phi_mmd(self.mu, self.mu0, self.kernel, x)
-        if self.kind == "w1":
-            return phi_w1_1d(self.mu, self.mu0, x)
-        if self.kind == "minimax":
-            return phi_minimax(self.mu, self.mu0, x)
-        if self.kind == "ns":
-            return phi_ns(self.mu, self.mu0, x)
-        raise ValueError(f"unknown oracle kind {self.kind!r}")
-
-    def grad(self, x):
-        if self.kind == "mmd":
-            return grad_phi_mmd(self.mu, self.mu0, self.kernel, x)
-        if self.kind == "w1":
-            return grad_phi_w1_1d(self.mu, self.mu0, x)
-        raise GradientUnsupported(
-            f"{self.kind} discriminator is a density ratio on atoms; no spatial gradient")

@@ -1,23 +1,30 @@
-"""Loss functions J(mu) on discrete measures.
+"""Loss functions J(mu) on discrete measures, and the table of losses.
 
 Implements the minimax (Jensen-Shannon), non-saturating KL, Wasserstein-1 and
 half-squared-MMD losses, each against a fixed reference measure, together
-with the Kantorovich-Rubinstein norm on mass-zero signed measures.  Infinite
-values are legitimate returns (math.inf), never exceptions.
+with the Kantorovich-Rubinstein norm on mass-zero signed measures, and the
+table LOSSES of their properties.  Infinite values are legitimate returns
+(math.inf), never exceptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
+from scipy.special import rel_entr
 
-from .errors import DimensionMismatch, ProblemTooLarge, UnknownKind
-from .measures import DiscreteMeasure, SignedMeasure, _merge_atoms, diff, require_mass_zero
+from .discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd, phi_ns,
+                             phi_w1_1d)
+from .errors import (DimensionMismatch, PointOffSupport, PreconditionViolated, ProblemTooLarge,
+                     UnknownKind)
+from .measures import (DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms, diff,
+                       require_mass_zero)
 
 _LP_MAX_CELLS = 10 ** 6
 
@@ -35,8 +42,8 @@ class KernelSpec:
     normalized: bool = False
 
     def __post_init__(self):
-        if self.sigma_sq <= 0:
-            raise ValueError("sigma_sq must be positive")
+        if not 0 < self.sigma_sq < math.inf:
+            raise PreconditionViolated(f"sigma_sq must be finite and positive: {self.sigma_sq}")
 
     @staticmethod
     def critical() -> "KernelSpec":
@@ -69,20 +76,51 @@ class KernelSpec:
         d = x[:, None, :] - y[None, :, :]
         return -d * self.gram(x, y)[:, :, None] / self.sigma_sq
 
+    def grad_x_sum(self, x: np.ndarray, y: np.ndarray, w) -> np.ndarray:
+        """sum_j w_j grad_x K(x_i, y_j) = ((K diag(w) y)_i - x_i (K w)_i) / sigma_sq,
+        shape (n, d), for weights w of shape (m,) or one scalar weight."""
+        kw = self.gram(x, y)
+        kw *= w
+        return (kw @ y - x * kw.sum(axis=1)[:, None]) / self.sigma_sq
+
+
+@dataclass(frozen=True)
+class Loss:
+    """One GAN loss: short name (CLI --loss, OracleFamily kind), LossKind tag, whether
+    it takes a kernel k, J(mu) = value(mu, mu0, k), the optimal discriminator
+    witness(mu, mu0, k, x), bregman(kind, nu, mu) and the witness gradient (None for
+    density ratios on atoms).  Entries call package functions by name inside lambdas,
+    never hold them, so that a wrapper installed on a module attribute sees every call."""
+
+    name: str
+    tag: str
+    kernel: bool
+    value: Callable
+    witness: Callable
+    bregman: Callable
+    grad: Callable | None = None
+
+    def check_kernel(self, kernel: KernelSpec | None) -> None:
+        if (kernel is not None) != self.kernel:
+            raise PreconditionViolated(
+                f"the {self.name} loss takes {'a' if self.kernel else 'no'} kernel")
+
 
 @dataclass(frozen=True)
 class LossKind:
     """A GAN loss: tag, reference measure mu0, and (for MMD) a kernel."""
 
-    tag: str  # minimax_js | non_saturating_kl | wasserstein1 | mmd_sq_half
+    tag: str  # the tag of an entry of LOSSES
     reference: DiscreteMeasure
     kernel: KernelSpec | None = None
+    loss: Loss = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tag not in ("minimax_js", "non_saturating_kl", "wasserstein1", "mmd_sq_half"):
+        loss = next((e for e in LOSSES.values() if e.tag == self.tag), None)
+        if loss is None:
             raise UnknownKind(f"unknown loss tag {self.tag!r}")
-        if (self.kernel is not None) != (self.tag == "mmd_sq_half"):
-            raise ValueError("kernel must be present iff tag is mmd_sq_half")
+        loss.check_kernel(self.kernel)
+        object.__setattr__(self, "loss", loss)
 
 
 def _check_dims(mu: DiscreteMeasure | SignedMeasure, nu: DiscreteMeasure | SignedMeasure):
@@ -108,13 +146,6 @@ def align_many(measures: list[DiscreteMeasure]) -> tuple[np.ndarray, list[np.nda
 
 
 # --- Wasserstein-1 ---
-
-def _cdf_levels(xi: SignedMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted 1-D atom positions and the running CDF value on each gap."""
-    x = xi.points[:, 0]
-    order = np.argsort(x)
-    return x[order], np.cumsum(xi.weights[order])
-
 
 def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact 1-D Wasserstein-1 distance: the KR norm of mu - nu."""
@@ -203,6 +234,43 @@ def ns_kl(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
     return max(float(np.sum(mid[pos] * np.log(mid[pos] / w0[pos]))), 0.0)
 
 
+# Bregman divergences of the density-ratio losses: the pieces of J(nu) - J(mu) - <Phi_mu, nu - mu>
+# carry opposing infinities in degenerate configurations, so they are combined per atom.
+
+def _ratio_weights(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasure):
+    """Weights of nu, mu, mu0 on their union support; PointOffSupport where Phi_mu is undefined."""
+    _, (wn_u, wm_u, w0_u) = align_many([nu, mu, mu0])
+    if np.any((wn_u > 0) & (wm_u == 0) & (w0_u == 0)):
+        raise PointOffSupport("nu has mass where neither mu nor mu0 does")
+    return wn_u, wm_u, w0_u
+
+
+def _js_bregman(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
+    wn_u, wm_u, w0_u = _ratio_weights(nu, mu, mu0)
+    # Phi_mu = (1/2) log(b / (b + c)) is -inf where nu moves mass onto b = 0 < c
+    if np.any((wn_u > 0) & (wm_u == 0) & (w0_u > 0)):
+        return math.inf
+    mid_n = 0.5 * (wn_u + w0_u)
+    mid_m = 0.5 * (wm_u + w0_u)
+    js_nu = rel_entr(wn_u, mid_n) + rel_entr(w0_u, mid_n)
+    js_mu = rel_entr(wm_u, mid_m) + rel_entr(w0_u, mid_m)
+    # <Phi_mu, nu - mu> per atom; where b = 0 also a = 0, so the term is 0
+    phi = 0.5 * np.log(np.where(wm_u > 0, wm_u, 1.0) / np.where(wm_u > 0, wm_u + w0_u, 1.0))
+    pair = (wn_u - wm_u) * phi
+    return float(np.sum(0.5 * (js_nu - js_mu) - pair))
+
+
+def _ns_bregman(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
+    wn_u, wm_u, w0_u = _ratio_weights(nu, mu, mu0)
+    # per-atom reduction of J(nu) - J(mu) - <Phi_mu, nu - mu>:
+    #   m_nu log(m_nu / (2 m_mu)) + m_mu log 2,  m = (w + w0)/2
+    m_nu = 0.5 * (wn_u + w0_u)
+    m_mu = 0.5 * (wm_u + w0_u)
+    if np.any((m_nu > 0) & (m_mu == 0)):
+        return math.inf
+    return float(np.sum(rel_entr(m_nu, 2.0 * m_mu) + m_mu * math.log(2.0)))
+
+
 # --- MMD ---
 
 def embedding_gram(xi: SignedMeasure, k: KernelSpec) -> float:
@@ -227,15 +295,34 @@ def mmd_sq(mu: DiscreteMeasure, nu: DiscreteMeasure, k: KernelSpec) -> float:
 
 def loss_eval(kind: LossKind, mu: DiscreteMeasure) -> float:
     """Evaluate J(mu) for the given loss kind against its reference."""
-    mu0 = kind.reference
-    if kind.tag == "minimax_js":
-        return js(mu, mu0)
-    if kind.tag == "non_saturating_kl":
-        return ns_kl(mu, mu0)
-    if kind.tag == "wasserstein1":
-        if mu.dim == 1:
-            return w1_1d(mu, mu0)
-        return w1_lp(mu, mu0)
-    if kind.tag == "mmd_sq_half":
-        return 0.5 * mmd_sq(mu, mu0, kind.kernel)
-    raise UnknownKind(kind.tag)
+    return kind.loss.value(mu, kind.reference, kind.kernel)
+
+
+def _pairing_bregman(kind: LossKind, nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
+    """J(nu) - J(mu) - <Phi_mu, nu - mu>, the witness summed against each measure."""
+    mu0, k = kind.reference, kind.kernel
+    pair = (float(np.dot(kind.loss.witness(mu, mu0, k, nu.points), nu.weights))
+            - float(np.dot(kind.loss.witness(mu, mu0, k, mu.points), mu.weights)))
+    return loss_eval(kind, nu) - loss_eval(kind, mu) - pair
+
+
+LOSSES = {loss.name: loss for loss in (
+    Loss("js", "minimax_js", False,
+         value=lambda mu, mu0, k: js(mu, mu0),
+         witness=lambda mu, mu0, k, x: phi_minimax(mu, mu0, x),
+         bregman=lambda kind, nu, mu: _js_bregman(nu, mu, kind.reference)),
+    Loss("ns", "non_saturating_kl", False,
+         value=lambda mu, mu0, k: ns_kl(mu, mu0),
+         witness=lambda mu, mu0, k, x: phi_ns(mu, mu0, x),
+         bregman=lambda kind, nu, mu: _ns_bregman(nu, mu, kind.reference)),
+    Loss("w1", "wasserstein1", False,
+         value=lambda mu, mu0, k: w1_1d(mu, mu0) if mu.dim == 1 else w1_lp(mu, mu0),
+         witness=lambda mu, mu0, k, x: phi_w1_1d(mu, mu0, x),
+         bregman=lambda kind, nu, mu: _pairing_bregman(kind, nu, mu),
+         grad=lambda mu, mu0, k, x: grad_phi_w1_1d(mu, mu0, x)),
+    Loss("mmd", "mmd_sq_half", True,
+         value=lambda mu, mu0, k: 0.5 * mmd_sq(mu, mu0, k),
+         witness=lambda mu, mu0, k, x: phi_mmd(mu, mu0, k, x),
+         bregman=lambda kind, nu, mu: _pairing_bregman(kind, nu, mu),
+         grad=lambda mu, mu0, k, x: grad_phi_mmd(mu, mu0, k, x)),
+)}

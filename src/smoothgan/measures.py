@@ -71,8 +71,8 @@ class BoxDomain:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch("lo and hi must be vectors of equal length")
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise DimensionMismatch("lo and hi must be nonempty vectors of equal length")
         if not np.all(lo < hi):
             raise PreconditionViolated("box corners must satisfy lo < hi componentwise")
         lo.setflags(write=False)
@@ -91,7 +91,7 @@ class BoxDomain:
     @staticmethod
     def unit(dim: int) -> "BoxDomain":
         """The default domain [-1, 1]^d."""
-        return BoxDomain(-np.ones(dim), np.ones(dim))
+        return BoxDomain(-np.ones(max(dim, 0)), np.ones(max(dim, 0)))   # dim < 1: empty box
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,13 @@ def cdf_1d(m: DiscreteMeasure | SignedMeasure, x: float) -> float:
     if m.dim != 1:
         raise DimensionMismatch("cdf_1d requires a 1-D measure")
     return float(m.weights[m.points[:, 0] <= x].sum())
+
+
+def _cdf_levels(xi: SignedMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted 1-D atom positions and the running CDF value on each gap."""
+    x = xi.points[:, 0]
+    order = np.argsort(x)
+    return x[order], np.cumsum(xi.weights[order])
 
 
 def sample_target(kind: str, n: int, seed: int, dim: int = 2) -> DiscreteMeasure:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonSmoothActivation
+from .errors import ConfigError, DimensionMismatch, NonSmoothActivation, PreconditionViolated
 from .measures import BoxDomain
 from .rng import child_rng
 
@@ -100,6 +100,8 @@ class MlpNet:
 def random_mlp(input_dim: int, width: int, depth: int, activation: str, seed: int,
                final_scale: float = 1.0) -> MlpNet:
     """Depth weight layers, uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+    if min(input_dim, width, depth) < 1:
+        raise PreconditionViolated("input_dim, width and depth must be at least 1")
     sizes = [input_dim] + [width] * (depth - 1) + [1]
     layers = []
     for i in range(depth):

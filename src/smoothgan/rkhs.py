@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import KernelSpec, embedding_gram
+from .divergences import KernelSpec
 from .errors import LengthMismatch, OrderTooLarge, QuadratureDomainTooSmall
-from .measures import SignedMeasure
 
 MAX_ORDER = 30
 
@@ -43,11 +42,6 @@ class EmbeddingFn:
         """Squared RKHS norm in Gram form: c^T K c."""
         g = self.kernel.gram(self.centers[:, None], self.centers[:, None])
         return float(self.coeffs @ g @ self.coeffs)
-
-
-def embedding_norm_sq(xi: SignedMeasure, k: KernelSpec) -> float:
-    """Squared RKHS norm of the mean embedding of a signed measure."""
-    return embedding_gram(xi, k)
 
 
 def _is_critical(k: KernelSpec) -> bool:

@@ -17,11 +17,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import rel_entr
 
-from .discriminators import DiscOracle, phi_mmd, phi_w1_1d
-from .divergences import KernelSpec, LossKind, align_many, kr_norm_1d, loss_eval, w1_1d, w1_lp
-from .errors import GradientUnsupported, PointOffSupport
+from .divergences import LOSSES, KernelSpec, LossKind, kr_norm_1d
+from .errors import GradientUnsupported, PreconditionViolated, UnknownKind
 from .measures import BoxDomain, DiscreteMeasure, diff, random_measure
 from .rng import child_rng
 
@@ -50,34 +48,38 @@ class SmoothnessReport:
 class OracleFamily:
     """A family of discriminator oracles indexed by the generator measure.
 
-    kind 'mmd' supports any dimension; 'w1' is 1-D only.  The reference
-    measure is resampled per trial unless mu0 is pinned.  A custom sampler
-    lets tests drive the estimators with hand-picked measures.
+    kind names an entry of LOSSES; gradient queries need one with a witness
+    gradient: 'mmd' in any dimension, 'w1' in 1-D.  The reference measure is
+    resampled per trial unless mu0 is pinned.  A custom sampler lets tests
+    drive the estimators with hand-picked measures.
     """
 
-    kind: str                                   # mmd | w1 | minimax | ns
+    kind: str
     dim: int = 1
     kernel: KernelSpec | None = None
     mu0: DiscreteMeasure | None = None
     sampler: Callable[[np.random.Generator], DiscreteMeasure] | None = field(
         default=None, compare=False)
 
+    def __post_init__(self):
+        if self.kind not in LOSSES:
+            raise UnknownKind(f"unknown loss {self.kind!r}")
+        LOSSES[self.kind].check_kernel(self.kernel)
+
     def supports_gradients(self) -> bool:
-        return self.kind in ("mmd", "w1")
+        return LOSSES[self.kind].grad is not None
 
     def _draw(self, rng: np.random.Generator, domain: BoxDomain) -> DiscreteMeasure:
         if self.sampler is not None:
             return self.sampler(rng)
         return random_measure(rng, self.dim, domain)
 
-    def oracle(self, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> DiscOracle:
-        return DiscOracle(self.kind, mu, mu0, self.kernel)
-
-
-def _require_gradients(family: OracleFamily) -> None:
-    if not family.supports_gradients():
-        raise GradientUnsupported(
-            f"{family.kind} oracles are density ratios on atoms; gradient queries unsupported")
+    def grad(self, mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> np.ndarray:
+        """Spatial gradients (n, d) of the optimal discriminator for (mu, mu0) at points x."""
+        if not self.supports_gradients():
+            raise GradientUnsupported(
+                f"{self.kind} oracles are density ratios on atoms; gradient queries unsupported")
+        return np.asarray(LOSSES[self.kind].grad(mu, mu0, self.kernel, x)).reshape(len(x), -1)
 
 
 def _eval_points(domain: BoxDomain, grid_pts: int, rng: np.random.Generator,
@@ -92,25 +94,16 @@ def _eval_points(domain: BoxDomain, grid_pts: int, rng: np.random.Generator,
     return pts
 
 
-def _grad_norms(oracle: DiscOracle, pts: np.ndarray) -> np.ndarray:
-    g = oracle.grad(pts)
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 1:
-        return np.abs(g)
-    return np.linalg.norm(g, axis=1)
-
-
 def estimate_alpha(family: OracleFamily, domain: BoxDomain, n_measures: int,
                    grid_pts: int, seed: int) -> float:
     """Lower bound on the discriminator Lipschitz constant: sup of gradient norms."""
-    _require_gradients(family)
     best = 0.0
     for t in range(n_measures):
         rng = child_rng(seed, 0, t)
         mu = family._draw(rng, domain)
         mu0 = family.mu0 if family.mu0 is not None else family._draw(rng, domain)
         pts = _eval_points(domain, grid_pts, rng, np.vstack([mu.points, mu0.points]))
-        best = max(best, float(_grad_norms(family.oracle(mu, mu0), pts).max()))
+        best = max(best, float(np.linalg.norm(family.grad(mu, mu0, pts), axis=1).max()))
     return best
 
 
@@ -122,13 +115,11 @@ def estimate_beta1(family: OracleFamily, domain: BoxDomain, n_measures: int,
     peaks) and log-uniform separations down to 1e-7, so a gradient
     discontinuity shows up as a ratio ~1/h and trips the saturation flag.
     """
-    _require_gradients(family)
     best = 0.0
     for t in range(n_measures):
         rng = child_rng(seed, 1, t)
         mu = family._draw(rng, domain)
         mu0 = family.mu0 if family.mu0 is not None else family._draw(rng, domain)
-        oracle = family.oracle(mu, mu0)
         atoms = np.vstack([mu.points, mu0.points])
         use_atom = rng.random(n_point_pairs) < 0.5
         anchors = rng.uniform(domain.lo, domain.hi, size=(n_point_pairs, domain.dim))
@@ -140,9 +131,8 @@ def estimate_beta1(family: OracleFamily, domain: BoxDomain, n_measures: int,
         others = np.clip(anchors + h[:, None] * direc, domain.lo, domain.hi)
         sep = np.linalg.norm(anchors - others, axis=1)
         ok = sep > 0
-        ga = np.asarray(oracle.grad(anchors), dtype=float).reshape(n_point_pairs, -1)
-        gb = np.asarray(oracle.grad(others), dtype=float).reshape(n_point_pairs, -1)
-        ratios = np.linalg.norm(ga - gb, axis=1)[ok] / sep[ok]
+        gap = family.grad(mu, mu0, anchors) - family.grad(mu, mu0, others)
+        ratios = np.linalg.norm(gap, axis=1)[ok] / sep[ok]
         if ratios.size:
             best = max(best, float(ratios.max()))
     return best
@@ -156,7 +146,6 @@ def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int
     atoms shifted by a common offset), whose ratio approaches the true
     constant as the jitter shrinks.  Pairs with W1 below 1e-12 are skipped.
     """
-    _require_gradients(family)
     best = 0.0
     for t in range(n_measure_pairs):
         rng = child_rng(seed, 2, t)
@@ -169,23 +158,22 @@ def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int
             direc /= np.linalg.norm(direc)
             nu_pts = np.clip(mu.points + h * direc, domain.lo, domain.hi)
             nu = DiscreteMeasure(nu_pts, mu.weights.copy())
-        w1 = w1_1d(mu, nu) if domain.dim == 1 else w1_lp(mu, nu)
-        if w1 < 1e-12:
+        dist = LOSSES["w1"].value(mu, nu, None)
+        if dist < 1e-12:
             continue
         mu0 = family.mu0 if family.mu0 is not None else family._draw(rng, domain)
-        o_mu = family.oracle(mu, mu0)
-        o_nu = family.oracle(nu, mu0)
         pts = _eval_points(domain, grid_pts, rng, np.vstack([mu.points, nu.points]))
-        gm = np.asarray(o_mu.grad(pts), dtype=float).reshape(len(pts), -1)
-        gn = np.asarray(o_nu.grad(pts), dtype=float).reshape(len(pts), -1)
-        sup = float(np.linalg.norm(gm - gn, axis=1).max())
-        best = max(best, sup / w1)
+        gap = family.grad(mu, mu0, pts) - family.grad(nu, mu0, pts)
+        sup = float(np.linalg.norm(gap, axis=1).max())
+        best = max(best, sup / dist)
     return best
 
 
 def build_report(family: OracleFamily, domain: BoxDomain, n_trials: int,
                  grid_pts: int, seed: int) -> SmoothnessReport:
     """Run all three estimators; cap divergent values at the saturation threshold."""
+    if n_trials < 1 or grid_pts < 2:
+        raise PreconditionViolated("need n_trials >= 1 and grid_pts >= 2")
     raw = (
         estimate_alpha(family, domain, n_trials, grid_pts, seed),
         estimate_beta1(family, domain, n_trials, max(grid_pts // 4, 8), seed),
@@ -193,7 +181,7 @@ def build_report(family: OracleFamily, domain: BoxDomain, n_trials: int,
     )
     capped = [min(v, SATURATION_THRESHOLD) for v in raw]
     flags = [v > SATURATION_THRESHOLD for v in raw]
-    step = float((domain.hi[0] - domain.lo[0]) / max(grid_pts - 1, 1))
+    step = float((domain.hi[0] - domain.lo[0]) / (grid_pts - 1))
     return SmoothnessReport(capped[0], capped[1], capped[2], n_trials, step, seed,
                             flags[0], flags[1], flags[2])
 
@@ -203,52 +191,9 @@ def build_report(family: OracleFamily, domain: BoxDomain, n_trials: int,
 def bregman(kind: LossKind, nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     """Bregman divergence J(nu) - J(mu) - <Phi_mu, nu - mu>, nonnegative by convexity.
 
-    For the density-ratio kinds the three pieces carry opposing infinities in
-    degenerate configurations, so their per-atom contributions are combined
-    algebraically before summation.  Raises PointOffSupport when nu puts mass
-    where the discriminator is undefined.
+    Raises PointOffSupport when nu puts mass where the discriminator is undefined.
     """
-    mu0 = kind.reference
-    if kind.tag == "mmd_sq_half":
-        vals_nu = phi_mmd(mu, mu0, kind.kernel, nu.points)
-        vals_mu = phi_mmd(mu, mu0, kind.kernel, mu.points)
-        pair = float(np.dot(vals_nu, nu.weights) - np.dot(vals_mu, mu.weights))
-        return loss_eval(kind, nu) - loss_eval(kind, mu) - pair
-
-    if kind.tag == "wasserstein1":
-        pair = (float(np.dot(phi_w1_1d(mu, mu0, nu.points[:, 0]), nu.weights))
-                - float(np.dot(phi_w1_1d(mu, mu0, mu.points[:, 0]), mu.weights)))
-        return loss_eval(kind, nu) - loss_eval(kind, mu) - pair
-
-    # density-ratio kinds on the union support of (nu, mu, mu0)
-    _, (wn_u, wm_u, w0_u) = align_many([nu, mu, mu0])
-
-    if np.any((wn_u > 0) & (wm_u == 0) & (w0_u == 0)):
-        raise PointOffSupport("nu has mass where neither mu nor mu0 does")
-
-    if kind.tag == "non_saturating_kl":
-        # per-atom reduction of J(nu) - J(mu) - <Phi_mu, nu - mu>:
-        #   m_nu log(m_nu / (2 m_mu)) + m_mu log 2,  m = (w + w0)/2
-        m_nu = 0.5 * (wn_u + w0_u)
-        m_mu = 0.5 * (wm_u + w0_u)
-        if np.any((m_nu > 0) & (m_mu == 0)):
-            return math.inf
-        return float(np.sum(rel_entr(m_nu, 2.0 * m_mu) + m_mu * math.log(2.0)))
-
-    if kind.tag == "minimax_js":
-        # Phi_mu = (1/2) log(b / (b + c)) is -inf where nu moves mass onto b = 0 < c
-        if np.any((wn_u > 0) & (wm_u == 0) & (w0_u > 0)):
-            return math.inf
-        mid_n = 0.5 * (wn_u + w0_u)
-        mid_m = 0.5 * (wm_u + w0_u)
-        js_nu = rel_entr(wn_u, mid_n) + rel_entr(w0_u, mid_n)
-        js_mu = rel_entr(wm_u, mid_m) + rel_entr(w0_u, mid_m)
-        # <Phi_mu, nu - mu> per atom; where b = 0 also a = 0, so the term is 0
-        phi = 0.5 * np.log(np.where(wm_u > 0, wm_u, 1.0) / np.where(wm_u > 0, wm_u + w0_u, 1.0))
-        pair = (wn_u - wm_u) * phi
-        return float(np.sum(0.5 * (js_nu - js_mu) - pair))
-
-    raise ValueError(f"bregman undefined for kind {kind.tag!r}")
+    return kind.loss.bregman(kind, nu, mu)
 
 
 def bregman_kr_bound_check(kind: LossKind, pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]],

@@ -77,8 +77,8 @@ class TrainConfig:
     init: np.ndarray | None = None     # default: particles uniform in [-1, 1]^d
 
     def __post_init__(self):
-        if self.lr_ratio <= 0 or self.n_steps < 1 or self.n_particles < 1:
-            raise ConfigError("need lr_ratio > 0, n_steps >= 1, n_particles >= 1")
+        if not 0 < self.lr_ratio < math.inf or self.n_steps < 1 or self.n_particles < 1:
+            raise ConfigError("need finite lr_ratio > 0, n_steps >= 1, n_particles >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,9 @@ def mmd_particle_grad(gen: ParticleGenerator, mu0: DiscreteMeasure, k: KernelSpe
     gradient at particle i scaled by 1/N."""
     if gen.dim != mu0.dim:
         raise DimensionMismatch(f"particles dim {gen.dim} vs target {mu0.dim}")
-    theta = gen.theta
-    n = gen.n_particles
-    # grad_x K(x, y) = -(x - y) K(x, y) / sigma_sq, and row i of the weighted sum is
-    # sum_j K(theta_i, y_j) w_j (theta_i - y_j) = theta_i (K w)_i - (K diag(w) Y)_i
-    k_target = k.gram(theta, mu0.points)
-    k_target *= mu0.weights
-    k_self = k.gram(theta, theta)
-    k_self /= n
-    rows = (theta * (k_target.sum(axis=1) - k_self.sum(axis=1))[:, None]
-            - k_target @ mu0.points + k_self @ theta)
-    return rows / (n * k.sigma_sq)
+    theta, n = gen.theta, gen.n_particles
+    return (k.grad_x_sum(theta, theta, 1.0 / n)
+            - k.grad_x_sum(theta, mu0.points, mu0.weights)) / n
 
 
 def theoretical_lr(a: float, b: float, alpha: float, beta1: float, beta2: float) -> float:

@@ -250,3 +250,70 @@ def test_env_legendre_bad_dual_step_exit_2(workdir, capsys, step):
     _quad_grid(workdir)
     assert main(["env", "legendre", "--f", "q.csv", "--dual-step", step, "--out", "o.csv"]) == 2
     assert "finite and positive" in capsys.readouterr().err
+
+
+# --- typed errors on the loss subcommands: each exits 2 ---
+
+LOSS_COMMANDS = {
+    "div": ["div", "eval", "--loss", "mmd", "--mu", "mu.csv", "--mu0", "mu0.csv"],
+    "disc": ["disc", "eval", "--loss", "mmd", "--mu", "mu.csv", "--mu0", "mu0.csv", "--at", "0.1"],
+    "smooth": ["smooth", "report", "--loss", "mmd", "--trials", "2", "--grid-pts", "11"],
+}
+
+
+@pytest.mark.parametrize("sigma_sq", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", list(LOSS_COMMANDS))
+def test_bad_sigma_sq_exit_2(workdir, capsys, command, sigma_sq):
+    assert main(LOSS_COMMANDS[command] + ["--sigma-sq", sigma_sq]) == 2
+    assert "sigma_sq must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("at", ["abc", "0.1,x", "nan", "inf", "0.1,0.2"])
+def test_disc_eval_bad_point_exit_2(workdir, at):
+    assert main(LOSS_COMMANDS["disc"] + ["--at", at]) == 2
+
+
+@pytest.mark.parametrize("extra", [["--d", "0"], ["--d", "-1"], ["--trials", "0"],
+                                   ["--grid-pts", "1"]])
+def test_smooth_report_bad_sizes_exit_2(workdir, extra):
+    assert main(["smooth", "report", "--loss", "w1", "--trials", "2", "--grid-pts", "11",
+                 *extra]) == 2
+
+
+# --- typed errors on the other subcommands: each exits 2 ---
+
+@pytest.mark.parametrize("argv", [
+    ["env", "ph", "--f", "q.csv", "--out", "o.csv"],
+    ["env", "moreau", "--f", "q.csv", "--out", "o.csv"],
+    ["env", "infconv", "--f", "q.csv", "--out", "o.csv"],
+    ["nn", "specnorm"],
+    ["nn", "init"],
+])
+def test_missing_option_exit_2(workdir, capsys, argv):
+    _quad_grid(workdir)
+    assert main(argv) == 2
+    assert "this command needs --" in capsys.readouterr().err
+    assert not (workdir / "o.csv").exists()
+
+
+def test_nn_specnorm_normalize_without_out_exit_2(workdir, capsys):
+    assert main(["nn", "init", "--out", "net.json"]) == 0
+    assert main(["nn", "specnorm", "--net", "net.json", "--normalize"]) == 2
+    assert "this command needs --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--width", "--input-dim"])
+def test_nn_init_zero_size_exit_2(workdir, flag):
+    assert main(["nn", "init", flag, "0", "--out", "net.json"]) == 2
+
+
+@pytest.mark.parametrize("ratios", ["a", "1,nan"])
+def test_sweep_bad_ratios_exit_2(workdir, ratios):
+    assert main(["sweep", "--ratios", ratios, "--seeds", "1", "--n", "4", "--steps", "3",
+                 "--out", "s.csv"]) == 2
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_train_particles_non_finite_lr_ratio_exit_2(workdir, ratio):
+    assert main(["train", "particles", "--n", "4", "--steps", "3", "--lr-ratio", ratio,
+                 "--out", "t.csv"]) == 2

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from smoothgan.discriminators import (DiscOracle, grad_phi_mmd, grad_phi_w1_1d, phi_minimax,
-                                      phi_mmd, phi_ns, phi_w1_1d)
-from smoothgan.divergences import KernelSpec, mmd_sq, w1_1d
+from smoothgan.discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd,
+                                      phi_ns, phi_w1_1d)
+from smoothgan.divergences import LOSSES, KernelSpec, mmd_sq, w1_1d
 from smoothgan.errors import GradientUnsupported, PointOffSupport
 from smoothgan.measures import diff, make_discrete, random_measure
+from smoothgan.smoothness import OracleFamily
 
 KC = KernelSpec.critical()
 D0 = make_discrete([0.0], [1.0])
@@ -90,6 +91,23 @@ def test_phi_ns_values():
     assert phi_ns(mu, mu0, 0.0) == pytest.approx(-0.5 * math.log(0.25), abs=1e-15)
 
 
+def test_density_ratio_witnesses_take_batches():
+    mu = make_discrete([0.0, 1.0], [0.75, 0.25])
+    mu0 = make_discrete([0.0, 2.0], [0.25, 0.75])
+    xs = [0.0, 1.0, 2.0]
+    for phi in (phi_minimax, phi_ns):
+        vals = phi(mu, mu0, xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == (3,)
+        assert np.array_equal(vals, [phi(mu, mu0, x) for x in xs])
+        with pytest.raises(PointOffSupport):      # one point off the union support
+            phi(mu, mu0, [0.0, 0.5, 2.0])
+    assert phi_minimax(mu, mu0, xs)[2] == -math.inf and phi_ns(mu, mu0, xs)[1] == math.inf
+    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+    mu2, mu02 = make_discrete(pts, [0.75, 0.25]), make_discrete(pts, [0.25, 0.75])
+    assert phi_minimax(mu2, mu02, pts) == pytest.approx(0.5 * np.log([0.75, 0.25]), abs=1e-15)
+    assert isinstance(phi_minimax(mu2, mu02, pts[1]), float)
+
+
 def test_w1_potential_is_abs():
     mu = make_discrete([-1.0, 1.0], [0.5, 0.5])
     xs = np.linspace(-1, 1, 41)
@@ -144,10 +162,7 @@ def test_w1_potential_kink_divergence():
 def test_oracle_dispatch_and_gradient_support():
     rng = np.random.default_rng(37)
     mu, mu0 = random_measure(rng, 1), random_measure(rng, 1)
-    mmd_oracle = DiscOracle("mmd", mu, mu0, KC)
-    assert mmd_oracle.eval(0.1) == pytest.approx(phi_mmd(mu, mu0, KC, 0.1))
-    w1_oracle = DiscOracle("w1", mu, mu0)
-    assert w1_oracle.eval(0.1) == pytest.approx(phi_w1_1d(mu, mu0, 0.1))
-    ratio_oracle = DiscOracle("minimax", mu, mu0)
+    assert LOSSES["mmd"].witness(mu, mu0, KC, 0.1) == pytest.approx(phi_mmd(mu, mu0, KC, 0.1))
+    assert LOSSES["w1"].witness(mu, mu0, None, 0.1) == pytest.approx(phi_w1_1d(mu, mu0, 0.1))
     with pytest.raises(GradientUnsupported):
-        ratio_oracle.grad(0.1)
+        OracleFamily("js").grad(mu, mu0, 0.1)

@@ -8,6 +8,7 @@ Derived constants frozen from independent oracles:
 - mmd_sq(half, delta_0) critical = (1 - e^{-pi}) / 2      = 0.478393040868114
 """
 
+import argparse
 import math
 import tracemalloc
 
@@ -18,12 +19,15 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from smoothgan.divergences import (KernelSpec, LossKind, js, kl, kr_norm_1d, loss_eval, mmd_sq,
-                                   ns_kl, w1_1d, w1_lp)
-from smoothgan.errors import DimensionMismatch, NonZeroMass, ProblemTooLarge
+from smoothgan.cli import build_parser
+from smoothgan.divergences import (LOSSES, KernelSpec, LossKind, js, kl, kr_norm_1d, loss_eval,
+                                   mmd_sq, ns_kl, w1_1d, w1_lp)
+from smoothgan.errors import (DimensionMismatch, NonZeroMass, PreconditionViolated,
+                              ProblemTooLarge, UnknownKind)
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
 from smoothgan import divergences
 from smoothgan.measures import DiscreteMeasure
+from smoothgan.smoothness import OracleFamily
 
 atoms_1d = st.lists(st.tuples(st.floats(-1, 1), st.floats(0.05, 1.0)), min_size=1, max_size=6)
 
@@ -176,6 +180,46 @@ def test_loss_eval_dispatch():
     a = make_discrete([[0.0, 0.0]], [1.0])
     b = make_discrete([[3.0, 4.0]], [1.0])
     assert loss_eval(LossKind("wasserstein1", b), a) == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list(LOSSES))
+def test_loss_table_entry(name):
+    loss = LOSSES[name]
+    rng = np.random.default_rng(41)
+    mu, mu0 = random_measure(rng, 1), random_measure(rng, 1)
+    k = KC if loss.kernel else None
+    kind = LossKind(loss.tag, mu0, k)
+    assert loss.name == name and kind.loss is loss
+    with pytest.raises(PreconditionViolated):          # a kernel exactly when the entry says
+        LossKind(loss.tag, mu0, None if loss.kernel else KC)
+    with pytest.raises(PreconditionViolated):
+        OracleFamily(name, kernel=None if loss.kernel else KC)
+    assert loss_eval(kind, mu) == loss.value(mu, mu0, k)
+    xs = np.vstack([mu.points, mu0.points])            # a batch on the union support
+    vals = loss.witness(mu, mu0, k, xs)
+    assert isinstance(vals, np.ndarray) and vals.shape == (len(xs),)
+    np.testing.assert_allclose(vals, [loss.witness(mu, mu0, k, x) for x in xs],
+                               rtol=1e-15, atol=1e-15)
+    assert (loss.grad is None) == (name in ("js", "ns"))
+    assert OracleFamily(name, kernel=k).supports_gradients() == (loss.grad is not None)
+
+
+def _loss_choices(*command):
+    parser = build_parser()
+    for word in command:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return next(a for a in parser._actions if a.dest == "loss").choices
+
+
+def test_loss_table_names():
+    assert _loss_choices("div", "eval") == _loss_choices("disc", "eval") == list(LOSSES)
+    assert _loss_choices("smooth", "report") == [
+        name for name, loss in LOSSES.items() if loss.grad is not None]
+    with pytest.raises(UnknownKind):
+        LossKind("minimax", D0)
+    with pytest.raises(UnknownKind):
+        OracleFamily("foo")
 
 
 @settings(max_examples=60, deadline=None)

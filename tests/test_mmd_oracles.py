@@ -4,6 +4,7 @@ against the direct forms they replace, written out here as oracles."""
 import numpy as np
 import pytest
 
+from smoothgan.discriminators import grad_phi_mmd
 from smoothgan.divergences import KernelSpec, embedding_gram, mmd_sq
 from smoothgan.measures import DiscreteMeasure, diff, make_discrete, sample_target
 from smoothgan.trainer import ParticleGenerator, mmd_particle_grad
@@ -68,3 +69,15 @@ def test_particle_grad_matches_pairwise_form(k, n):
         theta[2] = target.points[0]          # one sitting on a target atom
     grad = mmd_particle_grad(ParticleGenerator(theta), target, k)
     assert np.abs(grad - particle_grad_ref(theta, target, k)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", KERNELS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_witness_grad_matches_pairwise_form(k, d):
+    rng = np.random.default_rng(7 + d)
+    mu = make_discrete(rng.uniform(-1, 1, (9, d)), rng.uniform(0.1, 1.0, 9))
+    mu0 = make_discrete(rng.uniform(-1, 1, (5, d)), rng.uniform(0.1, 1.0, 5))
+    x = np.vstack([rng.uniform(-1, 1, (216, d)), mu.points, mu0.points])
+    ref = (np.einsum("nmd,m->nd", k.grad_x(x, mu.points), mu.weights)
+           - np.einsum("nmd,m->nd", k.grad_x(x, mu0.points), mu0.weights))
+    assert np.abs(grad_phi_mmd(mu, mu0, k, x) - ref).max() <= 1e-13

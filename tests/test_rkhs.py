@@ -5,31 +5,31 @@ import math
 import numpy as np
 import pytest
 
-from smoothgan.divergences import KernelSpec, mmd_sq
+from smoothgan.divergences import KernelSpec, embedding_gram, mmd_sq
 from smoothgan.errors import LengthMismatch, OrderTooLarge, QuadratureDomainTooSmall
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
-from smoothgan.rkhs import EmbeddingFn, embedding_norm_sq, gp_penalty, truncated_series_norm
+from smoothgan.rkhs import EmbeddingFn, gp_penalty, truncated_series_norm
 
 KC = KernelSpec.critical()
 
 
 def test_embedding_norm_reproducing():
     # ||K(x, .)||^2 = K(x, x) = 1 for the unnormalized kernel
-    assert embedding_norm_sq(make_signed([0.0], [1.0]), KC) == pytest.approx(1.0, abs=1e-15)
+    assert embedding_gram(make_signed([0.0], [1.0]), KC) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_embedding_norm_zero():
-    assert embedding_norm_sq(make_signed(np.zeros((0, 1)), np.zeros(0)), KC) == 0.0
+    assert embedding_gram(make_signed(np.zeros((0, 1)), np.zeros(0)), KC) == 0.0
 
 
 def test_embedding_norm_matches_mmd():
     rng = np.random.default_rng(1)
     for _ in range(10):
         mu, nu = random_measure(rng, 1), random_measure(rng, 1)
-        assert embedding_norm_sq(diff(mu, nu), KC) == pytest.approx(
+        assert embedding_gram(diff(mu, nu), KC) == pytest.approx(
             mmd_sq(mu, nu, KC), abs=5e-16)
-    assert embedding_norm_sq(diff(make_discrete([0.0], [1.0]), make_discrete([1.0], [1.0])),
-                             KC) == pytest.approx(2 - 2 * math.exp(-math.pi), abs=1e-15)
+    assert embedding_gram(diff(make_discrete([0.0], [1.0]), make_discrete([1.0], [1.0])),
+                          KC) == pytest.approx(2 - 2 * math.exp(-math.pi), abs=1e-15)
 
 
 def test_series_reproducing_function():

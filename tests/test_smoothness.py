@@ -98,7 +98,7 @@ def test_estimates_monotone_in_trials():
 
 
 def test_gradient_unsupported():
-    fam = OracleFamily("minimax", dim=1)
+    fam = OracleFamily("js", dim=1)
     with pytest.raises(GradientUnsupported):
         estimate_alpha(fam, BOX, 5, 11, seed=0)
 
