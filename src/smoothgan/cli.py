@@ -27,8 +27,7 @@ from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, more
                         pasch_hausdorff)
 from .errors import ConfigError, MalformedTrace, SmoothganError, UnknownKind
 from .measures import BoxDomain, measure_from_csv, sample_target
-from .nnsmooth import net_from_json, net_to_json, power_iteration_specnorm, random_mlp, \
-    spectral_normalize
+from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
 from .rkhs import EmbeddingFn, truncated_series_norm
 from .smoothness import OracleFamily, build_report
 from .trainer import (BETA2_MMD_BOUND, GanLoopConfig, TrainConfig, trace_to_csv, train_gan2d,
@@ -182,14 +181,14 @@ def cmd_nn(args) -> int:
         net = random_mlp(args.input_dim, args.width, args.depth, args.activation, args.seed,
                          args.final_scale)
         if args.normalize:
-            net = spectral_normalize(net, seed=args.seed)
+            net = spectral_normalize(net)
         _write_with_manifest(_need(args.out, "--out"), net_to_json(net) + "\n", args, t0)
         return 0
     net = net_from_json(Path(_need(args.net, "--net")).read_text())
     for i, (w, _b) in enumerate(net.layers):
-        print(f"layer {i}: specnorm {_fmt(power_iteration_specnorm(w, seed=args.seed))}")
+        print(f"layer {i}: specnorm {_fmt(power_iteration(w, seed=args.seed))}")
     if args.normalize:
-        out = spectral_normalize(net, seed=args.seed)
+        out = spectral_normalize(net)
         _write_with_manifest(_need(args.out, "--out"), net_to_json(out) + "\n", args, t0)
     return 0
 

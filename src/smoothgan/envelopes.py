@@ -74,16 +74,6 @@ class GridFn:
                 and np.allclose(self.domain.lo, other.domain.lo, atol=1e-12)
                 and np.allclose(self.domain.hi, other.domain.hi, atol=1e-12))
 
-    @staticmethod
-    def from_callable(domain: BoxDomain, step: float, fn) -> "GridFn":
-        axes = grid_axes(domain, step)
-        if domain.dim == 1:
-            vals = np.array([fn(np.array([x])) for x in axes[0]], dtype=float)
-        else:
-            vals = np.array([[fn(np.array([x, y])) for y in axes[1]] for x in axes[0]],
-                            dtype=float)
-        return GridFn(domain, step, vals)
-
 
 def _origin_offsets(g: GridFn) -> list[int]:
     """Integer index of coordinate 0 relative to g's lower corner, per axis."""

@@ -2,8 +2,9 @@
 
 A network of k spectrally-normalized linear layers with 1-Lipschitz,
 1-smooth activations has a k-Lipschitz gradient; these nets play the
-discriminator in the regularized training loop, so forward and input
-gradient are exact (layer-wise chain rule, analytic activation derivatives).
+discriminator in the regularized training loop.  Normalization divides by
+the exact spectral norm; the input gradient (layer-wise chain rule) and the
+parameter gradient (reverse mode, through the input gradient too) are exact.
 """
 
 from __future__ import annotations
@@ -18,30 +19,31 @@ from .errors import ConfigError, DimensionMismatch, NonSmoothActivation, Precond
 from .measures import BoxDomain
 from .rng import child_rng
 
-_SAFETY = 1.0 + 1e-6   # post-normalization norms stay <= 1 + 1e-6 despite estimate error
 
-_ACTIVATIONS = ("elu", "sigmoid", "relu")
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "elu":
-        return np.where(z > 0, z, np.expm1(z))
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    raise ConfigError(f"unknown activation {name!r}")
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "elu":
-        return np.where(z > 0, 1.0, np.exp(z))
-    if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 - s)
-    if name == "relu":
-        return (z > 0).astype(float)
-    raise ConfigError(f"unknown activation {name!r}")
+def _sigmoid_d(z: np.ndarray) -> np.ndarray:
+    s = _sigmoid(z)
+    return s * (1.0 - s)
+
+
+def _sigmoid_d2(z: np.ndarray) -> np.ndarray:
+    s = _sigmoid(z)
+    return s * (1.0 - s) * (1.0 - 2.0 * s)
+
+
+# name -> (activation, first derivative, second derivative)
+_ACTIVATIONS = {
+    "elu": (lambda z: np.where(z > 0, z, np.expm1(z)),
+            lambda z: np.where(z > 0, 1.0, np.exp(z)),
+            lambda z: np.where(z > 0, 0.0, np.exp(z))),
+    "sigmoid": (_sigmoid, _sigmoid_d, _sigmoid_d2),
+    "relu": (lambda z: np.maximum(z, 0.0),
+             lambda z: (z > 0).astype(float),
+             np.zeros_like),
+}
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,9 @@ class MlpNet:
 
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {_ACTIVATIONS}")
+            raise ConfigError(f"activation must be one of {tuple(_ACTIVATIONS)}")
+        if not math.isfinite(self.final_scale):
+            raise ConfigError(f"final_scale must be finite, got {self.final_scale}")
         if not self.layers:
             raise ConfigError("network needs at least one layer")
         for i, (w, b) in enumerate(self.layers):
@@ -74,13 +78,6 @@ class MlpNet:
     @property
     def input_dim(self) -> int:
         return self.layers[0][0].shape[1]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
 
     def flatten_params(self) -> np.ndarray:
         return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
@@ -114,35 +111,20 @@ def random_mlp(input_dim: int, width: int, depth: int, activation: str, seed: in
     return MlpNet(tuple(layers), activation, final_scale)
 
 
-@dataclass(frozen=True)
-class PowerIterState:
-    u: np.ndarray
-    v: np.ndarray
-    n_iters: int
-    estimate: float
-
-
-def power_iteration(w: np.ndarray, iters: int, seed: int) -> PowerIterState:
+def power_iteration(w: np.ndarray, iters: int = 200, seed: int = 0) -> float:
     """Power iteration on W^T W; the estimate ||W u_k|| is a nondecreasing
     lower bound on the top singular value."""
     if iters < 1:
         raise ConfigError("iters must be >= 1")
-    if not np.any(w):
-        z = np.zeros(w.shape[1])
-        z0 = np.zeros(w.shape[0])
-        return PowerIterState(z, z0, 0, 0.0)
-    rng = child_rng(seed, 99)
-    u = rng.standard_normal(w.shape[1])
+    u = child_rng(seed, 99).standard_normal(w.shape[1])
     u /= np.linalg.norm(u)
     est = 0.0
-    v = w @ u
     for it in range(iters):
         wu = w @ u
         s = np.linalg.norm(wu)
         if s == 0.0:
             break
-        v = wu / s
-        wt_v = w.T @ v
+        wt_v = w.T @ (wu / s)
         nv = np.linalg.norm(wt_v)
         if nv == 0.0:
             break
@@ -152,65 +134,108 @@ def power_iteration(w: np.ndarray, iters: int, seed: int) -> PowerIterState:
             est = new_est
             break
         est = new_est
-    return PowerIterState(u, v, iters, est)
+    return est
 
 
-def power_iteration_specnorm(w: np.ndarray, iters: int = 200, seed: int = 0) -> float:
-    return power_iteration(np.asarray(w, dtype=float), iters, seed).estimate
-
-
-def spectral_normalize(net: MlpNet, iters: int = 200, seed: int = 0) -> MlpNet:
-    """Divide each weight matrix by its estimated norm times a safety factor.
-
-    The power-iteration estimate approaches the true norm from below, so the
-    (1 + 1e-6) factor keeps the post-normalization norm at or below 1 + 1e-6.
-    Zero layers stay zero; biases are untouched.
-    """
+def spectral_normalize(net: MlpNet) -> MlpNet:
+    """Divide each weight matrix by its spectral norm (dense SVD, exact to
+    rounding), so every post-normalization norm is 1 up to a few ulps.
+    Zero layers stay zero; biases are untouched."""
     out = []
-    for i, (w, b) in enumerate(net.layers):
-        est = power_iteration_specnorm(w, iters, seed + i)
-        out.append((w / (est * _SAFETY) if est > 0 else w.copy(), b.copy()))
+    for w, b in net.layers:
+        norm = float(np.linalg.norm(w, 2))
+        out.append((w / norm if norm > 0 else w.copy(), b.copy()))
     return MlpNet(tuple(out), net.activation, net.final_scale)
 
 
 def _forward_cache(net: MlpNet, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batch forward collecting hidden pre-activations for the backward pass."""
+    act = _ACTIVATIONS[net.activation][0]
     h = x
     pre = []
     for w, b in net.layers[:-1]:
         z = h @ w.T + b
         pre.append(z)
-        h = _act(net.activation, z)
+        h = act(z)
     w, b = net.layers[-1]
     out = (h @ w.T + b)[:, 0] * net.final_scale
     return out, pre
 
 
-def mlp_forward(net: MlpNet, x) -> float | np.ndarray:
+def _backward(net: MlpNet, pre: list[np.ndarray], upstream: np.ndarray,
+              inject: list[np.ndarray] | None = None) -> tuple[list, list]:
+    """Chain rule from a gradient on the last layer's input down to the net's.
+
+    Returns, in layer order, the gradients on each layer's input and on each
+    hidden pre-activation; inject[i] joins the gradient on pre[i] in passing.
+    """
+    deriv = _ACTIVATIONS[net.activation][1]
+    g_in, g_pre = [upstream], []
+    for i in reversed(range(len(pre))):
+        d = g_in[-1] * deriv(pre[i])
+        if inject is not None:
+            d = d + inject[i]
+        g_pre.append(d)
+        g_in.append(d @ net.layers[i][0])
+    return g_in[::-1], g_pre[::-1]
+
+
+def _as_batch(net: MlpNet, x) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
     if pts.shape[1] != net.input_dim:
         raise DimensionMismatch(f"input dim {pts.shape[1]}, net expects {net.input_dim}")
+    return pts, single
+
+
+def mlp_forward(net: MlpNet, x) -> float | np.ndarray:
+    pts, single = _as_batch(net, x)
     out, _ = _forward_cache(net, pts)
     return float(out[0]) if single else out
 
 
 def mlp_input_grad(net: MlpNet, x) -> np.ndarray:
     """Exact input gradient by the layer-wise chain rule."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != net.input_dim:
-        raise DimensionMismatch(f"input dim {pts.shape[1]}, net expects {net.input_dim}")
+    pts, single = _as_batch(net, x)
     _, pre = _forward_cache(net, pts)
-    g = np.repeat(net.layers[-1][0], len(pts), axis=0)    # (batch, fan_in of last)
-    for (w, _b), z in zip(reversed(net.layers[:-1]), reversed(pre)):
-        g = (g * _act_deriv(net.activation, z)) @ w
-    g = g * net.final_scale
+    g_in, _ = _backward(net, pre, np.repeat(net.layers[-1][0], len(pts), axis=0))
+    g = g_in[0] * net.final_scale
     return g[0] if single else g
+
+
+def mlp_param_grad(net: MlpNet, x, out_grad, in_grad) -> np.ndarray:
+    """Flattened parameter gradient (flatten_params order) of
+
+        sum_i out_grad[i] * phi(x_i) + <in_grad[i], grad_x phi(x_i)>
+
+    for a batch x.  Reverse mode: the input-gradient sweep, then its adjoint
+    (double backpropagation), whose pre-activation gradients join one
+    backward pass from the output.
+    """
+    pts, _ = _as_batch(net, x)
+    a = np.asarray(out_grad, dtype=float)
+    act, deriv, deriv2 = _ACTIVATIONS[net.activation]
+    scale, w_last = net.final_scale, net.layers[-1][0]
+    _, pre = _forward_cache(net, pts)
+    # sweep: rho[i] = d(phi / scale)/d(input of layer i), delta[i] on pre[i]
+    rho, delta = _backward(net, pre, np.repeat(w_last, len(pts), axis=0))
+    # its adjoint, first layer up, for the in_grad term
+    rho_bar = scale * np.asarray(in_grad, dtype=float)
+    sweep_w, inject = [], []
+    for i, z in enumerate(pre):
+        sweep_w.append(delta[i].T @ rho_bar)
+        delta_bar = rho_bar @ net.layers[i][0].T
+        inject.append(delta_bar * rho[i + 1] * deriv2(z))
+        rho_bar = delta_bar * deriv(z)
+    _, dz = _backward(net, pre, scale * a[:, None] * w_last, inject)
+    hs = [pts] + [act(z) for z in pre]
+    parts = []
+    for i in range(len(pre)):
+        parts += [(dz[i].T @ hs[i] + sweep_w[i]).ravel(), dz[i].sum(axis=0)]
+    parts += [scale * (a @ hs[-1]) + rho_bar.sum(axis=0), [scale * a.sum()]]
+    return np.concatenate(parts)
 
 
 def empirical_lipschitz(net: MlpNet, domain: BoxDomain, n_pairs: int, seed: int) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import KernelSpec
-from .errors import LengthMismatch, OrderTooLarge, QuadratureDomainTooSmall
+from .errors import (LengthMismatch, OrderTooLarge, PreconditionViolated,
+                     QuadratureDomainTooSmall)
 
 MAX_ORDER = 30
 
@@ -60,6 +61,9 @@ def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: f
     """
     if order > MAX_ORDER:
         raise OrderTooLarge(f"series order capped at {MAX_ORDER}")
+    if order < 0 or not 0 < quad_step < math.inf:
+        raise PreconditionViolated(f"need order >= 0 and a finite quad_step > 0, got "
+                                   f"{order} and {quad_step}")
     if not _is_critical(f.kernel):
         raise ValueError("series coefficients hold for the critical kernel only")
     sigma = math.sqrt(f.kernel.sigma_sq)

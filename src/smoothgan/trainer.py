@@ -6,9 +6,10 @@ This generator is A-Lipschitz in expectation with A = 1/sqrt(N) and has
 constant Jacobian (B = 0), so gradient descent on half the squared MMD at
 step size 1/L with L = (beta1 + beta2)/N must drive the minimum observed
 gradient norm below sqrt(2 L J_0 / n) after n steps.  The regularized
-adversarial loop alternates discriminator ascent (spectrally normalized ELU
-net, output-plus-gradient penalty on random interpolates) with particle
-descent along the discriminator's input gradient.
+adversarial loop alternates discriminator ascent (ELU net, exactly
+spectrally normalized after every step; output-plus-gradient penalty on
+random interpolates; reverse-mode parameter gradient) with particle descent
+along the discriminator's input gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from .divergences import KernelSpec, mmd_sq
 from .errors import ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace
 from .measures import DiscreteMeasure
-from .nnsmooth import (MlpNet, mlp_forward, mlp_input_grad, random_mlp, spectral_normalize)
+from .nnsmooth import (MlpNet, mlp_forward, mlp_input_grad, mlp_param_grad, random_mlp,
+                       spectral_normalize)
 from .rkhs import gp_penalty
 from .rng import child_rng
 
@@ -104,13 +106,6 @@ class TrainTrace:
     @property
     def final_loss(self) -> float:
         return float(self.loss[-1])
-
-    def nonmonotone_fraction(self) -> float:
-        """Fraction of steps where the loss strictly increased."""
-        if len(self.loss) < 2:
-            return 0.0
-        rises = np.diff(self.loss) > 1e-15
-        return float(np.mean(rises))
 
     def above_running_min_fraction(self, tol: float = 1e-12) -> float:
         """Fraction of steps with loss strictly above its running minimum.
@@ -224,16 +219,10 @@ class GanLoopConfig:
     interpolation: bool = True
     lr_disc: float = 0.05
     lr_gen: float | None = None         # default: N / (depth * alpha + beta2)
-    n_interp: int | None = None         # default: N penalty samples per step
-    activation: str = "elu"
-    fd_step: float = 1e-4
-    specnorm_iters: int = 60
 
     def __post_init__(self):
         if self.disc_steps_per_gen < 1:
             raise ConfigError("disc_steps_per_gen must be >= 1")
-        if self.activation != "elu":
-            raise ConfigError("the regularized loop requires the elu discriminator")
 
 
 def _disc_objective(net: MlpNet, theta: np.ndarray, target: DiscreteMeasure,
@@ -246,45 +235,41 @@ def _disc_objective(net: MlpNet, theta: np.ndarray, target: DiscreteMeasure,
     return gen_term - tgt_term - penalty_coef * pen
 
 
-def _disc_param_grad(net: MlpNet, theta, target, interp, penalty_coef, fd_step) -> np.ndarray:
-    """Central finite differences over the flattened parameters."""
-    flat = net.flatten_params()
-    grad = np.empty_like(flat)
-    for i in range(len(flat)):
-        flat[i] += fd_step
-        up = _disc_objective(net.with_params(flat), theta, target, interp, penalty_coef)
-        flat[i] -= 2.0 * fd_step
-        dn = _disc_objective(net.with_params(flat), theta, target, interp, penalty_coef)
-        flat[i] += fd_step
-        grad[i] = (up - dn) / (2.0 * fd_step)
-    return grad
+def _disc_grad(net: MlpNet, theta: np.ndarray, target: DiscreteMeasure,
+               interp: np.ndarray, penalty_coef: float) -> np.ndarray:
+    """Exact parameter gradient of _disc_objective, one reverse-mode pass."""
+    m = len(interp)
+    pts = np.vstack([theta, target.points, interp])
+    out_grad = np.concatenate([np.full(len(theta), 1.0 / len(theta)), -target.weights,
+                               -2.0 * penalty_coef / m * mlp_forward(net, interp)])
+    in_grad = np.zeros_like(pts)
+    in_grad[-m:] = -penalty_coef / (2.0 * math.pi * m) * mlp_input_grad(net, interp)
+    return mlp_param_grad(net, pts, out_grad, in_grad)
 
 
 def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
     """Alternating loop for the inf-convolution-regularized trivial loss.
 
-    Each outer step runs disc_steps_per_gen ascent steps on the discriminator
-    objective (finite-difference parameter gradients, spectral
-    re-normalization after every step), then one particle step along the
-    discriminator's input gradient.  The trace records the minimax surrogate
-    value and the generator gradient norm.  disc_probe, when given, is called
-    with the network after every discriminator update.
+    The discriminator is an ELU net.  Each outer step runs disc_steps_per_gen
+    ascent steps on the discriminator objective (exact reverse-mode parameter
+    gradient over N penalty samples, exact spectral re-normalization after
+    every step), then one particle step along the discriminator's input
+    gradient.  The trace records the minimax surrogate value and the
+    generator gradient norm.  disc_probe, when given, is called with the
+    network after every discriminator update.
     """
     theta = np.array(cfg.generator_init, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != cfg.target.dim:
         raise ConfigError("generator_init must be N x d matching the target dimension")
     n = theta.shape[0]
-    net = random_mlp(cfg.target.dim, cfg.width, cfg.depth, cfg.activation,
-                     child_rng(cfg.seed, 11).integers(2 ** 31), cfg.final_scale)
-    net = spectral_normalize(net, cfg.specnorm_iters, cfg.seed)
-    if net.param_count() > 500:
-        raise ConfigError(f"{net.param_count()} parameters exceed the finite-difference cap 500")
+    net = spectral_normalize(random_mlp(cfg.target.dim, cfg.width, cfg.depth, "elu",
+                                        child_rng(cfg.seed, 11).integers(2 ** 31),
+                                        cfg.final_scale))
 
     penalty_coef = math.pi / cfg.beta2
     lr_gen = cfg.lr_gen
     if lr_gen is None:
         lr_gen = n / (cfg.depth * cfg.final_scale + cfg.beta2)
-    n_interp = cfg.n_interp if cfg.n_interp is not None else n
 
     losses = np.empty(cfg.n_steps)
     gnorms = np.empty(cfg.n_steps)
@@ -293,17 +278,16 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
     for kstep in range(cfg.n_steps):
         rng = child_rng(cfg.seed, 13, kstep)
         for _ in range(cfg.disc_steps_per_gen):
-            u = theta[rng.integers(0, n, size=n_interp)]
-            v = cfg.target.points[rng.choice(len(cfg.target.points), size=n_interp,
+            u = theta[rng.integers(0, n, size=n)]
+            v = cfg.target.points[rng.choice(len(cfg.target.points), size=n,
                                              p=cfg.target.weights)]
             if cfg.interpolation:
-                t = rng.uniform(0.0, 1.0, size=(n_interp, 1))
+                t = rng.uniform(0.0, 1.0, size=(n, 1))
                 interp = t * u + (1.0 - t) * v
             else:
-                interp = np.vstack([u[:n_interp // 2], v[:n_interp - n_interp // 2]])
-            g = _disc_param_grad(net, theta, cfg.target, interp, penalty_coef, cfg.fd_step)
-            net = net.with_params(net.flatten_params() + cfg.lr_disc * g)
-            net = spectral_normalize(net, cfg.specnorm_iters, cfg.seed + kstep)
+                interp = np.vstack([u[:n // 2], v[:n - n // 2]])
+            g = _disc_grad(net, theta, cfg.target, interp, penalty_coef)
+            net = spectral_normalize(net.with_params(net.flatten_params() + cfg.lr_disc * g))
             if disc_probe is not None:
                 disc_probe(net)
         obj = _disc_objective(net, theta, cfg.target, interp, penalty_coef)
@@ -317,14 +301,6 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
             break
         theta = theta - lr_gen * gen_grad
     return TrainTrace(losses, gnorms, steps, diverged)
-
-
-def gan2d_disc_norms(cfg: GanLoopConfig) -> list[float]:
-    """Exact per-update operator norms of the discriminator weights (dense SVD)."""
-    out: list[float] = []
-    train_gan2d(cfg, disc_probe=lambda net: out.append(
-        max(float(np.linalg.norm(w, 2)) for w, _ in net.layers)))
-    return out
 
 
 # --- trace CSV: step,loss,grad_norm,step_size,flags ---

@@ -317,3 +317,18 @@ def test_sweep_bad_ratios_exit_2(workdir, ratios):
 def test_train_particles_non_finite_lr_ratio_exit_2(workdir, ratio):
     assert main(["train", "particles", "--n", "4", "--steps", "3", "--lr-ratio", ratio,
                  "--out", "t.csv"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["nn", "init", "--final-scale", "nan"],
+    ["nn", "init", "--final-scale", "inf"],
+    ["rkhs", "series", "--centers", "mu0.csv", "--quad-step", "0"],
+    ["rkhs", "series", "--centers", "mu0.csv", "--quad-step", "nan"],
+    ["rkhs", "series", "--centers", "mu0.csv", "--quad-step", "-0.001"],
+    ["rkhs", "series", "--centers", "mu0.csv", "--order", "-1"],
+], ids=["final-scale-nan", "final-scale-inf", "quad-step-0", "quad-step-nan", "quad-step-neg",
+        "order-neg"])
+def test_bad_numeric_option_exit_2(workdir, capsys, argv):
+    assert main(argv + ["--out", "o.out"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (workdir / "o.out").exists()

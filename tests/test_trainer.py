@@ -7,11 +7,12 @@ import pytest
 
 from smoothgan.divergences import KernelSpec, mmd_sq
 from smoothgan.errors import ConfigError, DegenerateConstants, MalformedTrace
-from smoothgan.measures import DiscreteMeasure, make_discrete, sample_target
+from smoothgan.measures import DiscreteMeasure, make_discrete, random_measure, sample_target
+from smoothgan.nnsmooth import random_mlp, spectral_normalize
 from smoothgan.trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig,
-                               ParticleGenerator, TrainConfig, TrainTrace,
-                               check_descent_inequality, check_stationarity_bound,
-                               gan2d_disc_norms, mmd_particle_grad, theoretical_lr,
+                               ParticleGenerator, TrainConfig, TrainTrace, _disc_grad,
+                               _disc_objective, check_descent_inequality,
+                               check_stationarity_bound, mmd_particle_grad, theoretical_lr,
                                trace_from_csv, trace_to_csv, train_gan2d, train_particles)
 
 KC = KernelSpec.critical()
@@ -153,19 +154,58 @@ def test_gan2d_deterministic():
     assert len(a) == 6
 
 
+def _disc_norms(cfg: GanLoopConfig) -> list[float]:
+    """Largest operator norm of the discriminator after every update."""
+    norms: list[float] = []
+    train_gan2d(cfg, disc_probe=lambda net: norms.append(
+        max(float(np.linalg.norm(w, 2)) for w, _ in net.layers)))
+    return norms
+
+
 def test_gan2d_disc_norms_bounded():
-    norms = gan2d_disc_norms(_gan_cfg(n_steps=4))
+    norms = _disc_norms(_gan_cfg(n_steps=4))
     assert len(norms) == 4 * 2            # two discriminator steps per outer step
     assert max(norms) <= 1.0 + 1e-6
 
 
+def test_gan2d_wide_deep_norms_bounded():
+    # 3297 parameters: the exact loop has no size cap
+    norms = _disc_norms(_gan_cfg(width=32, depth=5, n_steps=3))
+    assert len(norms) == 3 * 2
+    assert max(norms) <= 1.0 + 1e-6
+
+
+def _disc_param_grad(net, theta, target, interp, penalty_coef, fd_step=1e-4):
+    """Central finite differences over the flattened parameters (the oracle)."""
+    flat = net.flatten_params()
+    grad = np.empty_like(flat)
+    for i in range(len(flat)):
+        flat[i] += fd_step
+        up = _disc_objective(net.with_params(flat), theta, target, interp, penalty_coef)
+        flat[i] -= 2.0 * fd_step
+        dn = _disc_objective(net.with_params(flat), theta, target, interp, penalty_coef)
+        flat[i] += fd_step
+        grad[i] = (up - dn) / (2.0 * fd_step)
+    return grad
+
+
+def test_disc_grad_matches_finite_differences():
+    rng = np.random.default_rng(17)
+    for t in range(20):
+        d = int(rng.integers(1, 3))
+        net = spectral_normalize(random_mlp(d, int(rng.integers(2, 17)), int(rng.integers(1, 6)),
+                                            "elu", seed=t, final_scale=rng.uniform(0.05, 1.0)))
+        theta = rng.uniform(-1, 1, size=(6, d))
+        target = random_measure(rng, d)
+        interp = rng.uniform(-1, 1, size=(6, d))
+        coef = math.pi / BETA2_MMD_BOUND
+        fd = _disc_param_grad(net, theta, target, interp, coef)
+        assert np.abs(_disc_grad(net, theta, target, interp, coef) - fd).max() < 1e-6
+
+
 def test_gan2d_config_validation():
     with pytest.raises(ConfigError):
-        _gan_cfg(activation="sigmoid")
-    with pytest.raises(ConfigError):
         _gan_cfg(disc_steps_per_gen=0)
-    with pytest.raises(ConfigError):
-        train_gan2d(_gan_cfg(width=32, depth=5))   # parameter count above the cap
 
 
 def test_gan2d_seven_layer_default_step():
