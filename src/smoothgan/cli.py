@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -30,12 +31,9 @@ from .measures import BoxDomain, measure_from_csv, sample_target
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
 from .rkhs import EmbeddingFn, truncated_series_norm
 from .smoothness import OracleFamily, build_report
-from .trainer import (BETA2_MMD_BOUND, GanLoopConfig, TrainConfig, trace_to_csv, train_gan2d,
-                      train_particles)
+from .trainer import GanLoopConfig, TrainConfig, trace_to_csv, train_gan2d, train_particles
 from .verify import run_suite
 
-_GAN2D_KEYS = {"target", "generator_init", "depth", "width", "final_scale", "beta2", "n_steps",
-               "seed", "disc_steps_per_gen", "interpolation", "lr_disc", "lr_gen"}
 _GAN2D_TARGET_KEYS = {"kind", "n", "seed"}
 
 
@@ -201,40 +199,36 @@ def _gan2d_config(path: str | None) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(blob, dict) or not isinstance(blob.get("target"), dict):
         raise ConfigError("gan2d config must be a JSON object with a 'target' object")
-    unknown = sorted(set(blob) - _GAN2D_KEYS) + sorted(
+    unknown = sorted(set(blob) - {f.name for f in dataclasses.fields(GanLoopConfig)}) + sorted(
         f"target.{k}" for k in set(blob["target"]) - _GAN2D_TARGET_KEYS)
     if unknown:
         raise ConfigError(f"unknown gan2d config keys: {', '.join(unknown)}")
     return blob
 
 
+def _particle_trace(args, seed: int, lr_ratio: float):
+    """Particle descent on the --target sample of --n atoms, for --steps steps."""
+    target = sample_target(args.target, args.n, seed)
+    return train_particles(TrainConfig(target=target, kernel=KernelSpec.critical(),
+                                       n_particles=args.n, n_steps=args.steps, seed=seed,
+                                       lr_ratio=lr_ratio))
+
+
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     if args.mode == "particles":
-        target = sample_target(args.target, args.n, args.seed)
-        cfg = TrainConfig(target=target, kernel=KernelSpec.critical(), n_particles=args.n,
-                          n_steps=args.steps, seed=args.seed, lr_ratio=args.lr_ratio)
-        trace = train_particles(cfg)
+        trace = _particle_trace(args, args.seed, args.lr_ratio)
     else:
         blob = _gan2d_config(args.config)
         tgt = blob["target"]
         target = sample_target(tgt.get("kind", "ring"), tgt.get("n", 16),
-                               tgt.get("seed", blob.get("seed", 0)))
+                               tgt.get("seed", blob.get("seed", GanLoopConfig.seed)))
         init = blob.get("generator_init", "atoms")
         try:
             theta0 = target.points.copy() if init == "atoms" else np.array(init, dtype=float)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"generator_init must be 'atoms' or an N x d matrix: {exc}") from exc
-        cfg = GanLoopConfig(
-            generator_init=theta0, target=target,
-            depth=blob.get("depth", 3), width=blob.get("width", 8),
-            final_scale=blob.get("final_scale", 0.05),
-            beta2=blob.get("beta2", BETA2_MMD_BOUND),
-            n_steps=blob.get("n_steps", 100), seed=blob.get("seed", 0),
-            disc_steps_per_gen=blob.get("disc_steps_per_gen", 2),
-            interpolation=blob.get("interpolation", True),
-            lr_disc=blob.get("lr_disc", 0.05), lr_gen=blob.get("lr_gen"))
-        trace = train_gan2d(cfg)
+        trace = train_gan2d(GanLoopConfig(**{**blob, "generator_init": theta0, "target": target}))
     if args.format == "json":
         body = json.dumps({"loss": trace.loss.tolist(), "grad_norm": trace.grad_norm.tolist(),
                            "step_size": trace.step_size.tolist(),
@@ -250,15 +244,14 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     ratios = _floats(args.ratios, "--ratios")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ratio", "seed", "min_grad_norm", "final_loss", "diverged"])
     for ratio in ratios:
         for seed in range(args.seeds):
-            target = sample_target(args.target, args.n, args.seed + seed)
-            cfg = TrainConfig(target=target, kernel=KernelSpec.critical(), n_particles=args.n,
-                              n_steps=args.steps, seed=args.seed + seed, lr_ratio=ratio)
-            trace = train_particles(cfg)
+            trace = _particle_trace(args, args.seed + seed, ratio)
             writer.writerow([_fmt(ratio), seed, _fmt(trace.min_grad_norm),
                              _fmt(trace.final_loss), int(trace.diverged)])
     _write_with_manifest(args.out, buf.getvalue(), args, t0)

@@ -6,6 +6,12 @@ infimum of the grid-truncated extended-real function.  The Pasch-Hausdorff
 envelope (inf-convolution with alpha * Euclidean norm) produces an
 alpha-Lipschitz function; the Moreau envelope (with a quadratic) produces one
 with Lipschitz gradient.
+
+Every inf-convolution goes through one min-plus kernel, which loops over the
+finite cells of whichever operand has fewer; each cell lowers one shifted
+window of the output.  Either choice is exact: each candidate f(x) + g(y) is
+the same single addition, and a minimum rounds nothing.  A separable 2-D
+shift function takes two kernel passes, down the columns and along the rows.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, EmptyDomain, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
-                     PreconditionViolated)
+                     PreconditionViolated, ProblemTooLarge)
 from .measures import BoxDomain
 
+GRID_CELL_CAP = 10 ** 7          # cells of any grid built from caller-given bounds
 _CELL_PAIR_CAP = 10 ** 9
 
 
@@ -28,9 +35,11 @@ def grid_axes(domain: BoxDomain, step: float) -> list[np.ndarray]:
     """Per-axis coordinate arrays; endpoints must be whole numbers of steps apart."""
     if not (math.isfinite(step) and step > 0):
         raise GridMismatch(f"grid step must be finite and positive, got {step}")
+    steps = (domain.hi - domain.lo) / step
+    if np.prod(steps + 1) > GRID_CELL_CAP:
+        raise ProblemTooLarge(f"a grid of {np.prod(steps + 1):.3g} cells exceeds {GRID_CELL_CAP}")
     axes = []
-    for lo, hi in zip(domain.lo, domain.hi):
-        n_float = (hi - lo) / step
+    for lo, hi, n_float in zip(domain.lo, domain.hi, steps):
         n = int(round(n_float))
         if abs(n_float - n) > 1e-6:
             raise GridMismatch(f"domain [{lo}, {hi}] is not a whole number of steps {step}")
@@ -49,10 +58,9 @@ class GridFn:
     def __post_init__(self):
         if self.domain.dim not in (1, 2):
             raise GridMismatch("grids are 1-D or 2-D")
-        axes = grid_axes(self.domain, self.step)
-        shape = tuple(len(a) for a in axes)
+        shape = tuple(len(a) for a in grid_axes(self.domain, self.step))
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (shape if len(shape) > 1 else (shape[0],)):
+        if vals.shape != shape:
             raise GridMismatch(f"values shape {vals.shape} does not match grid {shape}")
         if np.any(np.isnan(vals) | (vals == -np.inf)):
             raise PreconditionViolated("grid values must be finite or +inf, not NaN or -inf")
@@ -77,27 +85,31 @@ class GridFn:
 
 def _origin_offsets(g: GridFn) -> list[int]:
     """Integer index of coordinate 0 relative to g's lower corner, per axis."""
-    offsets = []
-    for lo in g.domain.lo:
-        m = -lo / g.step
-        mi = int(round(m))
-        if abs(m - mi) > 1e-6:
-            raise GridMismatch("shift grid must be aligned with the origin")
-        offsets.append(mi)
-    return offsets
+    m = -g.domain.lo / g.step
+    if np.any(np.abs(m - np.round(m)) > 1e-6):
+        raise GridMismatch("shift grid must be aligned with the origin")
+    return np.round(m).astype(int).tolist()
 
 
-def _infconv_1d(f_vals: np.ndarray, g_vals: np.ndarray, g_zero_ix: int) -> np.ndarray:
-    """out[i] = min_j f[j] + g[i - j + g_zero_ix]; g is +inf off its index range."""
-    n, m = len(f_vals), len(g_vals)
-    out = np.full(n, np.inf)
-    for j in np.flatnonzero(np.isfinite(f_vals)):
-        lo_i = max(0, j - g_zero_ix)
-        hi_i = min(n - 1, j - g_zero_ix + m - 1)
-        if lo_i > hi_i:
-            continue
-        sl = slice(lo_i - j + g_zero_ix, hi_i - j + g_zero_ix + 1)
-        np.minimum(out[lo_i:hi_i + 1], f_vals[j] + g_vals[sl], out=out[lo_i:hi_i + 1])
+def _minplus(fv: np.ndarray, gv: np.ndarray, zero) -> np.ndarray:
+    """out[i] = min_j f[j] + g[i - j + zero] on every axis; g is +inf off its index range.
+
+    The candidate f[j] + g[k] lands at i = j + k - zero from either side, so
+    the loop runs over the finite cells of whichever operand has fewer.  Cell c
+    adds its value to the other operand laid over the output from c - zero on:
+    one clipped window per cell, every bound computed before the loop.  IEEE
+    addition commutes, so both ways form the same sums and the same minimum.
+    """
+    a, b = sorted((fv, gv), key=lambda v: np.count_nonzero(np.isfinite(v)))
+    finite = np.isfinite(a)
+    shift = np.argwhere(finite) - np.asarray(zero)      # output index of b's first cell
+    lo, hi = np.maximum(shift, 0), np.minimum(shift + b.shape, fv.shape)
+    keep = np.all(lo < hi, axis=1)
+    out = np.full(fv.shape, np.inf)
+    for v, ol, oh, bl, bh in zip(a[finite][keep].tolist(), lo[keep].tolist(), hi[keep].tolist(),
+                                 (lo - shift)[keep].tolist(), (hi - shift)[keep].tolist()):
+        win = out[tuple(map(slice, ol, oh))]
+        np.minimum(win, v + b[tuple(map(slice, bl, bh))], out=win)
     return out
 
 
@@ -106,37 +118,18 @@ def _infconv_kernel(f: GridFn, g: GridFn) -> GridFn:
     if abs(f.step - g.step) > 1e-12 or f.dim != g.dim:
         raise GridMismatch("inf-convolution needs equal steps and dimensions")
     zero = _origin_offsets(g)
-    if f.dim == 1:
-        return GridFn(f.domain, f.step, _infconv_1d(f.values, g.values, zero[0]))
-
     fv, gv = f.values, g.values
-    n1, n2 = fv.shape
-    m1, m2 = gv.shape
-    finite = np.argwhere(np.isfinite(fv))
-    if len(finite) * n1 * n2 > _CELL_PAIR_CAP:
-        raise GridMismatch(f"2-D scan exceeds {_CELL_PAIR_CAP} cell pairs")
-
-    # separable shift function: two 1-D sweeps instead of the full scan
-    if np.all(np.isfinite(gv)):
-        sep = gv[:, :1] + gv[:1, :] - gv[0, 0]
-        if np.allclose(sep, gv, atol=1e-12, rtol=0.0):
-            g_col = gv[:, zero[1]] - gv[zero[0], zero[1]]
-            g_row = gv[zero[0], :]
-            mid = np.stack([_infconv_1d(fv[:, j2], g_col, zero[0]) for j2 in range(n2)], axis=1)
-            out = np.stack([_infconv_1d(mid[i1, :], g_row, zero[1]) for i1 in range(n1)], axis=0)
-            return GridFn(f.domain, f.step, out)
-
-    out = np.full((n1, n2), np.inf)
-    for j1, j2 in finite:
-        lo1, hi1 = max(0, j1 - zero[0]), min(n1 - 1, j1 - zero[0] + m1 - 1)
-        lo2, hi2 = max(0, j2 - zero[1]), min(n2 - 1, j2 - zero[1] + m2 - 1)
-        if lo1 > hi1 or lo2 > hi2:
-            continue
-        gs = gv[lo1 - j1 + zero[0]:hi1 - j1 + zero[0] + 1,
-                lo2 - j2 + zero[1]:hi2 - j2 + zero[1] + 1]
-        np.minimum(out[lo1:hi1 + 1, lo2:hi2 + 1], fv[j1, j2] + gs,
-                   out=out[lo1:hi1 + 1, lo2:hi2 + 1])
-    return GridFn(f.domain, f.step, out)
+    if f.dim == 2:
+        if np.count_nonzero(np.isfinite(fv)) * fv.size > _CELL_PAIR_CAP:
+            raise GridMismatch(f"2-D scan exceeds {_CELL_PAIR_CAP} cell pairs")
+        if np.all(np.isfinite(gv)) and np.allclose(gv[:, :1] + gv[:1, :] - gv[0, 0], gv,
+                                                   atol=1e-12, rtol=0.0):
+            # g(x, y) = g(x, b) - g(a, b) + g(a, y) for any cell (a, b); the origin's,
+            # wrapped onto g's grid when the grid does not hold it, is the one used
+            a, b = zero[0] % gv.shape[0], zero[1] % gv.shape[1]
+            fv = _minplus(fv, gv[:, b, None] - gv[a, b], (zero[0], 0))
+            gv, zero = gv[None, a, :], [0, zero[1]]
+    return GridFn(f.domain, f.step, _minplus(fv, gv, zero))
 
 
 def inf_conv(f: GridFn, g: GridFn) -> GridFn:
@@ -146,16 +139,14 @@ def inf_conv(f: GridFn, g: GridFn) -> GridFn:
     return _infconv_kernel(f, g)
 
 
-def _difference_domain(domain: BoxDomain) -> BoxDomain:
-    span = domain.hi - domain.lo
-    return BoxDomain(-span, span)
-
-
-def _norm_on_grid(domain: BoxDomain, step: float) -> np.ndarray:
-    axes = grid_axes(domain, step)
-    if domain.dim == 1:
-        return np.abs(axes[0])
-    return np.sqrt(axes[0][:, None] ** 2 + axes[1][None, :] ** 2)
+def _difference_norm(f: GridFn) -> tuple[BoxDomain, np.ndarray]:
+    """The grid of every difference of two points of f's grid, and ||.|| on it."""
+    span = f.domain.hi - f.domain.lo
+    dd = BoxDomain(-span, span)
+    axes = grid_axes(dd, f.step)
+    if f.dim == 1:
+        return dd, np.abs(axes[0])
+    return dd, np.sqrt(axes[0][:, None] ** 2 + axes[1][None, :] ** 2)
 
 
 def pasch_hausdorff(f: GridFn, alpha: float) -> GridFn:
@@ -165,20 +156,18 @@ def pasch_hausdorff(f: GridFn, alpha: float) -> GridFn:
     admissible shift is truncated away; the result is alpha-Lipschitz on the
     grid (exactly, by the triangle inequality of the sampled norm).
     """
-    if alpha <= 0:
-        raise NonPositiveAlpha("alpha must be positive")
-    dd = _difference_domain(f.domain)
-    g = GridFn(dd, f.step, alpha * _norm_on_grid(dd, f.step))
-    return _infconv_kernel(f, g)
+    if not 0 < alpha < math.inf:
+        raise NonPositiveAlpha(f"alpha must be finite and positive, got {alpha}")
+    dd, norm = _difference_norm(f)
+    return _infconv_kernel(f, GridFn(dd, f.step, alpha * norm))
 
 
 def moreau(f: GridFn, beta: float) -> GridFn:
     """Quadratic regularization: inf-convolution with ||.||^2 / (2 beta)."""
-    if beta <= 0:
-        raise NonPositiveBeta("beta must be positive")
-    dd = _difference_domain(f.domain)
-    g = GridFn(dd, f.step, _norm_on_grid(dd, f.step) ** 2 / (2.0 * beta))
-    return _infconv_kernel(f, g)
+    if not 0 < beta < math.inf:
+        raise NonPositiveBeta(f"beta must be finite and positive, got {beta}")
+    dd, norm = _difference_norm(f)
+    return _infconv_kernel(f, GridFn(dd, f.step, norm ** 2 / (2.0 * beta)))
 
 
 def _conjugate_1d(x: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -242,8 +231,7 @@ def legendre(f: GridFn, dual_domain: BoxDomain | None = None,
 
 def _slope_range_1d(f: GridFn) -> tuple[float, float]:
     """Range of adjacent-difference slopes over the finite part of f."""
-    finite = np.isfinite(f.values)
-    idx = np.flatnonzero(finite)
+    idx = np.flatnonzero(np.isfinite(f.values))
     if len(idx) < 2:
         return 0.0, 0.0
     block = f.values[idx[0]:idx[-1] + 1]
@@ -280,10 +268,7 @@ def conjugate_sum_identity_check(f: GridFn, g: GridFn,
     c_all = legendre(conv, dual_domain, dual_step)
     c_sum = legendre(f, dual_domain, dual_step).values + legendre(g, dual_domain, dual_step).values
     err = np.abs(c_all.values - c_sum)
-    if f.dim == 1:
-        core = err[1:-1] if len(err) > 2 else err
-    else:
-        core = err[1:-1, 1:-1] if min(err.shape) > 2 else err
+    core = err[(slice(1, -1),) * err.ndim] if min(err.shape) > 2 else err
     return float(np.max(core))
 
 
@@ -293,8 +278,7 @@ def minimizer_invariance_check(f: GridFn, g: GridFn, tol: float = 1e-9) -> bool:
     Requires g(0) = 0 with g >= 0 (so g has min 0 at the origin).
     """
     zero = _origin_offsets(g)
-    g0 = g.values[zero[0]] if g.dim == 1 else g.values[zero[0], zero[1]]
-    if abs(float(g0)) > tol or np.min(g.values) < -tol:
+    if abs(float(g.values[tuple(zero)])) > tol or np.min(g.values) < -tol:
         raise PreconditionViolated("need g(0) = 0 and g >= 0")
     conv = _infconv_kernel(f, g)
     fmin, cmin = float(np.min(f.values)), float(np.min(conv.values))
@@ -310,17 +294,10 @@ def minimizer_invariance_check(f: GridFn, g: GridFn, tol: float = 1e-9) -> bool:
 def gridfn_to_csv(f: GridFn) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    axes = f.axes()
-    if f.dim == 1:
-        writer.writerow(["x", "value"])
-        for x, v in zip(axes[0], f.values):
-            writer.writerow([f"{x:.15g}", "inf" if np.isinf(v) else f"{v:.15g}"])
-    else:
-        writer.writerow(["x", "y", "value"])
-        for i, x in enumerate(axes[0]):
-            for j, y in enumerate(axes[1]):
-                v = f.values[i, j]
-                writer.writerow([f"{x:.15g}", f"{y:.15g}", "inf" if np.isinf(v) else f"{v:.15g}"])
+    writer.writerow(["x", "y"][:f.dim] + ["value"])
+    points = np.stack(np.meshgrid(*f.axes(), indexing="ij"), axis=-1).reshape(-1, f.dim)
+    for p, v in zip(points.tolist(), f.values.ravel().tolist()):
+        writer.writerow([f"{c:.15g}" for c in p] + ["inf" if v == math.inf else f"{v:.15g}"])
     return buf.getvalue()
 
 

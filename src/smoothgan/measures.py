@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,11 @@ from .errors import (ConfigError, DimensionMismatch, EmptySupport, NegativeWeigh
 
 MERGE_TOL = 1e-12   # sup-norm distance below which atoms are considered equal
 MASS_TOL = 1e-12
+
+
+def _is_int(v, least: int) -> bool:
+    """An integer (not a bool) of at least least."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
 
 
 def _as_points(points) -> np.ndarray:
@@ -73,8 +79,8 @@ class BoxDomain:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
             raise DimensionMismatch("lo and hi must be nonempty vectors of equal length")
-        if not np.all(lo < hi):
-            raise PreconditionViolated("box corners must satisfy lo < hi componentwise")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(lo < hi)):
+            raise PreconditionViolated("box corners must be finite with lo < hi componentwise")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
@@ -210,8 +216,8 @@ def sample_target(kind: str, n: int, seed: int, dim: int = 2) -> DiscreteMeasure
     from 4 symmetric Gaussian bumps.  kind 'grid_uniform': the first n points
     of a regular lattice.
     """
-    if n < 1:
-        raise EmptySupport("n must be >= 1")
+    if not (_is_int(n, 1) and _is_int(seed, 0)):
+        raise ConfigError(f"target n must be an int >= 1 and seed an int >= 0, got {n!r}, {seed!r}")
     rng = np.random.default_rng(seed)
     if kind == "ring":
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))

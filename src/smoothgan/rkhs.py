@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import KernelSpec
-from .errors import (LengthMismatch, OrderTooLarge, PreconditionViolated,
+from .envelopes import GRID_CELL_CAP
+from .errors import (LengthMismatch, OrderTooLarge, PreconditionViolated, ProblemTooLarge,
                      QuadratureDomainTooSmall)
 
 MAX_ORDER = 30
@@ -61,9 +62,9 @@ def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: f
     """
     if order > MAX_ORDER:
         raise OrderTooLarge(f"series order capped at {MAX_ORDER}")
-    if order < 0 or not 0 < quad_step < math.inf:
-        raise PreconditionViolated(f"need order >= 0 and a finite quad_step > 0, got "
-                                   f"{order} and {quad_step}")
+    if order < 0 or not 0 < quad_step < math.inf or not np.isfinite([quad_lo, quad_hi]).all():
+        raise PreconditionViolated(f"need order >= 0, a finite quad_step > 0 and finite bounds, "
+                                   f"got {order}, {quad_step}, [{quad_lo}, {quad_hi}]")
     if not _is_critical(f.kernel):
         raise ValueError("series coefficients hold for the critical kernel only")
     sigma = math.sqrt(f.kernel.sigma_sq)
@@ -72,6 +73,8 @@ def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: f
         raise QuadratureDomainTooSmall(
             f"need [{f.centers.min() - margin:.3f}, {f.centers.max() + margin:.3f}]")
 
+    if len(f.centers) * ((quad_hi - quad_lo) / quad_step + 1) > GRID_CELL_CAP:
+        raise ProblemTooLarge(f"centers x quadrature points exceed {GRID_CELL_CAP}")
     x = np.arange(quad_lo, quad_hi + 0.5 * quad_step, quad_step)
     t = math.sqrt(math.pi) * (x[None, :] - f.centers[:, None])   # (centers, grid)
     bump = np.exp(-t ** 2)

@@ -17,13 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergences import KernelSpec, mmd_sq
 from .errors import ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _is_int
 from .nnsmooth import (MlpNet, mlp_forward, mlp_input_grad, mlp_param_grad, random_mlp,
                        spectral_normalize)
 from .rkhs import gp_penalty
@@ -205,24 +206,36 @@ def check_descent_inequality(trace: TrainTrace, big_l: float, tol: float = 1e-9)
 
 # --- regularized adversarial loop ---
 
+def _is_positive(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 @dataclass(frozen=True)
 class GanLoopConfig:
+    """The adversarial loop's settings; the gan2d JSON config holds these fields."""
+
     generator_init: np.ndarray          # N x d particle matrix
     target: DiscreteMeasure
-    depth: int
-    width: int
-    final_scale: float                  # the output multiplier alpha
-    beta2: float
-    n_steps: int
-    seed: int
+    depth: int = 3
+    width: int = 8
+    final_scale: float = 0.05           # the output multiplier alpha
+    beta2: float = BETA2_MMD_BOUND
+    n_steps: int = 100
+    seed: int = 0
     disc_steps_per_gen: int = 2
     interpolation: bool = True
     lr_disc: float = 0.05
     lr_gen: float | None = None         # default: N / (depth * alpha + beta2)
 
     def __post_init__(self):
-        if self.disc_steps_per_gen < 1:
-            raise ConfigError("disc_steps_per_gen must be >= 1")
+        ints = {"depth": 1, "width": 1, "n_steps": 1, "disc_steps_per_gen": 1, "seed": 0}
+        rates = ("final_scale", "beta2", "lr_disc") + (() if self.lr_gen is None else ("lr_gen",))
+        bad = [f"{k} must be an int >= {least}" for k, least in ints.items()
+               if not _is_int(getattr(self, k), least)]
+        bad += [f"{k} must be finite and > 0" for k in rates if not _is_positive(getattr(self, k))]
+        bad += [] if isinstance(self.interpolation, bool) else ["interpolation must be a bool"]
+        if bad:
+            raise ConfigError("; ".join(bad))
 
 
 def _disc_objective(net: MlpNet, theta: np.ndarray, target: DiscreteMeasure,
@@ -256,7 +269,9 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
     every step), then one particle step along the discriminator's input
     gradient.  The trace records the minimax surrogate value and the
     generator gradient norm.  disc_probe, when given, is called with the
-    network after every discriminator update.
+    network after every discriminator update.  Non-finite discriminator
+    parameters or objective, or an objective past the divergence threshold,
+    stop the run as diverged, keeping the rows up to the bad step.
     """
     theta = np.array(cfg.generator_init, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != cfg.target.dim:
@@ -286,8 +301,12 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
                 interp = t * u + (1.0 - t) * v
             else:
                 interp = np.vstack([u[:n // 2], v[:n - n // 2]])
-            g = _disc_grad(net, theta, cfg.target, interp, penalty_coef)
-            net = spectral_normalize(net.with_params(net.flatten_params() + cfg.lr_disc * g))
+            params = net.flatten_params() + cfg.lr_disc * _disc_grad(net, theta, cfg.target,
+                                                                     interp, penalty_coef)
+            if not np.all(np.isfinite(params)):
+                diverged = True         # no finite net to normalize: the step stays the last
+                break
+            net = spectral_normalize(net.with_params(params))
             if disc_probe is not None:
                 disc_probe(net)
         obj = _disc_objective(net, theta, cfg.target, interp, penalty_coef)
@@ -295,7 +314,7 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
         gnorm = float(np.linalg.norm(gen_grad))
         losses[kstep] = obj
         gnorms[kstep] = gnorm
-        if not np.isfinite(obj) or abs(obj) > DIVERGENCE_THRESHOLD:
+        if diverged or not np.isfinite(obj) or abs(obj) > DIVERGENCE_THRESHOLD:
             diverged = True
             losses, gnorms, steps = losses[:kstep + 1], gnorms[:kstep + 1], steps[:kstep + 1]
             break

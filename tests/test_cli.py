@@ -1,12 +1,13 @@
 """CLI behavior: values, determinism, manifests, error handling."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from smoothgan.cli import main
+from smoothgan.cli import build_parser, main
 
 MU_CSV = "x_1,w\n0.3,1\n"
 MU0_CSV = "x_1,w\n0,1\n"
@@ -332,3 +333,118 @@ def test_bad_numeric_option_exit_2(workdir, capsys, argv):
     assert main(argv + ["--out", "o.out"]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (workdir / "o.out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["env", "legendre", "--f", "q.csv", "--dual-lo=-1e6", "--dual-hi", "1e6", "--dual-step",
+     "1e-3"],
+    ["rkhs", "series", "--centers", "mu0.csv", "--quad-lo=-1e6", "--quad-hi", "1e6"],
+], ids=["dual-grid", "quadrature-grid"])
+def test_oversized_grid_exit_2(workdir, capsys, argv):
+    # 2e9 cells: refused before numpy is asked for the memory
+    _quad_grid(workdir)
+    assert main(argv + ["--out", "o.out"]) == 2
+    assert "exceed" in capsys.readouterr().err
+    assert not (workdir / "o.out").exists()
+
+
+# --- every numeric option against 0, -1, nan, inf and a non-number ---
+
+def _numeric_options(parser, path=()):
+    """(subcommand path, option string) for every int or float option, walking subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _numeric_options(sub, path + (name,))
+        elif action.type in (int, float) and action.option_strings:
+            yield " ".join(path), action.option_strings[0]
+
+
+# small valid invocations; the option under test is appended and wins over these
+_FIXTURE_ARGV = {
+    "div eval": ["div", "eval", "--loss", "mmd", "--mu", "mu.csv", "--mu0", "mu0.csv"],
+    "disc eval": LOSS_COMMANDS["disc"],
+    "smooth report": ["smooth", "report", "--loss", "mmd", "--trials", "2", "--grid-pts", "11",
+                      "--out", "o.json"],
+    "env": ["env", "legendre", "--f", "q.csv", "--alpha", "1", "--beta", "1", "--dual-lo", "-1",
+            "--dual-hi", "1", "--dual-step", "0.25", "--out", "o.csv"],
+    "rkhs series": ["rkhs", "series", "--centers", "mu0.csv", "--order", "3", "--out", "o.csv"],
+    "nn": ["nn", "init", "--width", "3", "--depth", "2", "--out", "o.json"],
+    "train": ["train", "particles", "--n", "4", "--steps", "3", "--out", "o.csv"],
+    "sweep": ["sweep", "--ratios", "1", "--seeds", "1", "--n", "4", "--steps", "3",
+              "--out", "o.csv"],
+}
+_ENV_OP = {"--alpha": "ph", "--beta": "moreau"}           # the op that reads the option
+# options for which these of 0 and -1 are legitimate; every other bad value exits 2
+_ZERO_OR_NEG_OK = {
+    ("smooth report", "--seed"): {"0", "-1"},
+    ("nn", "--seed"): {"0", "-1"},
+    ("nn", "--final-scale"): {"0", "-1"},                 # a zero or sign-flipped output layer
+    ("train", "--seed"): {"0"},
+    ("sweep", "--seed"): {"0"},
+    ("rkhs series", "--order"): {"0"},
+    ("env", "--dual-lo"): {"0", "-1"},                     # a signed bound below --dual-hi 1
+    ("env", "--dual-hi"): {"0"},
+}
+_NUMERIC_CASES = [(cmd, opt, value) for cmd, opt in _numeric_options(build_parser())
+                  for value in ("0", "-1", "nan", "inf", "x")]
+
+
+def test_numeric_option_table_is_complete():
+    assert {cmd for cmd, _, _ in _NUMERIC_CASES} == set(_FIXTURE_ARGV)
+    assert set(_ZERO_OR_NEG_OK) <= {(cmd, opt) for cmd, opt, _ in _NUMERIC_CASES}
+
+
+@pytest.mark.parametrize("cmd, option, value", _NUMERIC_CASES,
+                         ids=[f"{c} {o}={v}" for c, o, v in _NUMERIC_CASES])
+def test_numeric_option_bad_values(workdir, capsys, cmd, option, value):
+    _quad_grid(workdir)
+    argv = list(_FIXTURE_ARGV[cmd])
+    if cmd == "env":
+        argv[1] = _ENV_OP.get(option, "legendre")
+    inputs = set(workdir.iterdir())
+    try:
+        code = main(argv + [f"{option}={value}"])
+    except SystemExit as exc:                              # argparse rejects a non-number
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert code == (0 if value in _ZERO_OR_NEG_OK.get((cmd, option), ()) else 2)
+    if code == 0:                                          # manifests echo argv and paths
+        written = [p.read_text() for p in set(workdir.iterdir()) - inputs
+                   if not p.name.endswith(".manifest.json")]
+        assert written or out
+        assert "nan" not in (out + "".join(written)).lower()
+
+
+_GAN2D_BAD = {
+    "n_steps 0": {"n_steps": 0},
+    "n_steps -1": {"n_steps": -1},
+    "n_steps 2.5": {"n_steps": 2.5},
+    "beta2 0": {"beta2": 0},
+    "width a": {"width": "a"},
+    "depth 1.5": {"depth": 1.5},
+    "lr_disc x": {"lr_disc": "x"},
+    "lr_gen nan": {"lr_gen": "nan"},
+    "interpolation no": {"interpolation": "no"},
+    "target.n 2.5": {"target": {"kind": "ring", "n": 2.5}},
+    "target.seed -1": {"target": {"kind": "ring", "n": 8, "seed": -1}},
+}
+
+
+@pytest.mark.parametrize("label", list(_GAN2D_BAD))
+def test_gan2d_bad_config_exit_2(workdir, capsys, label):
+    cfg = {"target": {"kind": "ring", "n": 8}, "n_steps": 2, **_GAN2D_BAD[label]}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["train", "gan2d", "--config", "cfg.json", "--out", "g.csv"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (workdir / "g.csv").exists()
+
+
+def test_gan2d_overflowing_discriminator_diverges(workdir, capsys):
+    cfg = {"target": {"kind": "grid_uniform", "n": 16}, "n_steps": 3, "final_scale": 1e308}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main(["train", "gan2d", "--config", "cfg.json", "--out", "g.csv"]) == 0
+    assert "diverged True" in capsys.readouterr().out
+    assert (workdir / "g.csv").read_text().strip().endswith("diverged")

@@ -11,7 +11,7 @@ from smoothgan.envelopes import (GridFn, conjugate_sum_identity_check, grid_axes
                                  gridfn_from_csv, gridfn_to_csv, inf_conv, legendre,
                                  minimizer_invariance_check, moreau, pasch_hausdorff)
 from smoothgan.errors import (GridMismatch, NonPositiveAlpha, NonPositiveBeta,
-                              PreconditionViolated)
+                              PreconditionViolated, ProblemTooLarge)
 from smoothgan.measures import BoxDomain
 
 DOM = BoxDomain(np.array([-3.0]), np.array([3.0]))
@@ -156,6 +156,11 @@ def test_envelope_parameter_validation():
         pasch_hausdorff(F_ABS, 0.0)
     with pytest.raises(NonPositiveBeta):
         moreau(F_ABS, -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonPositiveAlpha):
+            pasch_hausdorff(F_ABS, bad)
+        with pytest.raises(NonPositiveBeta):
+            moreau(F_ABS, bad)
 
 
 def test_legendre_quadratic():
@@ -478,7 +483,119 @@ def test_grid_axes_rejects_bad_step(step):
         grid_axes(DOM, step)
 
 
-@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5), (np.nan, 1.0)])
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5), (np.nan, 1.0), (-1.0, np.inf),
+                                    (-np.inf, 1.0)])
 def test_box_rejects_empty_or_reversed(lo, hi):
     with pytest.raises(PreconditionViolated):
         BoxDomain(np.array([lo]), np.array([hi]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")   # 2e300 / 1e-300 is inf
+@pytest.mark.parametrize("lo, hi, step", [(-1e6, 1e6, 1e-3), (-1e300, 1e300, 1e-300)])
+def test_grid_axes_caps_the_cell_count(lo, hi, step):
+    with pytest.raises(ProblemTooLarge):
+        grid_axes(_dom1(lo, hi), step)
+
+
+def test_grid_axes_caps_the_product_of_axes():
+    assert [len(a) for a in grid_axes(_DOM2, 1e-3)] == [2001, 2001]
+    with pytest.raises(ProblemTooLarge):
+        grid_axes(_DOM2, 2e-4)                            # 10001^2 cells
+
+
+# --- the min-plus kernel against the brute-force minimum over every pair of cells ---
+
+def _infconv_brute(f: GridFn, g: GridFn) -> np.ndarray:
+    """min over every pair of cells of f(x) + g(y), placed at the grid point x + y of f."""
+    xf = np.stack(np.meshgrid(*f.axes(), indexing="ij"), axis=-1).reshape(-1, f.dim)
+    yg = np.stack(np.meshgrid(*g.axes(), indexing="ij"), axis=-1).reshape(-1, g.dim)
+    cell = np.rint((xf[:, None, :] + yg[None, :, :] - f.domain.lo) / f.step).astype(int)
+    on_grid = np.all((cell >= 0) & (cell < f.values.shape), axis=-1)
+    sums = f.values.reshape(-1, 1) + g.values.reshape(1, -1)
+    out = np.full(f.values.shape, np.inf)
+    np.minimum.at(out, tuple(cell[on_grid].T), sums[on_grid])
+    return out
+
+
+def _holey(rng, shape, frac, inf_rows=0):
+    vals = rng.normal(size=shape)
+    vals[rng.uniform(size=shape) < frac] = np.inf
+    vals[rng.choice(shape[0], inf_rows, replace=False)] = np.inf
+    vals.flat[rng.integers(vals.size)] = rng.normal()        # keep at least one finite cell
+    return vals
+
+
+def _difference_grid(f: GridFn) -> tuple[BoxDomain, list[np.ndarray]]:
+    span = f.domain.hi - f.domain.lo
+    dd = BoxDomain(-span, span)
+    return dd, np.meshgrid(*grid_axes(dd, f.step), indexing="ij")
+
+
+def _ph_pair(rng, f):
+    alpha = rng.uniform(0.3, 3.0)
+    dd, xs = _difference_grid(f)
+    g = GridFn(dd, f.step, alpha * (np.abs(xs[0]) if f.dim == 1
+                                    else np.sqrt(xs[0] ** 2 + xs[1] ** 2)))
+    return pasch_hausdorff(f, alpha), g
+
+
+def _moreau_pair(rng, f):
+    beta = rng.uniform(0.3, 3.0)
+    dd, xs = _difference_grid(f)
+    return moreau(f, beta), GridFn(dd, f.step, sum(x ** 2 for x in xs) / (2.0 * beta))
+
+
+def _shared_pair(frac):
+    def pair(rng, f):
+        g = GridFn(f.domain, f.step, _holey(rng, f.values.shape, frac))
+        return inf_conv(f, g), g
+    return pair
+
+
+def _separable_pair(rng, f):
+    ax = f.axes()
+    vals = rng.normal(size=len(ax[0]))[:, None] + np.abs(ax[1] - rng.uniform(-1, 1))[None, :]
+    g = GridFn(f.domain, f.step, vals)
+    return inf_conv(f, g), g
+
+
+_D1 = _dom1(-1.0, 1.0)                                               # 33 points
+_D1_OFF = _dom1(0.25, 2.0)                                           # origin off the grid
+_D2 = BoxDomain(np.array([-1.5, -1.5]), np.array([1.75, 1.75]))     # 14^2 points
+_D2_OFF = BoxDomain(np.array([-3.0, 0.25]), np.array([-1.0, 2.0]))  # 9 x 8, origin off the grid
+
+_KERNEL_CASES = {
+    # label: (domain, step, f hole fraction, whole +inf rows of f, op -> (output, g), exact)
+    "1-D ph, holes": (_D1, 1 / 16, 0.3, 0, _ph_pair, True),
+    "1-D moreau, holes": (_D1, 1 / 16, 0.3, 0, _moreau_pair, True),
+    "1-D ph, f sparser than g": (_D1, 1 / 16, 0.95, 0, _ph_pair, True),
+    "1-D inf_conv, g sparser than f": (_D1, 1 / 16, 0.1, 0, _shared_pair(0.9), True),
+    "1-D inf_conv, f sparser than g": (_D1, 1 / 16, 0.9, 0, _shared_pair(0.1), True),
+    "1-D inf_conv, origin off the grid": (_D1_OFF, 1 / 16, 0.2, 0, _shared_pair(0.2), True),
+    "2-D ph, holes and inf rows": (_D2, 0.25, 0.3, 3, _ph_pair, True),
+    "2-D ph, f sparser than g": (_D2, 0.25, 0.97, 0, _ph_pair, True),
+    "2-D moreau, holes and inf rows": (_D2, 0.25, 0.3, 3, _moreau_pair, False),
+    "2-D inf_conv, g sparser than f": (_D2, 0.25, 0.2, 2, _shared_pair(0.9), True),
+    "2-D inf_conv, f sparser than g": (_D2, 0.25, 0.9, 0, _shared_pair(0.0), True),
+    "2-D inf_conv, separable g": (_D2, 0.25, 0.3, 3, _separable_pair, False),
+    "2-D inf_conv, separable g, origin off the grid": (_D2_OFF, 0.25, 0.2, 0, _separable_pair,
+                                                       False),
+    "2-D inf_conv, origin off the grid": (_D2_OFF, 0.25, 0.2, 1, _shared_pair(0.5), True),
+}
+
+
+@pytest.mark.parametrize("label", list(_KERNEL_CASES))
+def test_infconv_matches_brute_force(label):
+    dom, step, frac, inf_rows, pair, exact = _KERNEL_CASES[label]
+    rng = np.random.default_rng(list(_KERNEL_CASES).index(label))
+    shape = tuple(len(a) for a in grid_axes(dom, step))
+    for _ in range(4):
+        f = GridFn(dom, step, _holey(rng, shape, frac, inf_rows))
+        out, g = pair(rng, f)
+        brute = _infconv_brute(f, g)
+        if exact:
+            assert np.array_equal(out.values, brute)
+        else:
+            assert np.array_equal(np.isinf(out.values), np.isinf(brute))
+            finite = np.isfinite(brute)
+            assert np.abs(out.values[finite] - brute[finite]).max() <= 1e-12

@@ -311,3 +311,14 @@ def test_near_duplicates_merged():
 def test_malformed_csv_config_error(text):
     with pytest.raises(ConfigError):
         measure_from_csv(text)
+
+
+@pytest.mark.parametrize("n, seed", [(8, -1), (2.5, 0), (8, 1.5), (True, 0), ("8", 0)])
+def test_sample_target_rejects_bad_n_or_seed(n, seed):
+    with pytest.raises(ConfigError):
+        sample_target("ring", n, seed)
+
+
+def test_sample_target_takes_numpy_integers():
+    assert np.array_equal(sample_target("ring", np.int64(8), np.int64(5)).points,
+                          sample_target("ring", 8, 5).points)

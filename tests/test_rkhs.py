@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from smoothgan.divergences import KernelSpec, embedding_gram, mmd_sq
-from smoothgan.errors import LengthMismatch, OrderTooLarge, QuadratureDomainTooSmall
+from smoothgan.errors import (LengthMismatch, OrderTooLarge, PreconditionViolated,
+                             ProblemTooLarge, QuadratureDomainTooSmall)
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
 from smoothgan.rkhs import EmbeddingFn, gp_penalty, truncated_series_norm
 
@@ -92,3 +93,16 @@ def test_gp_penalty_validation():
         gp_penalty([1.0, 2.0], [[0.0]], [1.0])
     with pytest.raises(ValueError):
         gp_penalty([1.0], [[0.0]], [0.5])
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 9.0), (-9.0, math.inf), (-math.inf, 9.0)])
+def test_series_norm_rejects_non_finite_bounds(lo, hi):
+    f = EmbeddingFn(np.array([0.0]), np.array([1.0]), KernelSpec.critical())
+    with pytest.raises(PreconditionViolated):
+        truncated_series_norm(f, 3, lo, hi)
+
+
+def test_series_norm_caps_its_grid():
+    f = EmbeddingFn(np.zeros(2), np.ones(2), KernelSpec.critical())
+    with pytest.raises(ProblemTooLarge):
+        truncated_series_norm(f, 3, -3e3, 3e3)          # 2 x 6e6 points

@@ -220,3 +220,27 @@ def test_gan2d_seven_layer_default_step():
     expect = 8.0 / (7 * 0.05 + 2 * math.pi)
     assert trace.step_size[0] == pytest.approx(expect, rel=1e-12)
     assert len(trace) == 3 and not trace.diverged
+
+
+def test_gan2d_config_defaults():
+    target = sample_target("ring", 8, 21)
+    cfg = GanLoopConfig(generator_init=target.points.copy(), target=target)
+    assert (cfg.depth, cfg.width, cfg.final_scale, cfg.beta2, cfg.n_steps, cfg.seed) == (
+        3, 8, 0.05, BETA2_MMD_BOUND, 100, 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("depth", 0), ("width", 2.5), ("n_steps", True), ("n_steps", "3"), ("seed", -1),
+    ("disc_steps_per_gen", -1), ("beta2", 0.0), ("lr_disc", math.nan), ("final_scale", math.inf),
+    ("lr_gen", -0.5), ("lr_gen", "0.5"), ("interpolation", 1), ("interpolation", "no"),
+])
+def test_gan2d_config_rejects_bad_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        _gan_cfg(**{field: value})
+
+
+def test_gan2d_non_finite_disc_params_diverge():
+    # a 1e308 output scale overflows the first discriminator update
+    with np.errstate(all="ignore"):
+        trace = train_gan2d(_gan_cfg(final_scale=1e308, n_steps=3))
+    assert trace.diverged and len(trace) == 1
