@@ -32,7 +32,7 @@ from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, s
 from .rkhs import EmbeddingFn, truncated_series_norm
 from .smoothness import OracleFamily, build_report
 from .trainer import GanLoopConfig, TrainConfig, trace_to_csv, train_gan2d, train_particles
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _GAN2D_TARGET_KEYS = {"kind", "n", "seed"}
 
@@ -259,11 +259,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suite(args.suite)
-    except KeyError:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
+    results = run_suite(args.suite)
     for r in results:
         print(r.line())
     n_fail = sum(not r.passed for r in results)
@@ -392,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("verify", help="run the acceptance suite")
-    v.add_argument("--suite", default="all",
-                   choices=["all", "divergences", "smoothness", "envelopes", "rkhs",
-                            "nnsmooth", "trainer"])
+    v.add_argument("--suite", default="all", choices=["all", *SUITES])
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("plotdata", help="extract plot series from traces")

@@ -291,34 +291,35 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
     steps = np.full(cfg.n_steps, lr_gen)
     diverged = False
     for kstep in range(cfg.n_steps):
-        rng = child_rng(cfg.seed, 13, kstep)
-        for _ in range(cfg.disc_steps_per_gen):
-            u = theta[rng.integers(0, n, size=n)]
-            v = cfg.target.points[rng.choice(len(cfg.target.points), size=n,
-                                             p=cfg.target.weights)]
-            if cfg.interpolation:
-                t = rng.uniform(0.0, 1.0, size=(n, 1))
-                interp = t * u + (1.0 - t) * v
-            else:
-                interp = np.vstack([u[:n // 2], v[:n - n // 2]])
-            params = net.flatten_params() + cfg.lr_disc * _disc_grad(net, theta, cfg.target,
-                                                                     interp, penalty_coef)
-            if not np.all(np.isfinite(params)):
-                diverged = True         # no finite net to normalize: the step stays the last
+        with np.errstate(over="ignore", invalid="ignore"):      # finiteness is checked below
+            rng = child_rng(cfg.seed, 13, kstep)
+            for _ in range(cfg.disc_steps_per_gen):
+                u = theta[rng.integers(0, n, size=n)]
+                v = cfg.target.points[rng.choice(len(cfg.target.points), size=n,
+                                                 p=cfg.target.weights)]
+                if cfg.interpolation:
+                    t = rng.uniform(0.0, 1.0, size=(n, 1))
+                    interp = t * u + (1.0 - t) * v
+                else:
+                    interp = np.vstack([u[:n // 2], v[:n - n // 2]])
+                params = net.flatten_params() + cfg.lr_disc * _disc_grad(net, theta, cfg.target,
+                                                                         interp, penalty_coef)
+                if not np.all(np.isfinite(params)):
+                    diverged = True         # no finite net to normalize: the step stays the last
+                    break
+                net = spectral_normalize(net.with_params(params))
+                if disc_probe is not None:
+                    disc_probe(net)
+            obj = _disc_objective(net, theta, cfg.target, interp, penalty_coef)
+            gen_grad = mlp_input_grad(net, theta) / n
+            gnorm = float(np.linalg.norm(gen_grad))
+            losses[kstep] = obj
+            gnorms[kstep] = gnorm
+            if diverged or not np.isfinite(obj) or abs(obj) > DIVERGENCE_THRESHOLD:
+                diverged = True
+                losses, gnorms, steps = losses[:kstep + 1], gnorms[:kstep + 1], steps[:kstep + 1]
                 break
-            net = spectral_normalize(net.with_params(params))
-            if disc_probe is not None:
-                disc_probe(net)
-        obj = _disc_objective(net, theta, cfg.target, interp, penalty_coef)
-        gen_grad = mlp_input_grad(net, theta) / n
-        gnorm = float(np.linalg.norm(gen_grad))
-        losses[kstep] = obj
-        gnorms[kstep] = gnorm
-        if diverged or not np.isfinite(obj) or abs(obj) > DIVERGENCE_THRESHOLD:
-            diverged = True
-            losses, gnorms, steps = losses[:kstep + 1], gnorms[:kstep + 1], steps[:kstep + 1]
-            break
-        theta = theta - lr_gen * gen_grad
+            theta = theta - lr_gen * gen_grad
     return TrainTrace(losses, gnorms, steps, diverged)
 
 

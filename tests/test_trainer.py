@@ -1,6 +1,7 @@
 """Particle descent, the stationarity bound, and the regularized loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,7 +241,8 @@ def test_gan2d_config_rejects_bad_field(field, value):
 
 
 def test_gan2d_non_finite_disc_params_diverge():
-    # a 1e308 output scale overflows the first discriminator update
-    with np.errstate(all="ignore"):
+    # a 1e308 output scale overflows the first discriminator update, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         trace = train_gan2d(_gan_cfg(final_scale=1e308, n_steps=3))
     assert trace.diverged and len(trace) == 1
