@@ -7,11 +7,23 @@ envelope (inf-convolution with alpha * Euclidean norm) produces an
 alpha-Lipschitz function; the Moreau envelope (with a quadratic) produces one
 with Lipschitz gradient.
 
-Every inf-convolution goes through one min-plus kernel, which loops over the
-finite cells of whichever operand has fewer; each cell lowers one shifted
-window of the output.  Either choice is exact: each candidate f(x) + g(y) is
-the same single addition, and a minimum rounds nothing.  A separable 2-D
-shift function takes two kernel passes, down the columns and along the rows.
+Every inf-convolution is a minimum of sums f(x) + g(y), each the same single
+addition however it is reached.  The general kernel `_minplus` forms them
+all, looping over the finite cells of whichever operand has fewer and
+lowering one shifted window of the output per cell; a separable 2-D shift
+function takes two such passes.  The envelopes form fewer sums:
+
+- 1-D Moreau: a lower convex hull, shared with `legendre`, names the
+  minimizing cell up to its hull neighbours (Lucet 1997), O(n log n);
+- 1-D Pasch-Hausdorff: running minima name one cell on each side, O(n);
+- 2-D Pasch-Hausdorff: `_minplus` over the cells that an l1 envelope
+  (Felzenszwalb & Huttenlocher 2012) does not rule out.
+
+`_minplus` and the 2-D pruning give the minimum over every sum bit for bit.
+The 1-D searches locate the minimizer in exact arithmetic: on exact ties (f
+linear with slope +-alpha, f = -x^2 / (2 beta) + affine, values on a lattice
+commensurate with alpha * step) the sum they pick may exceed the smallest
+rounded sum by a few eps * (max|f| + max g).
 """
 
 from __future__ import annotations
@@ -99,12 +111,17 @@ def _minplus(fv: np.ndarray, gv: np.ndarray, zero) -> np.ndarray:
     adds its value to the other operand laid over the output from c - zero on:
     one clipped window per cell, every bound computed before the loop.  IEEE
     addition commutes, so both ways form the same sums and the same minimum.
+    A scan of more than _CELL_PAIR_CAP (looped cell, output cell) pairs is
+    refused before it starts.
     """
     a, b = sorted((fv, gv), key=lambda v: np.count_nonzero(np.isfinite(v)))
     finite = np.isfinite(a)
     shift = np.argwhere(finite) - np.asarray(zero)      # output index of b's first cell
     lo, hi = np.maximum(shift, 0), np.minimum(shift + b.shape, fv.shape)
     keep = np.all(lo < hi, axis=1)
+    if np.count_nonzero(keep) * fv.size > _CELL_PAIR_CAP:
+        raise ProblemTooLarge(f"an inf-convolution scan of {np.count_nonzero(keep)} x {fv.size}"
+                              f" cells exceeds {_CELL_PAIR_CAP} cell pairs")
     out = np.full(fv.shape, np.inf)
     for v, ol, oh, bl, bh in zip(a[finite][keep].tolist(), lo[keep].tolist(), hi[keep].tolist(),
                                  (lo - shift)[keep].tolist(), (hi - shift)[keep].tolist()):
@@ -120,8 +137,6 @@ def _infconv_kernel(f: GridFn, g: GridFn) -> GridFn:
     zero = _origin_offsets(g)
     fv, gv = f.values, g.values
     if f.dim == 2:
-        if np.count_nonzero(np.isfinite(fv)) * fv.size > _CELL_PAIR_CAP:
-            raise GridMismatch(f"2-D scan exceeds {_CELL_PAIR_CAP} cell pairs")
         if np.all(np.isfinite(gv)) and np.allclose(gv[:, :1] + gv[:1, :] - gv[0, 0], gv,
                                                    atol=1e-12, rtol=0.0):
             # g(x, y) = g(x, b) - g(a, b) + g(a, y) for any cell (a, b); the origin's,
@@ -149,34 +164,103 @@ def _difference_norm(f: GridFn) -> tuple[BoxDomain, np.ndarray]:
     return dd, np.sqrt(axes[0][:, None] ** 2 + axes[1][None, :] ** 2)
 
 
+def _gathered_min(fv: np.ndarray, gv: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """out[i] = min over c of f[j] + g[i - j + zero] at j = cand[i, c], 1-D.
+
+    g lives on the difference domain of f's grid, whose origin is at index
+    len(f) - 1.  Each sum is the very addition the full scan forms for that
+    pair; the candidates decide only which pairs are formed.
+    """
+    i = np.arange(len(fv))[:, None]
+    return np.min(fv[cand] + gv[i - cand + len(fv) - 1], axis=1)
+
+
+def _running_argmin(a: np.ndarray) -> np.ndarray:
+    """Index of min(a[:i + 1]) for every i, the latest one on ties."""
+    hit = np.where(a == np.minimum.accumulate(a), np.arange(len(a)), 0)
+    return np.maximum.accumulate(hit)
+
+
+def _l1_prune(fv: np.ndarray, slope: float, g_max: float) -> np.ndarray:
+    """f on a 2-D grid, +inf at each cell that min-plus with slope * ||.||_2 never needs.
+
+    A cell j with f_j > f_k + slope ||j - k||_1 for some k never attains the
+    minimum: ||.||_1 >= ||.||_2 and the triangle inequality give
+    f_j + slope ||i - j|| > f_k + slope ||i - k|| for every i.  The l1
+    envelope min_k f_k + slope ||j - k||_1 is taken one axis at a time, as
+    the smaller of a running minimum of v_r - slope r from the left (plus
+    slope i) and of v_r + slope r from the right (minus slope i).  The margin
+    is >= 100x the rounding error of these sweeps and of the sums f + g, so a
+    dropped cell's sum exceeds the minimum in floating point too, and min-plus
+    over the cells kept is bitwise the scan over every cell.
+    """
+    env = fv
+    for axis in (0, 1):
+        r = slope * np.arange(fv.shape[axis]).reshape((-1, 1) if axis == 0 else (1, -1))
+        left = np.minimum.accumulate(env - r, axis=axis) + r
+        right = np.flip(np.minimum.accumulate(np.flip(env + r, axis), axis=axis), axis) - r
+        env = np.minimum(left, right)
+    margin = 1e-12 * (np.max(np.abs(fv[np.isfinite(fv)])) + g_max)
+    return np.where(fv <= env + margin, fv, np.inf)
+
+
 def pasch_hausdorff(f: GridFn, alpha: float) -> GridFn:
     """Lipschitz regularization: inf-convolution with alpha * ||.||.
 
     The shift function is sampled on the full difference domain so no
     admissible shift is truncated away; the result is alpha-Lipschitz on the
     grid (exactly, by the triangle inequality of the sampled norm).
+
+    In 1-D, min_j f_j + alpha step |i - j| splits at j = i: the left running
+    minimum of f_j - alpha step j and the right one of f_j + alpha step j give
+    one candidate cell on each side, in O(n).  In 2-D the min-plus scan runs
+    over the cells that `_l1_prune` keeps: all N of them, O(N^2), when f is
+    alpha-Lipschitz already, and a few when f is much steeper than alpha.
     """
     if not 0 < alpha < math.inf:
         raise NonPositiveAlpha(f"alpha must be finite and positive, got {alpha}")
-    dd, norm = _difference_norm(f)
-    return _infconv_kernel(f, GridFn(dd, f.step, alpha * norm))
+    fv, gv = f.values, alpha * _difference_norm(f)[1]
+    if f.dim == 1:
+        r = alpha * f.step * np.arange(len(fv))
+        left = _running_argmin(fv - r)
+        right = len(fv) - 1 - _running_argmin((fv + r)[::-1])[::-1]
+        return GridFn(f.domain, f.step, _gathered_min(fv, gv, np.stack([left, right], axis=1)))
+    kept = _l1_prune(fv, alpha * f.step, np.max(gv))
+    return GridFn(f.domain, f.step, _minplus(kept, gv, [n - 1 for n in fv.shape]))
 
 
 def moreau(f: GridFn, beta: float) -> GridFn:
-    """Quadratic regularization: inf-convolution with ||.||^2 / (2 beta)."""
+    """Quadratic regularization: inf-convolution with ||.||^2 / (2 beta).
+
+    In 1-D, min_j f_j + (x - y_j)^2 / (2 beta) = x^2 / (2 beta)
+    - max_j [x y_j - (beta f_j + y_j^2 / 2)] / beta: the maximizing cell is the
+    vertex of the lower convex hull of (y_j, beta f_j + y_j^2 / 2) whose edge
+    slopes enclose x, found by binary search, in O(n log n).  The envelope is
+    taken as the smallest sum f_j + g(x - y_j) at that vertex and its two hull
+    neighbours.  In 2-D the quadratic is separable: two min-plus passes.
+    """
     if not 0 < beta < math.inf:
         raise NonPositiveBeta(f"beta must be finite and positive, got {beta}")
     dd, norm = _difference_norm(f)
-    return _infconv_kernel(f, GridFn(dd, f.step, norm ** 2 / (2.0 * beta)))
+    g = GridFn(dd, f.step, norm ** 2 / (2.0 * beta))
+    if f.dim == 2:
+        return _infconv_kernel(f, g)
+    x = f.axes()[0]
+    j = np.flatnonzero(np.isfinite(f.values))
+    with np.errstate(over="ignore"):
+        hull, slopes = _lower_hull(x[j], beta * f.values[j] + x[j] ** 2 / 2)
+    if not np.all(np.isfinite(slopes)):          # beta f overflowed: no hull to search
+        return _infconv_kernel(f, g)
+    k = np.searchsorted(slopes, x)[:, None] + np.array([-1, 0, 1])
+    cand = j[hull[np.clip(k, 0, len(hull) - 1)]]
+    return GridFn(f.domain, f.step, _gathered_min(f.values, g.values, cand))
 
 
-def _conjugate_1d(x: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """max_j z_i x_j - v_j for increasing x, finite v and increasing z.
+def _lower_hull(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Vertices of the lower convex hull of (x, v) for increasing x, and its edge slopes.
 
-    Only vertices of the lower convex hull of (x, v) can attain the maximum,
-    and the vertex k attains it for the z between the slopes of its two hull
-    edges.  One monotone-chain pass builds the hull, and a binary search
-    places each z among the edge slopes.
+    One monotone-chain pass; a point on or above the chord of its neighbours
+    is not a vertex.
     """
     xl, vl = x.tolist(), v.tolist()
     hull, slopes = [0], []
@@ -188,7 +272,18 @@ def _conjugate_1d(x: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
             s = (vl[j] - vl[hull[-1]]) / (xl[j] - xl[hull[-1]])
         hull.append(j)
         slopes.append(s)
-    k = np.asarray(hull)[np.searchsorted(slopes, z)]
+    return np.asarray(hull), slopes
+
+
+def _conjugate_1d(x: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """max_j z_i x_j - v_j for increasing x, finite v and increasing z.
+
+    Only vertices of the lower convex hull of (x, v) can attain the maximum,
+    and the vertex k attains it for the z between the slopes of its two hull
+    edges, found by binary search.
+    """
+    hull, slopes = _lower_hull(x, v)
+    k = hull[np.searchsorted(slopes, z)]
     return z * x[k] - v[k]
 
 
@@ -318,15 +413,17 @@ def gridfn_from_csv(text: str) -> GridFn:
                          for r in body])
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"grid CSV rows must hold {dim + 1} numbers: {exc}") from exc
+    points, counts = np.unique(coords, axis=0, return_counts=True)
+    if np.any(counts > 1):
+        raise ConfigError(f"grid CSV repeats the point {points[np.argmax(counts > 1)].tolist()}")
+    axes = [np.unique(c) for c in coords.T]
+    if min(len(a) for a in axes) < 2:
+        raise ConfigError("grid CSV needs two distinct coordinates along each axis")
+    step = float(np.min(np.diff(axes[0])))
+    dom = BoxDomain(np.array([a[0] for a in axes]), np.array([a[-1] for a in axes]))
     if dim == 1:
-        xs = np.unique(coords[:, 0])
-        step = float(np.min(np.diff(xs))) if len(xs) > 1 else 1.0
-        dom = BoxDomain(np.array([xs[0]]), np.array([xs[-1]]))
-        order = np.argsort(coords[:, 0])
-        return GridFn(dom, step, vals[order])
-    xs, ys = np.unique(coords[:, 0]), np.unique(coords[:, 1])
-    step = float(np.min(np.diff(xs))) if len(xs) > 1 else float(np.min(np.diff(ys)))
-    dom = BoxDomain(np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]]))
+        return GridFn(dom, step, vals[np.argsort(coords[:, 0])])
+    xs, ys = axes
     grid = np.full((len(xs), len(ys)), np.inf)
     ix = np.searchsorted(xs, coords[:, 0])
     iy = np.searchsorted(ys, coords[:, 1])

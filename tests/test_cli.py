@@ -225,6 +225,21 @@ def test_grid_all_plus_inf_exit_2(workdir, capsys):
     assert "proper" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x,y,value\n0,0,1\n", "two distinct coordinates"),
+    ("x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n0,0,5\n", "repeats the point [0.0, 0.0]"),
+    ("x,value\n0,1\n0.5,2\n0.5,3\n1,4\n", "repeats the point [0.5]"),
+], ids=["one-point-2d", "repeated-2d-point", "repeated-1d-x"])
+def test_grid_csv_degenerate_points_exit_2(workdir, capsys, text, message):
+    # a repeated point used to be kept silently (last row winning) and a
+    # one-point 2-D grid ended in a ValueError traceback
+    (workdir / "f.csv").write_text(text)
+    assert main(["env", "moreau", "--f", "f.csv", "--beta", "1", "--out", "o.csv"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (workdir / "o.csv").exists()
+
+
 def _quad_grid(workdir):
     xs = np.round(np.arange(-1.0, 1.0 + 0.005, 0.25), 10)
     (workdir / "q.csv").write_text(

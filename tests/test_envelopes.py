@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothgan.envelopes import (GridFn, conjugate_sum_identity_check, grid_axes,
-                                 gridfn_from_csv, gridfn_to_csv, inf_conv, legendre,
+from smoothgan.envelopes import (GridFn, _infconv_kernel, _l1_prune, conjugate_sum_identity_check,
+                                 grid_axes, gridfn_from_csv, gridfn_to_csv, inf_conv, legendre,
                                  minimizer_invariance_check, moreau, pasch_hausdorff)
 from smoothgan.errors import (GridMismatch, NonPositiveAlpha, NonPositiveBeta,
                               PreconditionViolated, ProblemTooLarge)
@@ -314,7 +314,7 @@ def test_2d_scan_cell_cap():
     xx, yy = np.meshgrid(ax[0], ax[1], indexing="ij")
     f = GridFn(dom2, step, xx ** 2 + yy ** 2)
     g = GridFn(dom2, step, np.hypot(xx, yy))     # euclidean norm: not separable
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ProblemTooLarge):
         inf_conv(f, g)
 
 
@@ -531,18 +531,27 @@ def _difference_grid(f: GridFn) -> tuple[BoxDomain, list[np.ndarray]]:
     return dd, np.meshgrid(*grid_axes(dd, f.step), indexing="ij")
 
 
+def _cone(f: GridFn, alpha: float) -> GridFn:
+    """alpha * ||.|| on the difference grid of f."""
+    dd, xs = _difference_grid(f)
+    return GridFn(dd, f.step, alpha * (np.abs(xs[0]) if f.dim == 1
+                                       else np.sqrt(xs[0] ** 2 + xs[1] ** 2)))
+
+
+def _parabola(f: GridFn, beta: float) -> GridFn:
+    """||.||^2 / (2 beta) on the difference grid of f."""
+    dd, xs = _difference_grid(f)
+    return GridFn(dd, f.step, sum(x ** 2 for x in xs) / (2.0 * beta))
+
+
 def _ph_pair(rng, f):
     alpha = rng.uniform(0.3, 3.0)
-    dd, xs = _difference_grid(f)
-    g = GridFn(dd, f.step, alpha * (np.abs(xs[0]) if f.dim == 1
-                                    else np.sqrt(xs[0] ** 2 + xs[1] ** 2)))
-    return pasch_hausdorff(f, alpha), g
+    return pasch_hausdorff(f, alpha), _cone(f, alpha)
 
 
 def _moreau_pair(rng, f):
     beta = rng.uniform(0.3, 3.0)
-    dd, xs = _difference_grid(f)
-    return moreau(f, beta), GridFn(dd, f.step, sum(x ** 2 for x in xs) / (2.0 * beta))
+    return moreau(f, beta), _parabola(f, beta)
 
 
 def _shared_pair(frac):
@@ -599,3 +608,108 @@ def test_infconv_matches_brute_force(label):
             assert np.array_equal(np.isinf(out.values), np.isinf(brute))
             finite = np.isfinite(brute)
             assert np.abs(out.values[finite] - brute[finite]).max() <= 1e-12
+
+
+def test_1d_scan_cell_cap():
+    # 40001^2 cell pairs, past the pair budget: refused before the scan starts
+    dom = _dom1(-20.0, 20.0)
+    xs = grid_axes(dom, STEP)[0]
+    f, g = GridFn(dom, STEP, 0.5 * xs ** 2), GridFn(dom, STEP, np.abs(xs))
+    with pytest.raises(ProblemTooLarge):
+        inf_conv(f, g)
+
+
+# --- the envelope fast paths against the full min-plus scan, bit for bit ---
+
+def _bumpy2(rng, xs):
+    """The 2-D profile of the benchmark's workbench: a bowl with a cos * sin ripple."""
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    c, w = rng.uniform(0.3, 1.0, 3), rng.uniform(1.0, 5.0, 2)
+    return c[0] * gx ** 2 + c[1] * gy ** 2 + c[2] * np.cos(w[0] * gx) * np.sin(w[1] * gy)
+
+
+_X101 = grid_axes(_DOM2, 0.02)[0]
+_GX, _GY = np.meshgrid(_X101, _X101, indexing="ij")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_pasch_hausdorff_2d_equals_full_scan(alpha):
+    f = GridFn(_DOM2, 0.02, _bumpy2(np.random.default_rng(int(10 * alpha)), _X101))
+    scan = _infconv_kernel(f, _cone(f, alpha))
+    assert np.array_equal(pasch_hausdorff(f, alpha).values, scan.values)
+
+
+@pytest.mark.parametrize("values, alpha, kept", [
+    (0.1 * np.cos(3 * _GX) * np.sin(2 * _GY), 2.0, (_X101.size ** 2, _X101.size ** 2)),
+    (_bumpy2(np.random.default_rng(9), _X101), 0.05, (1, 50)),
+], ids=["nothing pruned", "almost everything pruned"])
+def test_pasch_hausdorff_2d_pruning_extremes(values, alpha, kept):
+    f = GridFn(_DOM2, 0.02, values)
+    cone = _cone(f, alpha)
+    n_kept = np.count_nonzero(np.isfinite(_l1_prune(f.values, alpha * f.step,
+                                                    np.max(cone.values))))
+    assert kept[0] <= n_kept <= kept[1]
+    assert np.array_equal(pasch_hausdorff(f, alpha).values, _infconv_kernel(f, cone).values)
+
+
+@pytest.mark.parametrize("family", ["cone", "linear, slope -alpha along x", "l1 cone",
+                                    "ridge along y"])
+@pytest.mark.parametrize("dom, step", [(_DOM2, 0.05), (_D2_OFF, 0.05)],
+                         ids=["origin on the grid", "origin off the grid"])
+def test_pasch_hausdorff_2d_ties_equal_full_scan(family, dom, step):
+    # f rises at exactly alpha along some direction: many cells tie with the l1
+    # envelope, and only the pruning margin keeps the minimizing ones
+    alpha = 1.5
+    gx, gy = np.meshgrid(*grid_axes(dom, step), indexing="ij")
+    cx, cy = gx[len(gx) // 3, 0], gy[0, len(gy[0]) // 3]
+    vals = {"cone": alpha * np.hypot(gx - cx, gy - cy),
+            "linear, slope -alpha along x": 0.3 - alpha * gx,
+            "l1 cone": alpha * (np.abs(gx - cx) + np.abs(gy - cy)),
+            "ridge along y": alpha * np.abs(gx - cx)}[family]
+    f = GridFn(dom, step, vals)
+    assert np.array_equal(pasch_hausdorff(f, alpha).values,
+                          _infconv_kernel(f, _cone(f, alpha)).values)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("holes", [0.0, 0.3])
+def test_1d_envelopes_equal_full_scan(seed, holes):
+    rng = np.random.default_rng(seed)
+    f = _grid(_holes(rng, _bumpy(rng, XS), holes))                     # 6001 points
+    beta = rng.uniform(0.5, 2.0)
+    assert np.array_equal(moreau(f, beta).values, _infconv_kernel(f, _parabola(f, beta)).values)
+    dom = _dom1(-2.0, 2.0)                                             # 4001 points
+    f = GridFn(dom, STEP, _holes(rng, _bumpy(rng, grid_axes(dom, STEP)[0]), holes))
+    alpha = rng.uniform(0.5, 2.0)
+    assert np.array_equal(pasch_hausdorff(f, alpha).values,
+                          _infconv_kernel(f, _cone(f, alpha)).values)
+
+
+def test_moreau_overflowing_hull_falls_back_to_the_scan():
+    # beta f overflows, so the hull has no finite slopes to search
+    f = _grid(np.where(np.abs(XS) < 1.0, 1e300, 1.5e300))
+    mo = moreau(f, 1e10)
+    assert np.array_equal(mo.values, _infconv_kernel(f, _parabola(f, 1e10)).values)
+
+
+# --- exact ties: the 1-D candidate searches may pick a sum a few ulps above the minimum ---
+
+_TIE_FAMILIES = {
+    # label: (envelope, shift function, f(xs, parameter)), parameters 0.5, 1 and 2
+    "ph, slope +alpha": (pasch_hausdorff, _cone, lambda xs, a: a * xs + 0.3),
+    "ph, slope -alpha": (pasch_hausdorff, _cone, lambda xs, a: 0.7 - a * xs),
+    "moreau, -x^2 / (2 beta) + affine": (moreau, _parabola,
+                                         lambda xs, b: -xs ** 2 / (2 * b) + 0.4 * xs - 0.1),
+}
+
+
+@pytest.mark.parametrize("family", list(_TIE_FAMILIES))
+@pytest.mark.parametrize("dom", [_dom1(-1.0, 1.0), _dom1(0.25, 2.0)],
+                         ids=["origin on the grid", "origin off the grid"])
+def test_1d_envelope_ties_match_brute_force(family, dom):
+    envelope, shift, values = _TIE_FAMILIES[family]
+    for p in (0.5, 1.0, 2.0):
+        f = GridFn(dom, 0.05, values(grid_axes(dom, 0.05)[0], p))
+        g = shift(f, p)
+        tol = 4 * np.finfo(float).eps * (np.abs(f.values).max() + g.values.max())
+        assert np.abs(envelope(f, p).values - _infconv_brute(f, g)).max() <= tol
