@@ -11,10 +11,8 @@ byte-identical numeric outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import sys
 import time
@@ -27,18 +25,16 @@ from .divergences import LOSSES, KernelSpec, LossKind, loss_eval
 from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, moreau,
                         pasch_hausdorff)
 from .errors import ConfigError, MalformedTrace, SmoothganError, UnknownKind
-from .measures import BoxDomain, measure_from_csv, sample_target
+from .measures import (BoxDomain, fmt_number, measure_from_csv, sample_target, table_from_csv,
+                       table_to_csv)
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
 from .rkhs import EmbeddingFn, truncated_series_norm
 from .smoothness import OracleFamily, build_report
-from .trainer import GanLoopConfig, TrainConfig, trace_to_csv, train_gan2d, train_particles
+from .trainer import (GanLoopConfig, TrainConfig, trace_from_csv, trace_to_csv, train_gan2d,
+                      train_particles)
 from .verify import SUITES, run_suite
 
 _GAN2D_TARGET_KEYS = {"kind", "n", "seed"}
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.15g}"
 
 
 def _write_with_manifest(out_path: str, content: str, args: argparse.Namespace,
@@ -96,7 +92,7 @@ def cmd_div(args) -> int:
     mu = _load_measure(args.mu)
     mu0 = _load_measure(args.mu0)
     val = loss_eval(LossKind(LOSSES[args.loss].tag, mu0, _kernel_for(args)), mu)
-    print(_fmt(val))
+    print(fmt_number(val))
     return 0
 
 
@@ -105,10 +101,10 @@ def cmd_disc(args) -> int:
     mu0 = _load_measure(args.mu0)
     x = _floats(args.at, "--at")[None, :]       # one point, as many coordinates as the measures
     loss, kernel = LOSSES[args.loss], _kernel_for(args)
-    print("phi:", _fmt(float(loss.witness(mu, mu0, kernel, x)[0])))
+    print("phi:", fmt_number(float(loss.witness(mu, mu0, kernel, x)[0])))
     if loss.grad is not None:
         grad = np.atleast_1d(loss.grad(mu, mu0, kernel, x)[0])
-        print("grad:", ",".join(_fmt(float(v)) for v in grad))
+        print("grad:", ",".join(fmt_number(float(v)) for v in grad))
     return 0
 
 
@@ -117,12 +113,8 @@ def cmd_smooth(args) -> int:
     fam = OracleFamily(args.loss, dim=args.d, kernel=_kernel_for(args))
     report = build_report(fam, BoxDomain.unit(args.d), args.trials, args.grid_pts, args.seed)
     payload = report.to_dict()
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(payload))
-        writer.writerow([payload[k] for k in payload])
-        text = buf.getvalue()
+    if args.format == "csv":                   # floats by repr, as the JSON form has them
+        text = table_to_csv(list(payload), [[str(v) for v in payload.values()]])
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
@@ -161,12 +153,7 @@ def cmd_rkhs(args) -> int:
     lo = args.quad_lo if args.quad_lo is not None else float(m.points.min() - 8.0)
     hi = args.quad_hi if args.quad_hi is not None else float(m.points.max() + 8.0)
     sums = truncated_series_norm(f, args.order, lo, hi, args.quad_step)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["order", "partial_sum"])
-    for k, s in enumerate(sums):
-        writer.writerow([k, _fmt(s)])
-    text = buf.getvalue()
+    text = table_to_csv(["order", "partial_sum"], enumerate(sums))
     if args.out:
         _write_with_manifest(args.out, text, args, t0)
     print(text, end="")
@@ -184,7 +171,7 @@ def cmd_nn(args) -> int:
         return 0
     net = net_from_json(Path(_need(args.net, "--net")).read_text())
     for i, (w, _b) in enumerate(net.layers):
-        print(f"layer {i}: specnorm {_fmt(power_iteration(w, seed=args.seed))}")
+        print(f"layer {i}: specnorm {fmt_number(power_iteration(w, seed=args.seed))}")
     if args.normalize:
         out = spectral_normalize(net)
         _write_with_manifest(_need(args.out, "--out"), net_to_json(out) + "\n", args, t0)
@@ -236,8 +223,8 @@ def cmd_train(args) -> int:
     else:
         body = trace_to_csv(trace)
     _write_with_manifest(args.out, body, args, t0)
-    print(f"steps {len(trace)}  final_loss {_fmt(trace.final_loss)}  "
-          f"min_grad_norm {_fmt(trace.min_grad_norm)}  diverged {trace.diverged}")
+    print(f"steps {len(trace)}  final_loss {fmt_number(trace.final_loss)}  "
+          f"min_grad_norm {fmt_number(trace.min_grad_norm)}  diverged {trace.diverged}")
     return 0
 
 
@@ -246,15 +233,13 @@ def cmd_sweep(args) -> int:
     ratios = _floats(args.ratios, "--ratios")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ratio", "seed", "min_grad_norm", "final_loss", "diverged"])
+    rows = []
     for ratio in ratios:
         for seed in range(args.seeds):
             trace = _particle_trace(args, args.seed + seed, ratio)
-            writer.writerow([_fmt(ratio), seed, _fmt(trace.min_grad_norm),
-                             _fmt(trace.final_loss), int(trace.diverged)])
-    _write_with_manifest(args.out, buf.getvalue(), args, t0)
+            rows.append([ratio, seed, trace.min_grad_norm, trace.final_loss, int(trace.diverged)])
+    text = table_to_csv(["ratio", "seed", "min_grad_norm", "final_loss", "diverged"], rows)
+    _write_with_manifest(args.out, text, args, t0)
     return 0
 
 
@@ -270,22 +255,17 @@ def cmd_verify(args) -> int:
 def cmd_plotdata(args) -> int:
     t0 = time.perf_counter()
     text = Path(args.trace).read_text()
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or len(rows) < 2:
-        raise MalformedTrace("no data rows")
-    header = rows[0]
-    buf = io.StringIO()
-    if header[:2] == ["step", "loss"]:
-        for r in rows[1:]:
-            if r:
-                buf.write(f"{r[0]} {r[2]}\n")           # step grad_norm
-    elif header[:2] == ["ratio", "seed"]:
-        body = sorted((float(r[0]), r[2]) for r in rows[1:] if r)
-        for ratio, g in body:
-            buf.write(f"{ratio:.15g} {g}\n")            # ratio min_grad_norm
-    else:
-        raise MalformedTrace(f"unrecognized trace header {header}")
-    _write_with_manifest(args.out, buf.getvalue(), args, t0)
+    if text.startswith("step,loss,"):                    # a trace: step grad_norm
+        trace = trace_from_csv(text)
+        lines = [f"{i} {fmt_number(g)}\n" for i, g in enumerate(trace.grad_norm.tolist())]
+    else:                                                 # a sweep: ratio min_grad_norm
+        header, table = table_from_csv(text, error=MalformedTrace)
+        if header[:3] != ["ratio", "seed", "min_grad_norm"]:
+            raise MalformedTrace(f"unrecognized trace header {header}")
+        # within one ratio, rows sort by the text of min_grad_norm
+        rows = sorted((ratio, fmt_number(g)) for ratio, g in table[:, [0, 2]].tolist())
+        lines = [f"{fmt_number(ratio)} {g}\n" for ratio, g in rows]
+    _write_with_manifest(args.out, "".join(lines), args, t0)
     return 0
 
 

@@ -28,8 +28,6 @@ rounded sum by a few eps * (max|f| + max g).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -37,7 +35,7 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyDomain, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
                      PreconditionViolated, ProblemTooLarge)
-from .measures import BoxDomain
+from .measures import BoxDomain, table_from_csv, table_to_csv
 
 GRID_CELL_CAP = 10 ** 7          # cells of any grid built from caller-given bounds
 _CELL_PAIR_CAP = 10 ** 9
@@ -387,32 +385,17 @@ def minimizer_invariance_check(f: GridFn, g: GridFn, tol: float = 1e-9) -> bool:
 # --- CSV interchange: columns x[,y],value with "inf" for +infinity ---
 
 def gridfn_to_csv(f: GridFn) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y"][:f.dim] + ["value"])
     points = np.stack(np.meshgrid(*f.axes(), indexing="ij"), axis=-1).reshape(-1, f.dim)
-    for p, v in zip(points.tolist(), f.values.ravel().tolist()):
-        writer.writerow([f"{c:.15g}" for c in p] + ["inf" if v == math.inf else f"{v:.15g}"])
-    return buf.getvalue()
+    return table_to_csv(["x", "y"][:f.dim] + ["value"],
+                        np.column_stack([points, f.values.ravel()]).tolist())
 
 
 def gridfn_from_csv(text: str) -> GridFn:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise EmptyDomain("empty grid CSV")
-    header = [h.strip().lower() for h in rows[0]]
-    dim = 1 if header == ["x", "value"] else 2 if header == ["x", "y", "value"] else None
-    if dim is None:
+    header, table = table_from_csv(text)
+    if [h.strip().lower() for h in header] not in (["x", "value"], ["x", "y", "value"]):
         raise GridMismatch("grid CSV header must be x,value or x,y,value")
-    body = [r for r in rows[1:] if r]
-    if not body:
-        raise EmptyDomain("grid CSV has no rows")
-    try:
-        coords = np.array([[float(v) for v in r[:dim]] for r in body])
-        vals = np.array([np.inf if r[dim].strip().lower() == "inf" else float(r[dim])
-                         for r in body])
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"grid CSV rows must hold {dim + 1} numbers: {exc}") from exc
+    dim = len(header) - 1
+    coords, vals = table[:, :dim], table[:, dim]
     points, counts = np.unique(coords, axis=0, return_counts=True)
     if np.any(counts > 1):
         raise ConfigError(f"grid CSV repeats the point {points[np.argmax(counts > 1)].tolist()}")

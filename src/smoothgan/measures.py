@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
-                     PreconditionViolated, UnknownKind)
+                     PreconditionViolated, SmoothganError, UnknownKind)
 
 MERGE_TOL = 1e-12   # sup-norm distance below which atoms are considered equal
 MASS_TOL = 1e-12
@@ -249,29 +249,63 @@ def random_measure(rng: np.random.Generator, dim: int, domain: BoxDomain | None 
     return make_discrete(pts, w)
 
 
-# --- CSV interchange: one row per atom, header x_1..x_d,w ---
+# --- CSV: the one codec for every table the package reads or writes ---
 
-def measure_to_csv(m: DiscreteMeasure | SignedMeasure) -> str:
+def fmt_number(v) -> str:
+    """A number as every output writes it: 15 significant digits, inf by name."""
+    return f"{v:.15g}"
+
+
+def table_to_csv(header: list[str], rows) -> str:
+    """A header line, then one line per row: numbers through fmt_number, text as given."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x_{i + 1}" for i in range(m.dim)] + ["w"])
-    for p, w in zip(m.points, m.weights):
-        writer.writerow([f"{v:.15g}" for v in p] + [f"{w:.15g}"])
+    writer.writerow(header)
+    writer.writerows([c if isinstance(c, str) else fmt_number(c) for c in row] for row in rows)
     return buf.getvalue()
 
 
-def measure_from_csv(text: str, signed: bool = False) -> DiscreteMeasure | SignedMeasure:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or not rows[0] or not rows[0][-1].strip().lower() == "w":
-        raise ConfigError("measure CSV must carry a header row ending in 'w'")
+def table_from_csv(text: str, words: dict[str, tuple[str, ...]] | None = None,
+                   error: type[SmoothganError] = ConfigError) -> tuple[list[str], np.ndarray]:
+    """The header row and an (n, width) array of the nonblank rows below it.
+
+    There must be at least one such row, each as wide as the header and every
+    cell a number; a column named in words may also hold one of its words,
+    read as the word's index.  Anything else raises error.
+    """
     try:
-        data = [[float(v) for v in row] for row in rows[1:] if row]
-        arr = np.array(data)
-    except ValueError as exc:
-        raise ConfigError(f"measure CSV rows must be equal-length numbers: {exc}") from exc
-    if not data:
-        raise EmptySupport("measure CSV has no atom rows")
-    pts, w = arr[:, :-1], arr[:, -1]
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:                   # a field over csv's size limit
+        raise error(f"unreadable CSV: {exc}") from exc
+    if len(rows) < 2:
+        raise error("CSV needs a header row and at least one data row")
+    header, body = rows[0], rows[1:]
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise error(f"CSV data row {i + 1} has {len(row)} cells but the header has "
+                        f"{len(header)}")
+    table = np.empty((len(body), len(header)))
+    for j, name in enumerate(header):
+        vocab = (words or {}).get(name, ())
+        try:
+            table[:, j] = [vocab.index(r[j]) if r[j] in vocab else float(r[j]) for r in body]
+        except ValueError as exc:
+            raise error(f"CSV column {name!r} must hold numbers: {exc}") from exc
+    return header, table
+
+
+# measures: one row per atom, header x_1..x_d,w
+
+def measure_to_csv(m: DiscreteMeasure | SignedMeasure) -> str:
+    return table_to_csv([f"x_{i + 1}" for i in range(m.dim)] + ["w"],
+                        np.column_stack([m.points, m.weights]).tolist())
+
+
+def measure_from_csv(text: str, signed: bool = False) -> DiscreteMeasure | SignedMeasure:
+    header, table = table_from_csv(text)
+    if len(header) < 2 or header[-1].strip().lower() != "w":
+        raise ConfigError("measure CSV needs a header row of coordinates ending in 'w'")
+    pts, w = table[:, :-1], table[:, -1]
     return make_signed(pts, w) if signed else make_discrete(pts, w)
 
 

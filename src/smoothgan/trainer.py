@@ -14,8 +14,6 @@ along the discriminator's input gradient.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -24,7 +22,7 @@ import numpy as np
 
 from .divergences import KernelSpec, mmd_sq
 from .errors import ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace
-from .measures import DiscreteMeasure, _is_int
+from .measures import DiscreteMeasure, _is_int, table_from_csv, table_to_csv
 from .nnsmooth import (MlpNet, mlp_forward, mlp_input_grad, mlp_param_grad, random_mlp,
                        spectral_normalize)
 from .rkhs import gp_penalty
@@ -75,8 +73,6 @@ class TrainConfig:
     n_steps: int
     seed: int
     lr_ratio: float = 1.0
-    beta1_bound: float = BETA1_MMD_BOUND
-    beta2_bound: float = BETA2_MMD_BOUND
     init: np.ndarray | None = None     # default: particles uniform in [-1, 1]^d
 
     def __post_init__(self):
@@ -158,7 +154,7 @@ def train_particles(cfg: TrainConfig) -> TrainTrace:
         theta = child_rng(cfg.seed, 7).uniform(-1.0, 1.0, size=(cfg.n_particles, d))
 
     a = 1.0 / math.sqrt(cfg.n_particles)
-    gamma = cfg.lr_ratio * theoretical_lr(a, 0.0, 1.0, cfg.beta1_bound, cfg.beta2_bound)
+    gamma = cfg.lr_ratio * theoretical_lr(a, 0.0, 1.0, BETA1_MMD_BOUND, BETA2_MMD_BOUND)
 
     losses = np.empty(cfg.n_steps)
     gnorms = np.empty(cfg.n_steps)
@@ -325,26 +321,19 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
 
 # --- trace CSV: step,loss,grad_norm,step_size,flags ---
 
+_TRACE_HEADER = ["step", "loss", "grad_norm", "step_size", "flags"]
+
+
 def trace_to_csv(trace: TrainTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "loss", "grad_norm", "step_size", "flags"])
-    for i in range(len(trace)):
-        flag = "diverged" if (trace.diverged and i == len(trace) - 1) else ""
-        writer.writerow([i, f"{trace.loss[i]:.15g}", f"{trace.grad_norm[i]:.15g}",
-                         f"{trace.step_size[i]:.15g}", flag])
-    return buf.getvalue()
+    n = len(trace)
+    flags = [""] * (n - 1) + ["diverged" if trace.diverged else ""]
+    return table_to_csv(_TRACE_HEADER, zip(range(n), trace.loss.tolist(), trace.grad_norm.tolist(),
+                                           trace.step_size.tolist(), flags))
 
 
 def trace_from_csv(text: str) -> TrainTrace:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:4] != ["step", "loss", "grad_norm", "step_size"]:
-        raise MalformedTrace("trace CSV must carry the standard header")
-    body = [r for r in rows[1:] if r]
-    if not body:
-        raise MalformedTrace("trace CSV has no rows")
-    loss = np.array([float(r[1]) for r in body])
-    gnorm = np.array([float(r[2]) for r in body])
-    step = np.array([float(r[3]) for r in body])
-    diverged = any(len(r) > 4 and r[4] == "diverged" for r in body)
-    return TrainTrace(loss, gnorm, step, diverged)
+    header, table = table_from_csv(text, {"flags": ("", "diverged")}, MalformedTrace)
+    if header != _TRACE_HEADER:
+        raise MalformedTrace(f"trace CSV must carry the header {','.join(_TRACE_HEADER)}")
+    _, loss, gnorm, step_size, flags = table.T
+    return TrainTrace(loss, gnorm, step_size, bool(flags.any()))

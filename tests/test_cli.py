@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from smoothgan import cli
 from smoothgan.cli import build_parser, main
+from smoothgan.smoothness import SmoothnessReport
+from smoothgan.trainer import TrainTrace
 
 MU_CSV = "x_1,w\n0.3,1\n"
 MU0_CSV = "x_1,w\n0,1\n"
@@ -65,10 +68,13 @@ def test_plotdata_trace(workdir):
     assert step == "0" and float(grad) > 0
 
 
-def test_plotdata_rejects_garbage(workdir):
-    (workdir / "bad.csv").write_text("a,b\n1,2\n")
-    assert main(["plotdata", "bad.csv", "--out", "series.dat"]) == 2
-    assert not (workdir / "series.dat").exists()
+def test_plotdata_rejects_garbage(workdir, capsys):
+    for text in ["a,b\n1,2\n", "step,loss\n0\n", "ratio,seed\nx,1,2\n", "ratio,seed\n1\n",
+                 "ratio,seed\n1,2\n", "ratio,seed,min_grad_norm\n"]:
+        (workdir / "bad.csv").write_text(text)
+        assert main(["plotdata", "bad.csv", "--out", "series.dat"]) == 2, text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (workdir / "series.dat").exists()
 
 
 def test_sweep_and_plotdata_sorted(workdir):
@@ -81,6 +87,61 @@ def test_sweep_and_plotdata_sorted(workdir):
     ratios = [float(line.split()[0]) for line in
               (workdir / "ratio.dat").read_text().strip().splitlines()]
     assert ratios == sorted(ratios)
+
+
+# --- golden bytes: the exact text every CSV writer and plotdata branch produces ---
+
+def _fake_trace(args, seed, ratio):
+    g = (0.5, 1e-05, 0.25)[seed] * ratio
+    return TrainTrace(np.array([1 / 3, ratio / 7]), np.array([g + 1, g]), np.full(2, 0.1),
+                      diverged=ratio > 100)
+
+
+def test_sweep_and_plotdata_golden_bytes(workdir, monkeypatch):
+    monkeypatch.setattr(cli, "_particle_trace", _fake_trace)
+    assert main(["sweep", "--ratios", "10,0.5,1e4", "--seeds", "3", "--seed", "0",
+                 "--out", "s.csv"]) == 0
+    assert (workdir / "s.csv").read_text() == (
+        "ratio,seed,min_grad_norm,final_loss,diverged\n"
+        "10,0,5,1.42857142857143,0\n10,1,0.0001,1.42857142857143,0\n"
+        "10,2,2.5,1.42857142857143,0\n0.5,0,0.25,0.0714285714285714,0\n"
+        "0.5,1,5e-06,0.0714285714285714,0\n0.5,2,0.125,0.0714285714285714,0\n"
+        "10000,0,5000,1428.57142857143,1\n10000,1,0.1,1428.57142857143,1\n"
+        "10000,2,2500,1428.57142857143,1\n")
+    assert main(["plotdata", "s.csv", "--out", "s.dat"]) == 0
+    # within one ratio the rows sort by the text of min_grad_norm: 5e-06 comes last
+    assert (workdir / "s.dat").read_text() == ("0.5 0.125\n0.5 0.25\n0.5 5e-06\n10 0.0001\n"
+                                               "10 2.5\n10 5\n10000 0.1\n10000 2500\n"
+                                               "10000 5000\n")
+
+
+def test_plotdata_trace_golden_bytes(workdir):
+    (workdir / "t.csv").write_text("step,loss,grad_norm,step_size,flags\n0,0.5,2,0.1,\n"
+                                   "1,0.333333333333333,1e-07,0.1,\n"
+                                   "2,1e+300,12345.6789,0.1,diverged\n")
+    assert main(["plotdata", "t.csv", "--out", "t.dat"]) == 0
+    assert (workdir / "t.dat").read_text() == "0 2\n1 1e-07\n2 12345.6789\n"
+
+
+def test_rkhs_series_golden_bytes(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "truncated_series_norm",
+                        lambda *a: np.array([1 / 3, 0.1 + 0.2, 1e-20, 1.0]))
+    assert main(["rkhs", "series", "--centers", "mu0.csv", "--out", "r.csv"]) == 0
+    text = "order,partial_sum\n0,0.333333333333333\n1,0.3\n2,1e-20\n3,1\n"
+    assert capsys.readouterr().out == text
+    assert (workdir / "r.csv").read_text() == text
+
+
+def test_smooth_report_csv_golden_bytes(workdir, monkeypatch, capsys):
+    # floats print by repr here, not at 15 digits
+    monkeypatch.setattr(cli, "build_report", lambda *a: SmoothnessReport(
+        0.1 + 0.2, 1 / 3, 2.0, 500, 0.01, 7, True, False, False))
+    assert main(["smooth", "report", "--loss", "mmd", "--format", "csv", "--out", "s.csv"]) == 0
+    text = ("alpha_hat,beta1_hat,beta2_hat,n_trials,grid_step,seed,alpha_saturated,"
+            "beta1_saturated,beta2_saturated\n"
+            "0.30000000000000004,0.3333333333333333,2.0,500,0.01,7,True,False,False\n")
+    assert capsys.readouterr().out == text
+    assert (workdir / "s.csv").read_text() == text
 
 
 def test_env_moreau_roundtrip(workdir):
@@ -229,7 +290,9 @@ def test_grid_all_plus_inf_exit_2(workdir, capsys):
     ("x,y,value\n0,0,1\n", "two distinct coordinates"),
     ("x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n0,0,5\n", "repeats the point [0.0, 0.0]"),
     ("x,value\n0,1\n0.5,2\n0.5,3\n1,4\n", "repeats the point [0.5]"),
-], ids=["one-point-2d", "repeated-2d-point", "repeated-1d-x"])
+    ("x,value\n0,1\n0.5,2,3\n1,4\n", "row 2 has 3 cells but the header has 2"),
+    ("x,y,value\n0,0,1\n0,1,2\n1,0,3,9\n1,1,4\n", "row 3 has 4 cells but the header has 3"),
+], ids=["one-point-2d", "repeated-2d-point", "repeated-1d-x", "wide-1d-row", "wide-2d-row"])
 def test_grid_csv_degenerate_points_exit_2(workdir, capsys, text, message):
     # a repeated point used to be kept silently (last row winning) and a
     # one-point 2-D grid ended in a ValueError traceback

@@ -247,6 +247,19 @@ def test_gridfn_csv_roundtrip_with_inf():
     assert np.allclose(f.values[finite], f2.values[finite], atol=1e-12)
 
 
+def test_gridfn_csv_golden_bytes():
+    inf = np.inf
+    f1 = GridFn(BoxDomain([-0.3], [0.3]), 0.1, [inf, 1 / 3, 0.1 + 0.2, 0, 2 / 3, 1e-300, inf])
+    assert gridfn_to_csv(f1) == ("x,value\n-0.3,inf\n-0.2,0.333333333333333\n-0.1,0.3\n"
+                                 "5.55111512312578e-17,0\n0.1,0.666666666666667\n0.2,1e-300\n"
+                                 "0.3,inf\n")
+    f2 = GridFn(BoxDomain([0, -0.1], [0.2, 0.1]), 0.1,
+                [[inf, 1 / 3, 2], [0.1 + 0.2, inf, -7e-9], [5, 6, inf]])
+    assert gridfn_to_csv(f2) == ("x,y,value\n0,-0.1,inf\n0,0,0.333333333333333\n0,0.1,2\n"
+                                 "0.1,-0.1,0.3\n0.1,0,inf\n0.1,0.1,-7e-09\n0.2,-0.1,5\n0.2,0,6\n"
+                                 "0.2,0.1,inf\n")
+
+
 def test_2d_moreau_separable():
     dom2 = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     step = 0.02

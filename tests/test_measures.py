@@ -1,5 +1,8 @@
 """Measure construction, arithmetic, CDFs, target sampling, CSV interchange."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +177,25 @@ def test_csv_header_required():
         measure_from_csv("0.1,0.9\n")
 
 
+def test_measure_csv_golden_bytes():
+    m = make_discrete([[0.1, -2 / 3], [1e-20, 12345678.901234567], [0.1, -2 / 3]], [1, 2, 3])
+    assert measure_to_csv(m) == ("x_1,x_2,w\n1e-20,12345678.9012346,0.333333333333333\n"
+                                 "0.1,-0.666666666666667,0.666666666666667\n")
+
+
+def test_only_measures_imports_csv():
+    # the CSV format is decided in one module: every other one goes through its codec
+    src = Path(__file__).resolve().parents[1] / "src" / "smoothgan"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.add(path.name)
+    assert importers == {"measures.py"}
+
+
 def test_signed_csv_roundtrip():
     xi = diff(make_discrete([0.0], [1.0]), make_discrete([1.0], [1.0]))
     xi2 = measure_from_csv(measure_to_csv(xi), signed=True)
@@ -307,7 +329,10 @@ def test_near_duplicates_merged():
 
 
 @pytest.mark.parametrize("text", ["x_1,v\n0.3,1\n", "x_1,w\n0.3,abc\n",
-                                  "x_1,x_2,w\n0.3,0.1,1\n0.5,1\n"])
+                                  "x_1,x_2,w\n0.3,0.1,1\n0.5,1\n",
+                                  "x_1,w\n0.1,0.2,0.3\n0.4,0.5,0.6\n", "w\n0.5\n", "",
+                                  pytest.param("x_1,w\n" + "1" * 200_000 + ",1\n",
+                                               id="field-over-csv-limit")])
 def test_malformed_csv_config_error(text):
     with pytest.raises(ConfigError):
         measure_from_csv(text)

@@ -130,8 +130,20 @@ def test_trace_validation_and_csv():
     assert back.diverged
     with pytest.raises(MalformedTrace):
         trace_from_csv("nope\n")
-    with pytest.raises(MalformedTrace):
-        trace_from_csv("step,loss,grad_norm,step_size,flags\n")
+    for text in ["step,loss,grad_norm,step_size,flags\n",
+                 "step,loss,grad_norm,step_size,flags\n0,x,1,1,\n",
+                 "step,loss,grad_norm,step_size,flags\n0,1,1,1,stopped\n",
+                 "step,loss,grad_norm,step_size,flags\n0,1,1,1\n"]:
+        with pytest.raises(MalformedTrace):
+            trace_from_csv(text)
+
+
+def test_trace_csv_golden_bytes():
+    trace = TrainTrace(np.array([0.5, 1 / 3, 1e300]), np.array([2.0, 1e-7, 12345.6789]),
+                       np.full(3, 0.1), diverged=True)
+    assert trace_to_csv(trace) == ("step,loss,grad_norm,step_size,flags\n0,0.5,2,0.1,\n"
+                                   "1,0.333333333333333,1e-07,0.1,\n"
+                                   "2,1e+300,12345.6789,0.1,diverged\n")
 
 
 def test_penalty_coefficient_halves_at_critical_beta2():
