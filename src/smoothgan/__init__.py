@@ -11,7 +11,7 @@ from .envelopes import GridFn
 from .measures import BoxDomain, DiscreteMeasure, SignedMeasure
 from .nnsmooth import MlpNet
 from .smoothness import OracleFamily, SmoothnessReport
-from .trainer import GanLoopConfig, ParticleGenerator, TrainConfig, TrainTrace
+from .trainer import GanLoopConfig, TrainConfig, TrainTrace
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "LossKind",
     "MlpNet",
     "OracleFamily",
-    "ParticleGenerator",
     "SignedMeasure",
     "SmoothnessReport",
     "TrainConfig",

@@ -24,7 +24,8 @@ from . import __version__
 from .divergences import LOSSES, KernelSpec, LossKind, loss_eval
 from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, moreau,
                         pasch_hausdorff)
-from .errors import ConfigError, MalformedTrace, SmoothganError, UnknownKind
+from .errors import (ConfigError, DimensionMismatch, MalformedTrace, SmoothganError,
+                     UnknownKind)
 from .measures import (BoxDomain, fmt_number, measure_from_csv, sample_target, table_from_csv,
                        table_to_csv)
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
@@ -149,6 +150,8 @@ def cmd_env(args) -> int:
 def cmd_rkhs(args) -> int:
     t0 = time.perf_counter()
     m = _load_measure(args.centers, signed=True)
+    if m.dim != 1:
+        raise DimensionMismatch(f"rkhs series takes 1-D centers, got {m.dim}-D ones")
     f = EmbeddingFn(m.points[:, 0], m.weights, KernelSpec.critical())
     lo = args.quad_lo if args.quad_lo is not None else float(m.points.min() - 8.0)
     hi = args.quad_hi if args.quad_hi is not None else float(m.points.max() + 8.0)

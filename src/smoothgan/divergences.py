@@ -27,6 +27,7 @@ from .measures import (DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms
                        require_mass_zero)
 
 _LP_MAX_CELLS = 10 ** 6
+_GRAM_MAX_CELLS = 10 ** 7        # 80 MB of float64, the size of envelopes.GRID_CELL_CAP
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,11 @@ class KernelSpec:
 
         Squared distances in matmul form ||x||^2 + ||y||^2 - 2 x.y, clipped at 0
         against cancellation; every step after the product works in place.
+        More than 10^7 cells raise ProblemTooLarge before anything is allocated.
         """
+        if len(x) * len(y) > _GRAM_MAX_CELLS:
+            raise ProblemTooLarge(f"a {len(x)} x {len(y)} kernel Gram matrix exceeds "
+                                  f"{_GRAM_MAX_CELLS} cells")
         g = x @ y.T
         g *= -2.0
         g += np.vecdot(x, x)[:, None]

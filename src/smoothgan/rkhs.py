@@ -66,7 +66,7 @@ def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: f
         raise PreconditionViolated(f"need order >= 0, a finite quad_step > 0 and finite bounds, "
                                    f"got {order}, {quad_step}, [{quad_lo}, {quad_hi}]")
     if not _is_critical(f.kernel):
-        raise ValueError("series coefficients hold for the critical kernel only")
+        raise PreconditionViolated("series coefficients hold for the critical kernel only")
     sigma = math.sqrt(f.kernel.sigma_sq)
     margin = 6.0 * sigma
     if quad_lo > f.centers.min() - margin or quad_hi < f.centers.max() + margin:
@@ -108,5 +108,5 @@ def gp_penalty(phi_values, phi_grads, weights) -> float:
     if not (len(v) == len(g) == len(w)):
         raise LengthMismatch(f"lengths {len(v)}, {len(g)}, {len(w)} differ")
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must form a probability vector")
+        raise PreconditionViolated("weights must form a probability vector")
     return float(np.sum(w * (v ** 2 + np.sum(g ** 2, axis=1) / (4.0 * math.pi))))

@@ -35,37 +35,6 @@ BETA2_MMD_BOUND = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class ParticleGenerator:
-    """Rows of theta are the particles; the generated measure weights them 1/N."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.theta, dtype=float)
-        if t.ndim != 2:
-            raise ConfigError("theta must be an N x d matrix")
-        t.setflags(write=False)
-        object.__setattr__(self, "theta", t)
-
-    @property
-    def n_particles(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.theta.shape[1]
-
-    def measure(self) -> DiscreteMeasure:
-        # direct construction: coincident particles keep separate rows so the
-        # weights stay exactly 1/N
-        return DiscreteMeasure(np.array(self.theta),
-                               np.full(self.n_particles, 1.0 / self.n_particles))
-
-    def lipschitz_a(self) -> float:
-        return 1.0 / math.sqrt(self.n_particles)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     target: DiscreteMeasure
     kernel: KernelSpec
@@ -117,12 +86,13 @@ class TrainTrace:
         return float(np.mean(self.loss > run_min + tol))
 
 
-def mmd_particle_grad(gen: ParticleGenerator, mu0: DiscreteMeasure, k: KernelSpec) -> np.ndarray:
-    """Gradient of theta -> (1/2) MMD^2(mu_theta, mu0): row i is the witness
+def mmd_particle_grad(theta: np.ndarray, mu0: DiscreteMeasure, k: KernelSpec) -> np.ndarray:
+    """Gradient of theta -> (1/2) MMD^2(mu_theta, mu0) for the N x d particle
+    matrix theta, whose measure weights each row 1/N: row i is the witness
     gradient at particle i scaled by 1/N."""
-    if gen.dim != mu0.dim:
-        raise DimensionMismatch(f"particles dim {gen.dim} vs target {mu0.dim}")
-    theta, n = gen.theta, gen.n_particles
+    if theta.ndim != 2 or theta.shape[1] != mu0.dim:
+        raise DimensionMismatch(f"particles of shape {theta.shape} vs target dim {mu0.dim}")
+    n = len(theta)
     return (k.grad_x_sum(theta, theta, 1.0 / n)
             - k.grad_x_sum(theta, mu0.points, mu0.weights)) / n
 
@@ -133,6 +103,30 @@ def theoretical_lr(a: float, b: float, alpha: float, beta1: float, beta2: float)
     if big_l <= 0:
         raise DegenerateConstants("smoothness constant L must be positive")
     return 1.0 / big_l
+
+
+def _descend(step, theta: np.ndarray, n_steps: int, lr: float) -> TrainTrace:
+    """Gradient descent theta <- theta - lr * grad, the one loop of both trainers.
+
+    step(k, theta) returns (loss, grad, bad) at the k-th iterate; the trace
+    records the loss and the gradient's Frobenius norm.  A bad step stops the
+    run as diverged, keeping its row.  An initial iterate that is not finite
+    or lies past the escape threshold is refused before the first step.
+    """
+    if not np.all(np.abs(theta) <= ESCAPE_THRESHOLD):
+        raise ConfigError(f"the initial iterate must be finite with entries of size at most "
+                          f"{ESCAPE_THRESHOLD:g}")
+    losses = np.empty(n_steps)
+    gnorms = np.empty(n_steps)
+    for kstep in range(n_steps):
+        loss, grad, bad = step(kstep, theta)
+        losses[kstep] = loss
+        gnorms[kstep] = np.linalg.norm(grad)
+        if bad:
+            n = kstep + 1
+            return TrainTrace(losses[:n], gnorms[:n], np.full(n, lr), diverged=True)
+        theta = theta - lr * grad
+    return TrainTrace(losses, gnorms, np.full(n_steps, lr))
 
 
 def train_particles(cfg: TrainConfig) -> TrainTrace:
@@ -155,27 +149,16 @@ def train_particles(cfg: TrainConfig) -> TrainTrace:
 
     a = 1.0 / math.sqrt(cfg.n_particles)
     gamma = cfg.lr_ratio * theoretical_lr(a, 0.0, 1.0, BETA1_MMD_BOUND, BETA2_MMD_BOUND)
-
-    losses = np.empty(cfg.n_steps)
-    gnorms = np.empty(cfg.n_steps)
-    steps = np.full(cfg.n_steps, gamma)
     gen_measure_w = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
-    diverged = False
-    for kstep in range(cfg.n_steps):
-        gen = ParticleGenerator(theta)
+
+    def step(_kstep, theta):
         loss = 0.5 * mmd_sq(DiscreteMeasure(theta, gen_measure_w), cfg.target, cfg.kernel)
-        grad = mmd_particle_grad(gen, cfg.target, cfg.kernel)
-        gnorm = float(np.linalg.norm(grad))
-        losses[kstep] = loss
-        gnorms[kstep] = gnorm
+        grad = mmd_particle_grad(theta, cfg.target, cfg.kernel)
         bad = (not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD
                or not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > ESCAPE_THRESHOLD)
-        if bad:
-            diverged = True
-            losses, gnorms, steps = losses[:kstep + 1], gnorms[:kstep + 1], steps[:kstep + 1]
-            break
-        theta = theta - gamma * grad
-    return TrainTrace(losses, gnorms, steps, diverged)
+        return loss, grad, bad
+
+    return _descend(step, theta, cfg.n_steps, gamma)
 
 
 def check_stationarity_bound(trace: TrainTrace, big_l: float, j0: float,
@@ -282,41 +265,33 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
     if lr_gen is None:
         lr_gen = n / (cfg.depth * cfg.final_scale + cfg.beta2)
 
-    losses = np.empty(cfg.n_steps)
-    gnorms = np.empty(cfg.n_steps)
-    steps = np.full(cfg.n_steps, lr_gen)
-    diverged = False
-    for kstep in range(cfg.n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):      # finiteness is checked below
-            rng = child_rng(cfg.seed, 13, kstep)
-            for _ in range(cfg.disc_steps_per_gen):
-                u = theta[rng.integers(0, n, size=n)]
-                v = cfg.target.points[rng.choice(len(cfg.target.points), size=n,
-                                                 p=cfg.target.weights)]
-                if cfg.interpolation:
-                    t = rng.uniform(0.0, 1.0, size=(n, 1))
-                    interp = t * u + (1.0 - t) * v
-                else:
-                    interp = np.vstack([u[:n // 2], v[:n - n // 2]])
-                params = net.flatten_params() + cfg.lr_disc * _disc_grad(net, theta, cfg.target,
-                                                                         interp, penalty_coef)
-                if not np.all(np.isfinite(params)):
-                    diverged = True         # no finite net to normalize: the step stays the last
-                    break
-                net = spectral_normalize(net.with_params(params))
-                if disc_probe is not None:
-                    disc_probe(net)
-            obj = _disc_objective(net, theta, cfg.target, interp, penalty_coef)
-            gen_grad = mlp_input_grad(net, theta) / n
-            gnorm = float(np.linalg.norm(gen_grad))
-            losses[kstep] = obj
-            gnorms[kstep] = gnorm
-            if diverged or not np.isfinite(obj) or abs(obj) > DIVERGENCE_THRESHOLD:
-                diverged = True
-                losses, gnorms, steps = losses[:kstep + 1], gnorms[:kstep + 1], steps[:kstep + 1]
+    def step(kstep, theta):
+        nonlocal net
+        rng = child_rng(cfg.seed, 13, kstep)
+        bad = False
+        for _ in range(cfg.disc_steps_per_gen):
+            u = theta[rng.integers(0, n, size=n)]
+            v = cfg.target.points[rng.choice(len(cfg.target.points), size=n,
+                                             p=cfg.target.weights)]
+            if cfg.interpolation:
+                t = rng.uniform(0.0, 1.0, size=(n, 1))
+                interp = t * u + (1.0 - t) * v
+            else:
+                interp = np.vstack([u[:n // 2], v[:n - n // 2]])
+            params = net.flatten_params() + cfg.lr_disc * _disc_grad(net, theta, cfg.target,
+                                                                     interp, penalty_coef)
+            if not np.all(np.isfinite(params)):
+                bad = True          # no finite net to normalize: the step stays the last
                 break
-            theta = theta - lr_gen * gen_grad
-    return TrainTrace(losses, gnorms, steps, diverged)
+            net = spectral_normalize(net.with_params(params))
+            if disc_probe is not None:
+                disc_probe(net)
+        obj = _disc_objective(net, theta, cfg.target, interp, penalty_coef)
+        bad = bad or not np.isfinite(obj) or abs(obj) > DIVERGENCE_THRESHOLD
+        return obj, mlp_input_grad(net, theta) / n, bad
+
+    with np.errstate(over="ignore", invalid="ignore"):          # finiteness is checked per step
+        return _descend(step, theta, cfg.n_steps, lr_gen)
 
 
 # --- trace CSV: step,loss,grad_norm,step_size,flags ---

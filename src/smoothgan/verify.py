@@ -26,9 +26,9 @@ from .nnsmooth import (empirical_lipschitz, empirical_smoothness, mlp_forward, m
 from .rkhs import EmbeddingFn, truncated_series_norm
 from .rng import child_rng
 from .smoothness import OracleFamily, bregman, estimate_beta2, kernel_cross_hessian_norm
-from .trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig, ParticleGenerator,
-                      TrainConfig, check_descent_inequality, check_stationarity_bound,
-                      mmd_particle_grad, train_gan2d, train_particles)
+from .trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig, TrainConfig,
+                      check_descent_inequality, check_stationarity_bound, mmd_particle_grad,
+                      train_gan2d, train_particles)
 
 MASTER_SEED = 20_26
 
@@ -248,7 +248,7 @@ def check_gradient_oracles() -> list[CheckResult]:
         n = int(rng.integers(1, 17))
         theta = rng.uniform(-1, 1, size=(n, d))
         mu0 = random_measure(rng, d)
-        grad = mmd_particle_grad(ParticleGenerator(theta), mu0, kc)
+        grad = mmd_particle_grad(theta, mu0, kc)
         w = np.full(n, 1.0 / n)
         fd = _central_diff(lambda th: 0.5 * mmd_sq(DiscreteMeasure(th, w.copy()), mu0, kc),
                            theta, 1e-6)

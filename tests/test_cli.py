@@ -14,12 +14,14 @@ from smoothgan.trainer import TrainTrace
 
 MU_CSV = "x_1,w\n0.3,1\n"
 MU0_CSV = "x_1,w\n0,1\n"
+MU2_CSV = "x_1,x_2,w\n0.3,0.1,1\n"
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     (tmp_path / "mu.csv").write_text(MU_CSV)
     (tmp_path / "mu0.csv").write_text(MU0_CSV)
+    (tmp_path / "mu2.csv").write_text(MU2_CSV)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -405,8 +407,9 @@ def test_train_particles_non_finite_lr_ratio_exit_2(workdir, ratio):
     ["rkhs", "series", "--centers", "mu0.csv", "--quad-step", "nan"],
     ["rkhs", "series", "--centers", "mu0.csv", "--quad-step", "-0.001"],
     ["rkhs", "series", "--centers", "mu0.csv", "--order", "-1"],
+    ["rkhs", "series", "--centers", "mu2.csv"],
 ], ids=["final-scale-nan", "final-scale-inf", "quad-step-0", "quad-step-nan", "quad-step-neg",
-        "order-neg"])
+        "order-neg", "centers-2d"])
 def test_bad_numeric_option_exit_2(workdir, capsys, argv):
     assert main(argv + ["--out", "o.out"]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -417,9 +420,12 @@ def test_bad_numeric_option_exit_2(workdir, capsys, argv):
     ["env", "legendre", "--f", "q.csv", "--dual-lo=-1e6", "--dual-hi", "1e6", "--dual-step",
      "1e-3"],
     ["rkhs", "series", "--centers", "mu0.csv", "--quad-lo=-1e6", "--quad-hi", "1e6"],
-], ids=["dual-grid", "quadrature-grid"])
+    ["train", "particles", "--n=100000", "--steps", "1"],
+    ["sweep", "--ratios", "1", "--seeds", "1", "--n=100000", "--steps", "1"],
+], ids=["dual-grid", "quadrature-grid", "train-gram", "sweep-gram"])
 def test_oversized_grid_exit_2(workdir, capsys, argv):
-    # 2e9 cells: refused before numpy is asked for the memory
+    # 2e9 grid cells, or a 1e10-cell kernel Gram (74.5 GiB): refused before numpy is
+    # asked for the memory
     _quad_grid(workdir)
     assert main(argv + ["--out", "o.out"]) == 2
     assert "exceed" in capsys.readouterr().err
@@ -507,6 +513,8 @@ _GAN2D_BAD = {
     "interpolation no": {"interpolation": "no"},
     "target.n 2.5": {"target": {"kind": "ring", "n": 2.5}},
     "target.seed -1": {"target": {"kind": "ring", "n": 8, "seed": -1}},
+    "generator_init NaN": {"generator_init": [[math.nan, 0.0]] + [[0.0, 0.0]] * 7},
+    "generator_init 1e200": {"generator_init": [[1e200, 0.0]] + [[0.0, 0.0]] * 7},
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from smoothgan.discriminators import grad_phi_mmd
 from smoothgan.divergences import KernelSpec, embedding_gram, mmd_sq
 from smoothgan.measures import DiscreteMeasure, diff, make_discrete, sample_target
-from smoothgan.trainer import ParticleGenerator, mmd_particle_grad
+from smoothgan.trainer import mmd_particle_grad
 
 KERNELS = (KernelSpec.critical(), KernelSpec(sigma_sq=0.3, normalized=True))
 
@@ -67,7 +67,7 @@ def test_particle_grad_matches_pairwise_form(k, n):
     if n > 4:
         theta[1] = theta[0]                  # a duplicate particle
         theta[2] = target.points[0]          # one sitting on a target atom
-    grad = mmd_particle_grad(ParticleGenerator(theta), target, k)
+    grad = mmd_particle_grad(theta, target, k)
     assert np.abs(grad - particle_grad_ref(theta, target, k)).max() <= 1e-13
 
 

@@ -62,7 +62,7 @@ def test_series_errors():
         truncated_series_norm(f, 31, -8.0, 8.0)
     with pytest.raises(QuadratureDomainTooSmall):
         truncated_series_norm(f, 5, -1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         truncated_series_norm(EmbeddingFn(np.array([0.0]), np.array([1.0]), KernelSpec(1.0)),
                               5, -8.0, 8.0)
 
@@ -91,7 +91,7 @@ def test_gp_penalty_permutation_invariant():
 def test_gp_penalty_validation():
     with pytest.raises(LengthMismatch):
         gp_penalty([1.0, 2.0], [[0.0]], [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         gp_penalty([1.0], [[0.0]], [0.5])
 
 

@@ -6,36 +6,27 @@ import warnings
 import numpy as np
 import pytest
 
+from smoothgan import trainer
 from smoothgan.divergences import KernelSpec, mmd_sq
 from smoothgan.errors import ConfigError, DegenerateConstants, MalformedTrace
 from smoothgan.measures import DiscreteMeasure, make_discrete, random_measure, sample_target
 from smoothgan.nnsmooth import random_mlp, spectral_normalize
-from smoothgan.trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig,
-                               ParticleGenerator, TrainConfig, TrainTrace, _disc_grad,
-                               _disc_objective, check_descent_inequality,
+from smoothgan.trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig, TrainConfig,
+                               TrainTrace, _disc_grad, _disc_objective, check_descent_inequality,
                                check_stationarity_bound, mmd_particle_grad, theoretical_lr,
                                trace_from_csv, trace_to_csv, train_gan2d, train_particles)
 
 KC = KernelSpec.critical()
 
 
-def test_particle_generator_constants():
-    gen = ParticleGenerator(np.zeros((64, 2)))
-    assert gen.lipschitz_a() == pytest.approx(1.0 / 8.0)
-    m = gen.measure()
-    assert np.allclose(m.weights, 1.0 / 64.0)
-
-
 def test_grad_zero_at_target():
     target = sample_target("ring", 8, 2)
-    gen = ParticleGenerator(target.points.copy())
-    grad = mmd_particle_grad(gen, target, KC)
+    grad = mmd_particle_grad(target.points.copy(), target, KC)
     assert np.abs(grad).max() <= 1e-14
 
 
 def test_grad_single_particle_closed_form():
-    gen = ParticleGenerator(np.array([[1.0]]))
-    grad = mmd_particle_grad(gen, make_discrete([0.0], [1.0]), KC)
+    grad = mmd_particle_grad(np.array([[1.0]]), make_discrete([0.0], [1.0]), KC)
     assert grad[0, 0] == pytest.approx(2 * math.pi * math.exp(-math.pi), rel=1e-13)
 
 
@@ -45,7 +36,7 @@ def test_grad_finite_differences():
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 3))
         theta = rng.uniform(-1, 1, size=(n, d))
         target = sample_target("gaussian_mixture", 6, t, dim=d)
-        grad = mmd_particle_grad(ParticleGenerator(theta), target, KC)
+        grad = mmd_particle_grad(theta, target, KC)
         w = np.full(n, 1.0 / n)
         h = 1e-6
         fd = np.zeros_like(theta)
@@ -111,6 +102,48 @@ def test_train_instability_detector():
                       n_steps=500, seed=9, lr_ratio=1e4)
     trace = train_particles(cfg)
     assert trace.diverged or trace.above_running_min_fraction() >= 0.10
+
+
+def test_train_particle_escape_diverges():
+    # at lr_ratio 1e8 the first move throws the particles past the escape threshold
+    n = 8
+    cfg = TrainConfig(target=sample_target("ring", n, 5), kernel=KC, n_particles=n,
+                      n_steps=50, seed=9, lr_ratio=1e8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = train_particles(cfg)
+    assert len(trace) == 2
+    assert trace.diverged
+    assert len(trace.step_size) == 2
+    assert trace_to_csv(trace).rstrip("\n").endswith(",diverged")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_train_rejects_bad_initial_iterate(bad):
+    target = sample_target("ring", 8, 3)
+    init = target.points.copy()
+    init[3, 1] = bad
+    with pytest.raises(ConfigError, match="initial iterate"):
+        train_particles(TrainConfig(target=target, kernel=KC, n_particles=8, n_steps=5, seed=1,
+                                    init=init))
+    with pytest.raises(ConfigError, match="initial iterate"):
+        train_gan2d(_gan_cfg(generator_init=init))
+
+
+def test_both_trainers_share_one_descent_loop(monkeypatch):
+    calls = []
+    descend = trainer._descend
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_descend", counted)
+    train_particles(TrainConfig(target=sample_target("ring", 8, 3), kernel=KC, n_particles=8,
+                                n_steps=2, seed=1))
+    assert len(calls) == 1
+    assert len(train_gan2d(_gan_cfg(n_steps=2))) == 2
+    assert len(calls) == 2
 
 
 def test_stationarity_bound_synthetic():
