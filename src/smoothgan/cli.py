@@ -30,7 +30,7 @@ from .measures import (BoxDomain, fmt_number, measure_from_csv, sample_target, t
                        table_to_csv)
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
 from .rkhs import EmbeddingFn, truncated_series_norm
-from .smoothness import OracleFamily, build_report
+from .smoothness import OracleFamily, build_report, check_cloud_size
 from .trainer import (GanLoopConfig, TrainConfig, trace_from_csv, trace_to_csv, train_gan2d,
                       train_particles)
 from .verify import SUITES, run_suite
@@ -112,6 +112,7 @@ def cmd_disc(args) -> int:
 def cmd_smooth(args) -> int:
     t0 = time.perf_counter()
     fam = OracleFamily(args.loss, dim=args.d, kernel=_kernel_for(args))
+    check_cloud_size(args.grid_pts, args.d)    # before the domain's 2 d coordinates exist
     report = build_report(fam, BoxDomain.unit(args.d), args.trials, args.grid_pts, args.seed)
     payload = report.to_dict()
     if args.format == "csv":                   # floats by repr, as the JSON form has them

@@ -4,7 +4,9 @@ Implements the minimax (Jensen-Shannon), non-saturating KL, Wasserstein-1 and
 half-squared-MMD losses, each against a fixed reference measure, together
 with the Kantorovich-Rubinstein norm on mass-zero signed measures, and the
 table LOSSES of their properties.  Infinite values are legitimate returns
-(math.inf), never exceptions.
+(math.inf), never exceptions.  scipy loads on first use, inside the transport
+LP and the JS/NS Bregman divergences, so code that calls neither never
+imports it.
 """
 
 from __future__ import annotations
@@ -14,15 +16,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.spatial.distance import cdist
-from scipy.special import rel_entr
 
 from .discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd, phi_ns,
                              phi_w1_1d)
 from .errors import (DimensionMismatch, PointOffSupport, PreconditionViolated, ProblemTooLarge,
-                     UnknownKind)
+                     SolverFailed, UnknownKind)
 from .measures import (DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms, diff,
                        require_mass_zero)
 
@@ -65,8 +63,7 @@ class KernelSpec:
         if len(x) * len(y) > _GRAM_MAX_CELLS:
             raise ProblemTooLarge(f"a {len(x)} x {len(y)} kernel Gram matrix exceeds "
                                   f"{_GRAM_MAX_CELLS} cells")
-        g = x @ y.T
-        g *= -2.0
+        g = (-2.0 * x) @ y.T       # a GEMM even when y is x: numpy sends x @ x.T to slower SYRK
         g += np.vecdot(x, x)[:, None]
         g += np.vecdot(y, y)
         np.maximum(g, 0.0, out=g)
@@ -183,8 +180,11 @@ def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     1e6: at the cap the cost takes 8 MB and the sparse constraints 24 MB, and
     building them peaks near 36 MB in any dimension, where a dense constraint
     matrix would take 16 GB.  Larger problems raise ProblemTooLarge before
-    anything is allocated.
+    anything is allocated; a failed solve raises SolverFailed.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+    from scipy.spatial.distance import cdist
     _check_dims(mu, nu)
     m, n = mu.n_atoms, nu.n_atoms
     if m * n > _LP_MAX_CELLS:
@@ -200,7 +200,7 @@ def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise SolverFailed(f"transport LP failed: {res.message}")
     return float(res.fun)
 
 
@@ -251,6 +251,7 @@ def _ratio_weights(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasur
 
 
 def _js_bregman(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
+    from scipy.special import rel_entr
     wn_u, wm_u, w0_u = _ratio_weights(nu, mu, mu0)
     # Phi_mu = (1/2) log(b / (b + c)) is -inf where nu moves mass onto b = 0 < c
     if np.any((wn_u > 0) & (wm_u == 0) & (w0_u > 0)):
@@ -266,6 +267,7 @@ def _js_bregman(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasure) 
 
 
 def _ns_bregman(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
+    from scipy.special import rel_entr
     wn_u, wm_u, w0_u = _ratio_weights(nu, mu, mu0)
     # per-atom reduction of J(nu) - J(mu) - <Phi_mu, nu - mu>:
     #   m_nu log(m_nu / (2 m_mu)) + m_mu log 2,  m = (w + w0)/2

@@ -25,6 +25,10 @@ class ProblemTooLarge(SmoothganError):
     pass
 
 
+class SolverFailed(SmoothganError):
+    pass
+
+
 class NonZeroMass(SmoothganError):
     pass
 

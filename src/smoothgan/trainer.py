@@ -154,8 +154,8 @@ def train_particles(cfg: TrainConfig) -> TrainTrace:
     def step(_kstep, theta):
         loss = 0.5 * mmd_sq(DiscreteMeasure(theta, gen_measure_w), cfg.target, cfg.kernel)
         grad = mmd_particle_grad(theta, cfg.target, cfg.kernel)
-        bad = (not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD
-               or not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > ESCAPE_THRESHOLD)
+        # NaN fails both comparisons: it propagates through max and is never <=
+        bad = not (loss <= DIVERGENCE_THRESHOLD and np.abs(theta).max() <= ESCAPE_THRESHOLD)
         return loss, grad, bad
 
     return _descend(step, theta, cfg.n_steps, gamma)

@@ -3,6 +3,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,14 +427,53 @@ def test_bad_numeric_option_exit_2(workdir, capsys, argv):
     ["rkhs", "series", "--centers", "mu0.csv", "--quad-lo=-1e6", "--quad-hi", "1e6"],
     ["train", "particles", "--n=100000", "--steps", "1"],
     ["sweep", "--ratios", "1", "--seeds", "1", "--n=100000", "--steps", "1"],
-], ids=["dual-grid", "quadrature-grid", "train-gram", "sweep-gram"])
+    ["smooth", "report", "--loss", "mmd", "--grid-pts=1000000000"],
+    ["smooth", "report", "--loss", "mmd", "--d=1000000000"],
+    ["nn", "init", "--width=1000000000"],
+    ["nn", "init", "--depth=1000000000"],
+    ["nn", "init", "--input-dim=1000000000"],
+], ids=["dual-grid", "quadrature-grid", "train-gram", "sweep-gram", "smooth-grid-pts",
+        "smooth-d", "nn-width", "nn-depth", "nn-input-dim"])
 def test_oversized_grid_exit_2(workdir, capsys, argv):
-    # 2e9 grid cells, or a 1e10-cell kernel Gram (74.5 GiB): refused before numpy is
-    # asked for the memory
+    # 2e9 grid cells, a 1e10-cell kernel Gram (74.5 GiB), a 1e9-coordinate evaluation
+    # cloud or a net of over 1e9 parameters: refused before numpy is asked for the memory
     _quad_grid(workdir)
     assert main(argv + ["--out", "o.out"]) == 2
     assert "exceed" in capsys.readouterr().err
     assert not (workdir / "o.out").exists()
+
+
+def test_failed_transport_lp_exit_2(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("scipy.optimize.linprog", lambda c, **kw: type(
+        "Res", (), {"success": False, "message": "stub failure", "fun": math.nan}))
+    (workdir / "nu2.csv").write_text("x_1,x_2,w\n0,0,1\n")
+    assert main(["div", "eval", "--loss", "w1", "--mu", "mu2.csv", "--mu0", "nu2.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "transport LP failed" in err and "Traceback" not in err
+
+
+def test_scipy_loads_on_first_use(tmp_path):
+    # a fresh interpreter, since this one has loaded scipy already
+    script = textwrap.dedent("""
+        import json, sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        from smoothgan.cli import main
+        seen = {"import": scipy_modules()}
+        code = main(["train", "particles", "--n", "4", "--steps", "3", "--out", "t.csv"])
+        seen["train"] = (code, scipy_modules())
+        from smoothgan.divergences import w1_lp
+        from smoothgan.measures import make_discrete
+        w1_lp(make_discrete([[0.0, 0.0]], [1.0]), make_discrete([[1.0, 0.0]], [1.0]))
+        seen["w1_lp"] = "scipy.optimize" in sys.modules
+        print(json.dumps(seen))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == {
+        "import": [], "train": [0, []], "w1_lp": True}
 
 
 # --- every numeric option against 0, -1, nan, inf and a non-number ---

@@ -23,9 +23,8 @@ from smoothgan.cli import build_parser
 from smoothgan.divergences import (LOSSES, KernelSpec, LossKind, js, kl, kr_norm_1d, loss_eval,
                                    mmd_sq, ns_kl, w1_1d, w1_lp)
 from smoothgan.errors import (DimensionMismatch, NonZeroMass, PreconditionViolated,
-                              ProblemTooLarge, UnknownKind)
+                              ProblemTooLarge, SolverFailed, UnknownKind)
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
-from smoothgan import divergences
 from smoothgan.measures import DiscreteMeasure
 from smoothgan.smoothness import OracleFamily
 
@@ -301,7 +300,7 @@ def test_w1_lp_sparse_constraints(m, n, monkeypatch):
         seen["a_eq"] = A_eq
         return linprog(c, A_eq=A_eq, b_eq=b_eq, **kw)
 
-    monkeypatch.setattr(divergences, "linprog", capture)
+    monkeypatch.setattr("scipy.optimize.linprog", capture)
     rng = np.random.default_rng(m * n)
     mu = random_measure(rng, 2, min_atoms=m, max_atoms=m)
     nu = random_measure(rng, 2, min_atoms=n, max_atoms=n)
@@ -344,7 +343,7 @@ def test_w1_lp_cost_matches_difference_tensor(dim, monkeypatch):
         seen.append(c)
         return linprog(c, **kw)
 
-    monkeypatch.setattr(divergences, "linprog", capture)
+    monkeypatch.setattr("scipy.optimize.linprog", capture)
     rng = np.random.default_rng(10 + dim)
     for _ in range(10):
         mu = random_measure(rng, dim, max_atoms=12)
@@ -357,7 +356,7 @@ def test_w1_lp_cost_matches_difference_tensor(dim, monkeypatch):
 
 def test_w1_lp_setup_memory_independent_of_dimension(monkeypatch):
     # no (m, n, d) temporary: building the LP takes the same memory in 1-D and 8-D
-    monkeypatch.setattr(divergences, "linprog",
+    monkeypatch.setattr("scipy.optimize.linprog",
                         lambda c, **kw: type("Res", (), {"success": True, "fun": 0.0}))
     rng = np.random.default_rng(9)
     peaks = {}
@@ -371,3 +370,11 @@ def test_w1_lp_setup_memory_independent_of_dimension(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[8] <= 1.05 * peaks[1]
+
+
+def test_w1_lp_solver_failure_is_typed(monkeypatch):
+    monkeypatch.setattr("scipy.optimize.linprog", lambda c, **kw: type(
+        "Res", (), {"success": False, "message": "stub failure", "fun": math.nan}))
+    mu = make_discrete([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    with pytest.raises(SolverFailed, match="stub failure"):
+        w1_lp(mu, make_discrete([[0.0, 1.0]], [1.0]))

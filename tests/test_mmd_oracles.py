@@ -37,6 +37,15 @@ def test_gram_matches_difference_form(k, d, n, m):
     assert np.abs(k.gram(x, x) - gram_ref(k, x, x)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_self_gram_takes_the_cross_gram_path(d):
+    # numpy sends x @ x.T to SYRK, which sums in its own order at d >= 4; the
+    # Gram must go through the one GEMM path whether or not y is x
+    x = np.random.default_rng(d).uniform(-1, 1, (257, d))
+    for k in KERNELS:
+        assert np.array_equal(k.gram(x, x), k.gram(x, x.copy()))
+
+
 @pytest.mark.parametrize("k", KERNELS)
 def test_mmd_matches_merged_form(k):
     rng = np.random.default_rng(3)
