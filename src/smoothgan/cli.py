@@ -115,8 +115,9 @@ def cmd_smooth(args) -> int:
     check_cloud_size(args.grid_pts, args.d)    # before the domain's 2 d coordinates exist
     report = build_report(fam, BoxDomain.unit(args.d), args.trials, args.grid_pts, args.seed)
     payload = report.to_dict()
-    if args.format == "csv":                   # floats by repr, as the JSON form has them
-        text = table_to_csv(list(payload), [[str(v) for v in payload.values()]])
+    if args.format == "csv":                   # floats at 15 digits, ints and bools as words
+        text = table_to_csv(list(payload), [[fmt_number(v) if isinstance(v, float) else str(v)
+                                             for v in payload.values()]])
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:

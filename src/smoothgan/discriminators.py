@@ -41,17 +41,20 @@ def _as_batch(x, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray,
 
 
 def phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> float | np.ndarray:
-    """MMD witness E_mu[K(x, .)] - E_mu0[K(x, .)], exact weighted kernel sums."""
+    """MMD witness E_mu[K(x, .)] - E_mu0[K(x, .)], exact weighted kernel sums: one
+    Gram block against the pooled support [mu; mu0], weighted [w; -w0]."""
     pts, single = _as_batch(x, mu, mu0)
-    val = k.gram(pts, mu.points) @ mu.weights - k.gram(pts, mu0.points) @ mu0.weights
+    val = (k.gram(pts, np.vstack([mu.points, mu0.points]))
+           @ np.concatenate([mu.weights, -mu0.weights]))
     return float(val[0]) if single else val
 
 
 def grad_phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> np.ndarray:
-    """Spatial gradient of the MMD witness via the analytic kernel gradient."""
+    """Spatial gradient of the MMD witness via the analytic kernel gradient, one
+    weighted kernel-gradient sum over the pooled support [mu; mu0], weighted [w; -w0]."""
     pts, single = _as_batch(x, mu, mu0)
-    g = (k.grad_x_sum(pts, mu.points, mu.weights)
-         - k.grad_x_sum(pts, mu0.points, mu0.weights))
+    g = k.grad_x_sum(pts, np.vstack([mu.points, mu0.points]),
+                     np.concatenate([mu.weights, -mu0.weights]))
     return g[0] if single else g
 
 

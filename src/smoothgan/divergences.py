@@ -26,6 +26,7 @@ from .measures import (DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms
 
 _LP_MAX_CELLS = 10 ** 6
 _GRAM_MAX_CELLS = 10 ** 7        # 80 MB of float64, the size of envelopes.GRID_CELL_CAP
+_EXP_FLOOR = -700.0              # exp(-700) ~ 1e-304 is normal; numpy's exp is slow near underflow
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,35 @@ class KernelSpec:
         """Kernel matrix K[i, j] = K(x_i, y_j) for (n, d) and (m, d) inputs.
 
         Squared distances in matmul form ||x||^2 + ||y||^2 - 2 x.y, clipped at 0
-        against cancellation; every step after the product works in place.
+        against cancellation; every step after the product works in place.  An
+        entry whose exponent lies below -700 is exactly 0 (its true value is under
+        e^-700 times the kernel's peak), so no entry is subnormal; every other entry
+        is np.exp of its exponent.  A block whose row norms rule out such an
+        exponent skips the check over its entries.
         More than 10^7 cells raise ProblemTooLarge before anything is allocated.
         """
         if len(x) * len(y) > _GRAM_MAX_CELLS:
             raise ProblemTooLarge(f"a {len(x)} x {len(y)} kernel Gram matrix exceeds "
                                   f"{_GRAM_MAX_CELLS} cells")
+        xx, yy = np.vecdot(x, x), np.vecdot(y, y)
         g = (-2.0 * x) @ y.T       # a GEMM even when y is x: numpy sends x @ x.T to slower SYRK
-        g += np.vecdot(x, x)[:, None]
-        g += np.vecdot(y, y)
+        g += xx[:, None]
+        g += yy
         np.maximum(g, 0.0, out=g)
-        g *= -1.0 / (2.0 * self.sigma_sq)
-        np.exp(g, out=g)
+        scale = -1.0 / (2.0 * self.sigma_sq)
+        g *= scale
+        # ||x_i - y_j|| <= |x|max + |y|max clears most blocks without a pass over g;
+        # the unit of slack covers the rounding of the matmul form
+        reach = (math.sqrt(xx.max(initial=0.0)) + math.sqrt(yy.max(initial=0.0))) ** 2 * scale
+        if reach < _EXP_FLOOR + 1.0 and g.min(initial=0.0) < _EXP_FLOOR:
+            # np.exp runs its slow path on exponents near underflow: clamp them to
+            # the floor, then zero them by a multiply, exact on every other entry
+            keep = g >= _EXP_FLOOR
+            np.maximum(g, _EXP_FLOOR, out=g)
+            np.exp(g, out=g)
+            g *= keep
+        else:
+            np.exp(g, out=g)
         if self.normalized:
             g *= self.prefactor(x.shape[1])
         return g
@@ -292,11 +310,14 @@ def mmd_sq(mu: DiscreteMeasure, nu: DiscreteMeasure, k: KernelSpec) -> float:
     """Squared maximum mean discrepancy (the loss itself is half of this).
 
     The bilinear form w_mu' K w_mu - 2 w_mu' K w_nu + w_nu' K w_nu needs no
-    merging of coincident atoms.
+    merging of coincident atoms.  Its first two terms come from one Gram block
+    against the pooled support [x; y], weighted [w_mu; -2 w_nu], so the form
+    takes two Gram calls: K(x, [x; y]) and K(y, y).
     """
     _check_dims(mu, nu)
     x, y, wx, wy = mu.points, nu.points, mu.weights, nu.weights
-    val = wx @ k.gram(x, x) @ wx - 2.0 * (wx @ k.gram(x, y) @ wy) + wy @ k.gram(y, y) @ wy
+    val = (wx @ (k.gram(x, np.vstack([x, y])) @ np.concatenate([wx, -2.0 * wy]))
+           + wy @ k.gram(y, y) @ wy)
     return max(float(val), 0.0)
 
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import KernelSpec, mmd_sq
-from .errors import ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace
+from .envelopes import GRID_CELL_CAP
+from .errors import (ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace,
+                     ProblemTooLarge)
 from .measures import DiscreteMeasure, _is_int, table_from_csv, table_to_csv
 from .nnsmooth import (MlpNet, mlp_forward, mlp_input_grad, mlp_param_grad, random_mlp,
                        spectral_normalize)
@@ -89,12 +91,13 @@ class TrainTrace:
 def mmd_particle_grad(theta: np.ndarray, mu0: DiscreteMeasure, k: KernelSpec) -> np.ndarray:
     """Gradient of theta -> (1/2) MMD^2(mu_theta, mu0) for the N x d particle
     matrix theta, whose measure weights each row 1/N: row i is the witness
-    gradient at particle i scaled by 1/N."""
+    gradient at particle i scaled by 1/N, one weighted kernel-gradient sum over
+    the pooled support [theta; mu0], weighted [1/N; -w0]."""
     if theta.ndim != 2 or theta.shape[1] != mu0.dim:
         raise DimensionMismatch(f"particles of shape {theta.shape} vs target dim {mu0.dim}")
     n = len(theta)
-    return (k.grad_x_sum(theta, theta, 1.0 / n)
-            - k.grad_x_sum(theta, mu0.points, mu0.weights)) / n
+    w = np.concatenate([np.full(n, 1.0 / n), -mu0.weights])
+    return k.grad_x_sum(theta, np.vstack([theta, mu0.points]), w) / n
 
 
 def theoretical_lr(a: float, b: float, alpha: float, beta1: float, beta2: float) -> float:
@@ -110,9 +113,12 @@ def _descend(step, theta: np.ndarray, n_steps: int, lr: float) -> TrainTrace:
 
     step(k, theta) returns (loss, grad, bad) at the k-th iterate; the trace
     records the loss and the gradient's Frobenius norm.  A bad step stops the
-    run as diverged, keeping its row.  An initial iterate that is not finite
-    or lies past the escape threshold is refused before the first step.
+    run as diverged, keeping its row.  More than 10^7 steps raise
+    ProblemTooLarge before the trace arrays exist; an initial iterate that is
+    not finite or lies past the escape threshold is refused before the first step.
     """
+    if n_steps > GRID_CELL_CAP:
+        raise ProblemTooLarge(f"{n_steps} steps exceed {GRID_CELL_CAP}")
     if not np.all(np.abs(theta) <= ESCAPE_THRESHOLD):
         raise ConfigError(f"the initial iterate must be finite with entries of size at most "
                           f"{ESCAPE_THRESHOLD:g}")

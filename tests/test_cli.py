@@ -140,13 +140,12 @@ def test_rkhs_series_golden_bytes(workdir, monkeypatch, capsys):
 
 
 def test_smooth_report_csv_golden_bytes(workdir, monkeypatch, capsys):
-    # floats print by repr here, not at 15 digits
     monkeypatch.setattr(cli, "build_report", lambda *a: SmoothnessReport(
         0.1 + 0.2, 1 / 3, 2.0, 500, 0.01, 7, True, False, False))
     assert main(["smooth", "report", "--loss", "mmd", "--format", "csv", "--out", "s.csv"]) == 0
     text = ("alpha_hat,beta1_hat,beta2_hat,n_trials,grid_step,seed,alpha_saturated,"
             "beta1_saturated,beta2_saturated\n"
-            "0.30000000000000004,0.3333333333333333,2.0,500,0.01,7,True,False,False\n")
+            "0.3,0.333333333333333,2,500,0.01,7,True,False,False\n")
     assert capsys.readouterr().out == text
     assert (workdir / "s.csv").read_text() == text
 
@@ -432,11 +431,14 @@ def test_bad_numeric_option_exit_2(workdir, capsys, argv):
     ["nn", "init", "--width=1000000000"],
     ["nn", "init", "--depth=1000000000"],
     ["nn", "init", "--input-dim=1000000000"],
+    ["train", "particles", "--n", "4", "--steps=1000000000"],
+    ["sweep", "--ratios", "1", "--seeds", "1", "--n", "4", "--steps=1000000000"],
 ], ids=["dual-grid", "quadrature-grid", "train-gram", "sweep-gram", "smooth-grid-pts",
-        "smooth-d", "nn-width", "nn-depth", "nn-input-dim"])
+        "smooth-d", "nn-width", "nn-depth", "nn-input-dim", "train-steps", "sweep-steps"])
 def test_oversized_grid_exit_2(workdir, capsys, argv):
     # 2e9 grid cells, a 1e10-cell kernel Gram (74.5 GiB), a 1e9-coordinate evaluation
-    # cloud or a net of over 1e9 parameters: refused before numpy is asked for the memory
+    # cloud, a net of over 1e9 parameters or 1e9 steps (8 GB of trace): refused before
+    # numpy is asked for the memory
     _quad_grid(workdir)
     assert main(argv + ["--out", "o.out"]) == 2
     assert "exceed" in capsys.readouterr().err

@@ -18,6 +18,13 @@ def gram_ref(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return k.prefactor(x.shape[1]) * np.exp(-sq / (2.0 * k.sigma_sq))
 
 
+def kernel_grad_sum_ref(k: KernelSpec, x: np.ndarray, y: np.ndarray, w) -> np.ndarray:
+    """sum_j w_j grad_x K(x_i, y_j) from the difference tensor and gram_ref, which
+    share no code with KernelSpec's Gram."""
+    d = x[:, None, :] - y[None, :, :]
+    return -np.einsum("nmd,nm,m->nd", d, gram_ref(k, x, y), w) / k.sigma_sq
+
+
 def particle_grad_ref(theta: np.ndarray, mu0: DiscreteMeasure, k: KernelSpec) -> np.ndarray:
     """Gradient of (1/2) MMD^2 as the sum of per-pair kernel gradients."""
     n = theta.shape[0]
@@ -90,3 +97,46 @@ def test_witness_grad_matches_pairwise_form(k, d):
     ref = (np.einsum("nmd,m->nd", k.grad_x(x, mu.points), mu.weights)
            - np.einsum("nmd,m->nd", k.grad_x(x, mu0.points), mu0.weights))
     assert np.abs(grad_phi_mmd(mu, mu0, k, x) - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", KERNELS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_gram_floor_zeroes_underflowing_entries(k, d):
+    # exponents from -650 to -800 around the floor -700; with x at the origin and y on
+    # an axis, the matmul-form exponent is -y^2 / (2 sigma_sq), rounded as written here
+    y = np.zeros((301, d))
+    y[:, 0] = np.sqrt(-2.0 * k.sigma_sq * np.linspace(-650.0, -800.0, 301))
+    x = np.zeros((2, d))
+    for a, b in ((x, y), (y, x)):
+        expo = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1) * (-1.0 / (2.0 * k.sigma_sq))
+        low = expo < -700.0
+        assert 0 < low.sum() < low.size
+        g = k.gram(a, b)
+        assert np.all(g[low] == 0.0)
+        assert np.array_equal(g[~low], k.prefactor(d) * np.exp(expo[~low]))
+        assert not np.any((g != 0.0) & (np.abs(g) < np.finfo(float).tiny))    # no subnormal
+        assert np.abs(g - gram_ref(k, a, b)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", KERNELS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_escaped_particle_grads_match_difference_form(k, d):
+    # ten escaped particles 30-1000 apart in every coordinate, so every kernel value
+    # between them sits far below the floor, one of them duplicated; near the target,
+    # particles on target atoms, one of those duplicated, and free ones
+    rng = np.random.default_rng(40 + d)
+    target = make_discrete(rng.uniform(-1, 1, (12, d)), rng.uniform(0.1, 1.0, 12))
+    theta = rng.uniform(-1, 1, (24, d))
+    theta[:10] = np.cumsum(rng.uniform(30, 1000, (10, d)), axis=0) * rng.choice([-1, 1], d)
+    theta[10] = theta[0]
+    theta[11:14] = target.points[:3]
+    theta[14] = theta[11]
+    n = len(theta)
+    ref = (kernel_grad_sum_ref(k, theta, theta, np.full(n, 1.0 / n))
+           - kernel_grad_sum_ref(k, theta, target.points, target.weights)) / n
+    assert np.abs(mmd_particle_grad(theta, target, k) - ref).max() <= 1e-13
+    mu = DiscreteMeasure(theta, np.full(n, 1.0 / n))
+    x = np.vstack([theta, rng.uniform(-1, 1, (20, d))])
+    ref = (kernel_grad_sum_ref(k, x, theta, mu.weights)
+           - kernel_grad_sum_ref(k, x, target.points, target.weights))
+    assert np.abs(grad_phi_mmd(mu, target, k, x) - ref).max() <= 1e-13

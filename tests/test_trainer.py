@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from smoothgan import trainer
+from smoothgan.discriminators import grad_phi_mmd
 from smoothgan.divergences import KernelSpec, mmd_sq
-from smoothgan.errors import ConfigError, DegenerateConstants, MalformedTrace
+from smoothgan.errors import ConfigError, DegenerateConstants, MalformedTrace, ProblemTooLarge
 from smoothgan.measures import DiscreteMeasure, make_discrete, random_measure, sample_target
 from smoothgan.nnsmooth import random_mlp, spectral_normalize
 from smoothgan.trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig, TrainConfig,
@@ -144,6 +145,41 @@ def test_both_trainers_share_one_descent_loop(monkeypatch):
     assert len(calls) == 1
     assert len(train_gan2d(_gan_cfg(n_steps=2))) == 2
     assert len(calls) == 2
+
+
+def test_particle_step_takes_three_grams(monkeypatch):
+    # pooled supports: K(theta, [theta; Y]) and K(Y, Y) for the loss, K(theta, [theta; Y])
+    # for the gradient, and one K(x, [mu; mu0]) for a witness gradient
+    calls = []
+    gram = KernelSpec.gram
+
+    def counted(self, x, y):
+        calls.append((len(x), len(y)))
+        return gram(self, x, y)
+
+    monkeypatch.setattr(KernelSpec, "gram", counted)
+    target = sample_target("ring", 8, 3)
+    trace = train_particles(TrainConfig(target=target, kernel=KC, n_particles=6, n_steps=5,
+                                        seed=1))
+    assert len(calls) == 3 * len(trace) == 15
+    assert sorted(calls[:3]) == [(6, 14), (6, 14), (8, 8)]
+    mu = DiscreteMeasure(np.zeros((6, 2)), np.full(6, 1.0 / 6))
+    calls.clear()
+    mmd_sq(mu, target, KC)
+    assert len(calls) == 2
+    calls.clear()
+    grad_phi_mmd(mu, target, KC, np.zeros((4, 2)))
+    assert calls == [(4, 14)]
+
+
+def test_descent_refuses_oversized_step_counts():
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    with pytest.raises(ProblemTooLarge, match="exceed"):
+        trainer._descend(no_step, np.zeros((2, 2)), 10 ** 7 + 1, 0.1)
+    with pytest.raises(ProblemTooLarge, match="exceed"):
+        train_gan2d(_gan_cfg(n_steps=10 ** 9))
 
 
 def test_stationarity_bound_synthetic():
