@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -250,10 +251,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_suite(args.suite)
-    for r in results:
-        print(r.line())
     n_fail = sum(not r.passed for r in results)
-    print(f"{len(results) - n_fail}/{len(results)} checks passed")
+    if args.format == "json":
+        print(json.dumps([r.to_dict() for r in results], indent=2, allow_nan=False))
+    else:
+        for r in results:
+            print(r.line())
+        print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return 0 if n_fail == 0 else 1
 
 
@@ -274,6 +278,7 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+@functools.cache       # one parse tree per process: building it costs milliseconds
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="smoothgan",
                                 description="GAN-loss smoothness laboratory")
@@ -374,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the acceptance suite")
     v.add_argument("--suite", default="all", choices=["all", *SUITES])
+    v.add_argument("--format", default="text", choices=["text", "json"])
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("plotdata", help="extract plot series from traces")

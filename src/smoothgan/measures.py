@@ -50,12 +50,23 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     gaps can also join atoms a few MERGE_TOL apart.  Output atoms are in
     lexicographic order, each the lexicographically first atom of its group,
     and each group's weights are summed one by one in that order.
+
+    The first coordinate is already sorted by the lexicographic order, so it
+    splits without a second sort.  When that leaves every atom alone in its
+    group, the sorted atoms return at once with weights + 0.0: the same bits
+    as summing one-atom groups from zero, which also turns -0.0 into +0.0.
     """
     order = np.lexsort(points.T[::-1])
     pts, w = points[order], weights[order]
-    label = np.zeros(len(pts), dtype=np.intp)
-    new = np.ones(len(pts), dtype=bool)
-    for x in pts.T:
+    x = pts[:, 0]
+    new = np.empty(len(pts), dtype=bool)
+    new[:1] = True
+    np.greater_equal(x[1:] - x[:-1], MERGE_TOL, out=new[1:])
+    if new.all():
+        return pts, w + 0.0
+    label = np.cumsum(new)
+    o = np.arange(len(pts))
+    for x in pts.T[1:]:
         o = np.lexsort((x, label))
         lab, xs = label[o], x[o]
         new[1:] = (lab[1:] != lab[:-1]) | (xs[1:] - xs[:-1] >= MERGE_TOL)
@@ -89,10 +100,6 @@ class BoxDomain:
     @property
     def dim(self) -> int:
         return self.lo.size
-
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> bool:
-        pts = _as_points(points)
-        return bool(np.all(pts >= self.lo - tol) and np.all(pts <= self.hi + tol))
 
     @staticmethod
     def unit(dim: int) -> "BoxDomain":
@@ -155,17 +162,17 @@ def make_discrete(points, weights) -> DiscreteMeasure:
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if pts.shape[0] == 0:
         raise EmptySupport("a measure needs at least one atom")
-    if pts.shape[0] != w.shape[0]:
-        raise DimensionMismatch(f"{pts.shape[0]} points vs {w.shape[0]} weights")
+    if w.shape != (pts.shape[0],):
+        raise DimensionMismatch(f"{pts.shape[0]} points vs weights of shape {w.shape}")
     _require_finite(pts, w)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise NegativeWeight("probability weights must be nonnegative")
     if w.sum() <= 0:
         raise NegativeWeight("weights must have positive total mass")
     pts, w = _merge_atoms(pts, w)
-    # drop atoms whose merged weight is exactly zero, keeping at least one
-    if np.any(w > 0):
-        keep = w > 0
+    # drop atoms whose merged weight is exactly zero; the positive total keeps one
+    keep = w > 0
+    if not keep.all():
         pts, w = pts[keep], w[keep]
     # normalize after merging: weights normalized first can merge to 1 - 1 ulp,
     # which turns KL(mu, mu) negative
@@ -176,8 +183,8 @@ def make_signed(points, weights) -> SignedMeasure:
     """Build a signed measure, merging coincident atoms."""
     pts = _as_points(points)
     w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if pts.shape[0] != w.shape[0]:
-        raise DimensionMismatch(f"{pts.shape[0]} points vs {w.shape[0]} weights")
+    if w.shape != (pts.shape[0],):
+        raise DimensionMismatch(f"{pts.shape[0]} points vs weights of shape {w.shape}")
     if pts.shape[0] == 0:
         return SignedMeasure(np.zeros((0, 1)), np.zeros(0))
     _require_finite(pts, w)
@@ -189,7 +196,7 @@ def diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SignedMeasure:
     """The signed measure mu - nu (always mass-zero)."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
-    pts = np.vstack([mu.points, nu.points])
+    pts = np.concatenate([mu.points, nu.points])
     w = np.concatenate([mu.weights, -nu.weights])
     return make_signed(pts, w)
 

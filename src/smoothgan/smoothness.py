@@ -18,10 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import LOSSES, KernelSpec, LossKind, kr_norm_1d
+from .divergences import LOSSES, KernelSpec, LossKind
 from .envelopes import GRID_CELL_CAP
 from .errors import GradientUnsupported, PreconditionViolated, ProblemTooLarge, UnknownKind
-from .measures import BoxDomain, DiscreteMeasure, diff, random_measure
+from .measures import BoxDomain, DiscreteMeasure, random_measure
 from .rng import child_rng
 
 SATURATION_THRESHOLD = 1e6
@@ -132,7 +132,8 @@ def estimate_beta1(family: OracleFamily, domain: BoxDomain, n_measures: int,
         others = np.clip(anchors + h[:, None] * direc, domain.lo, domain.hi)
         sep = np.linalg.norm(anchors - others, axis=1)
         ok = sep > 0
-        gap = family.grad(mu, mu0, anchors) - family.grad(mu, mu0, others)
+        grads = family.grad(mu, mu0, np.concatenate([anchors, others]))
+        gap = grads[:n_point_pairs] - grads[n_point_pairs:]
         ratios = np.linalg.norm(gap, axis=1)[ok] / sep[ok]
         if ratios.size:
             best = max(best, float(ratios.max()))
@@ -179,8 +180,14 @@ def check_cloud_size(grid_pts: int, dim: int) -> None:
 
 def build_report(family: OracleFamily, domain: BoxDomain, n_trials: int,
                  grid_pts: int, seed: int) -> SmoothnessReport:
-    """Run all three estimators; cap divergent values at the saturation threshold."""
+    """Run all three estimators; cap divergent values at the saturation threshold.
+
+    More than 10^7 trials, like more than 10^7 steps, raise ProblemTooLarge
+    before the first trial.
+    """
     check_cloud_size(grid_pts, domain.dim)
+    if n_trials > GRID_CELL_CAP:
+        raise ProblemTooLarge(f"{n_trials} trials exceed {GRID_CELL_CAP}")
     if n_trials < 1 or grid_pts < 2:
         raise PreconditionViolated("need n_trials >= 1 and grid_pts >= 2")
     raw = (
@@ -203,25 +210,6 @@ def bregman(kind: LossKind, nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     Raises PointOffSupport when nu puts mass where the discriminator is undefined.
     """
     return kind.loss.bregman(kind, nu, mu)
-
-
-def bregman_kr_bound_check(kind: LossKind, pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]],
-                           beta2: float) -> float:
-    """Worst ratio of Bregman divergence to (1/2) ||mu - nu||_KR^2 over the pairs.
-
-    A finite return <= beta2 certifies the quadratic bound on the sample;
-    math.inf reports an unbounded (infinite-Bregman) pair.
-    """
-    worst = 0.0
-    for nu, mu in pairs:
-        kr = kr_norm_1d(diff(mu, nu))
-        if kr <= 1e-12:
-            continue
-        d = bregman(kind, nu, mu)
-        if math.isinf(d):
-            return math.inf
-        worst = max(worst, d / (0.5 * kr * kr))
-    return worst
 
 
 def kernel_cross_hessian_norm(k: KernelSpec, x, y) -> float:

@@ -47,6 +47,15 @@ class CheckResult:
     def passed(self) -> bool:
         return bool(self.lo <= self.observed <= self.hi)        # False for NaN
 
+    def to_dict(self) -> dict:
+        """The record as strict JSON values, a number that is not finite as None.  The
+        margin is the distance to the nearer bound, negative outside [lo, hi]."""
+        numbers = {"observed": self.observed, "lo": self.lo, "hi": self.hi,
+                   "margin": min(self.observed - self.lo, self.hi - self.observed),
+                   "seconds": self.seconds}
+        return {"name": self.name, "passed": self.passed,
+                **{k: float(v) if math.isfinite(v) else None for k, v in numbers.items()}}
+
     def line(self) -> str:
         if self.lo == -math.inf:
             bound = f"<= {self.hi:.10g}"

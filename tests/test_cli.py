@@ -238,6 +238,71 @@ def test_verify_failing_check_exits_1(workdir, monkeypatch):
     assert main(["verify", "--suite", "rkhs"]) == 1
 
 
+def test_verify_format_json(workdir, capsys):
+    assert main(["verify", "--suite", "divergences", "--format", "json"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    records = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert len(records) >= 2
+    for r in records:
+        assert list(r) == ["name", "passed", "observed", "lo", "hi", "margin", "seconds"]
+        lo = -math.inf if r["lo"] is None else r["lo"]
+        hi = math.inf if r["hi"] is None else r["hi"]
+        assert r["passed"] is True and lo <= r["observed"] <= hi
+        assert r["margin"] == min(r["observed"] - lo, hi - r["observed"]) >= 0
+        assert r["seconds"] >= 0
+
+
+def test_verify_format_json_nonfinite_is_null(workdir, capsys, monkeypatch):
+    import smoothgan.verify as verify_mod
+    from smoothgan.verify import CheckResult
+
+    monkeypatch.setitem(verify_mod.SUITES, "rkhs", (lambda: [CheckResult("nan", math.nan)],))
+    assert main(["verify", "--suite", "rkhs", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [{
+        "name": "nan", "passed": False, "observed": None, "lo": None, "hi": None,
+        "margin": None, "seconds": 0.0}]
+
+
+# a parse, an output file, an argparse refusal and the first parse again
+_ONE_PROCESS = [
+    ["div", "eval", "--loss", "mmd", "--mu", "mu.csv", "--mu0", "mu0.csv"],
+    ["env", "legendre", "--f", "q.csv", "--dual-lo", "-1", "--dual-hi", "1", "--dual-step",
+     "0.25", "--out", "o.csv"],
+    ["div", "eval", "--loss", "mmd", "--mu", "mu.csv", "--mu0", "mu0.csv", "--sigma-sq=x"],
+    ["div", "eval", "--loss", "mmd", "--mu", "mu.csv", "--mu0", "mu0.csv"],
+]
+
+
+def _outcome(workdir, code, out, err):
+    written = workdir / "o.csv"
+    return code, out, err, written.read_text() if written.exists() else None
+
+
+def test_one_parser_serves_every_call(workdir, capsys):
+    _quad_grid(workdir)
+    assert build_parser() is build_parser()
+    in_process = []
+    for argv in _ONE_PROCESS:
+        try:
+            code = main(argv)
+        except SystemExit as exc:                          # argparse rejects a non-number
+            code = exc.code
+        in_process.append(_outcome(workdir, code, *capsys.readouterr()))
+        (workdir / "o.csv").unlink(missing_ok=True)
+    assert [o[0] for o in in_process] == [0, 0, 2, 0]
+    assert in_process[0] == in_process[3]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    script = "import sys; from smoothgan.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, seen in zip(_ONE_PROCESS, in_process):
+        res = subprocess.run([sys.executable, "-c", script, *argv], cwd=workdir, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert _outcome(workdir, res.returncode, res.stdout, res.stderr) == seen
+        (workdir / "o.csv").unlink(missing_ok=True)
+
+
 def test_missing_file_exit_2(workdir):
     assert main(["div", "eval", "--loss", "w1", "--mu", "absent.csv",
                  "--mu0", "mu0.csv"]) == 2
@@ -428,17 +493,19 @@ def test_bad_numeric_option_exit_2(workdir, capsys, argv):
     ["sweep", "--ratios", "1", "--seeds", "1", "--n=100000", "--steps", "1"],
     ["smooth", "report", "--loss", "mmd", "--grid-pts=1000000000"],
     ["smooth", "report", "--loss", "mmd", "--d=1000000000"],
+    ["smooth", "report", "--loss", "mmd", "--trials=1000000000"],
     ["nn", "init", "--width=1000000000"],
     ["nn", "init", "--depth=1000000000"],
     ["nn", "init", "--input-dim=1000000000"],
     ["train", "particles", "--n", "4", "--steps=1000000000"],
     ["sweep", "--ratios", "1", "--seeds", "1", "--n", "4", "--steps=1000000000"],
 ], ids=["dual-grid", "quadrature-grid", "train-gram", "sweep-gram", "smooth-grid-pts",
-        "smooth-d", "nn-width", "nn-depth", "nn-input-dim", "train-steps", "sweep-steps"])
+        "smooth-d", "smooth-trials", "nn-width", "nn-depth", "nn-input-dim", "train-steps",
+        "sweep-steps"])
 def test_oversized_grid_exit_2(workdir, capsys, argv):
     # 2e9 grid cells, a 1e10-cell kernel Gram (74.5 GiB), a 1e9-coordinate evaluation
-    # cloud, a net of over 1e9 parameters or 1e9 steps (8 GB of trace): refused before
-    # numpy is asked for the memory
+    # cloud, a net of over 1e9 parameters, 1e9 steps (8 GB of trace) or 1e9 estimator
+    # trials (hours of work): refused before numpy is asked for the memory or the time
     _quad_grid(workdir)
     assert main(argv + ["--out", "o.out"]) == 2
     assert "exceed" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from smoothgan.errors import (DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
                               PreconditionViolated, UnknownKind)
+from smoothgan import measures
 from smoothgan.measures import (BoxDomain, cdf_1d, diff, make_discrete, make_signed,
                                 measure_from_csv, measure_to_csv, random_measure,
                                 require_mass_zero, sample_target)
@@ -155,9 +156,8 @@ def test_ring_radius():
 
 
 def test_targets_inside_unit_box():
-    box = BoxDomain.unit(2)
     for kind in ("ring", "gaussian_mixture", "grid_uniform"):
-        assert box.contains(sample_target(kind, 50, 9).points)
+        assert np.all(np.abs(sample_target(kind, 50, 9).points) <= 1.0)
 
 
 def test_unknown_kind():
@@ -347,3 +347,94 @@ def test_sample_target_rejects_bad_n_or_seed(n, seed):
 def test_sample_target_takes_numpy_integers():
     assert np.array_equal(sample_target("ring", np.int64(8), np.int64(5)).points,
                           sample_target("ring", 8, 5).points)
+
+
+# --- the merge kernel's early exit, bit for bit, on the measures estimators draw ---
+
+def _small_draws(d):
+    """2-8 atoms uniform in [-1, 1]^d with random weights, as random_measure draws them."""
+    rng = np.random.default_rng(100 + d)
+    for _ in range(150):
+        n = int(rng.integers(2, 9))
+        yield rng, rng.uniform(-1, 1, size=(n, d)), rng.random(n)
+
+
+def _lexsort_calls(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(measures.np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    return calls
+
+
+def _assert_bitwise_loop(pts, w):
+    """The kernel's output is the loop's, with weights + 0.0 (sums start from +0.0)."""
+    out_pts, out_w = _merge_atoms(pts, w)
+    loop_pts, loop_w = _merge_loop(pts, w)
+    loop_w = loop_w + 0.0
+    assert out_pts.shape == loop_pts.shape and out_w.shape == loop_w.shape
+    assert out_pts.tobytes() == loop_pts.tobytes() and out_w.tobytes() == loop_w.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_merge_early_exit_bitwise_matches_loop(monkeypatch, d):
+    calls = _lexsort_calls(monkeypatch)
+    for rng, pts, w in _small_draws(d):
+        w[rng.integers(len(w))] = -0.0
+        for weights in (w, rng.random((len(w), 3))):
+            _assert_bitwise_loop(pts, weights)
+            calls.clear()
+            _merge_atoms(pts, weights)
+            assert len(calls) == 1                        # distinct first coordinates
+        assert np.signbit(_merge_atoms(pts, w)[1]).sum() == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_merge_shared_first_coordinate_takes_the_full_path(monkeypatch, d):
+    calls = _lexsort_calls(monkeypatch)
+    for rng, pts, w in _small_draws(d):
+        pts[1:, 0] = pts[0, 0]                            # distinct atoms, one first coordinate
+        _assert_bitwise_loop(pts, w)
+        calls.clear()
+        assert len(_merge_atoms(pts, w)[0]) == len(pts)
+        assert len(calls) == d                            # one sort, then one per later coordinate
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_merge_near_duplicates_bitwise_matches_loop(d):
+    for rng, pts, w in _small_draws(d):
+        pts[1] = pts[0] + rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(-15, -12.5, d)
+        w[0] = -0.0
+        _assert_bitwise_loop(pts, w)
+        assert len(_merge_atoms(pts, w)[0]) == len(pts) - 1
+
+
+_NAN, _INF = float("nan"), float("inf")
+# points, weights, then the error of make_discrete and of make_signed (None: it builds)
+_BAD_INPUTS = {
+    "empty": ([], [], EmptySupport, None),
+    "shape mismatch": ([0.0, 1.0], [1.0], DimensionMismatch, DimensionMismatch),
+    "points of rank 3": (np.zeros((2, 1, 1)), [1.0, 1.0], DimensionMismatch, DimensionMismatch),
+    "nan point": ([[_NAN], [0.0]], [1.0, 1.0], PreconditionViolated, PreconditionViolated),
+    "inf point": ([[0.0, _INF]], [1.0], PreconditionViolated, PreconditionViolated),
+    "nan weight": ([0.0, 1.0], [_NAN, 1.0], PreconditionViolated, PreconditionViolated),
+    "inf weight": ([0.0, 1.0], [1.0, -_INF], PreconditionViolated, PreconditionViolated),
+    "negative weight": ([0.0, 1.0], [-0.5, 1.5], NegativeWeight, None),
+    "zero mass": ([0.0, 1.0], [0.0, 0.0], NegativeWeight, None),
+    "weight matrix": ([0.0, 1.0], [[1.0, 2.0], [3.0, -4.0]], DimensionMismatch,
+                      DimensionMismatch),
+    # two faults at once: the earlier check names the error
+    "mismatch and nan": ([_NAN, 1.0], [1.0], DimensionMismatch, DimensionMismatch),
+    "nan and negative": ([0.0, _NAN], [-1.0, 2.0], PreconditionViolated, PreconditionViolated),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_measure_inputs_raise_typed_errors(case):
+    points, weights, discrete_error, signed_error = _BAD_INPUTS[case]
+    with pytest.raises(discrete_error):
+        make_discrete(points, weights)
+    if signed_error is None:
+        make_signed(points, weights)
+    else:
+        with pytest.raises(signed_error):
+            make_signed(points, weights)

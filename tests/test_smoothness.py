@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from smoothgan.divergences import KernelSpec, LossKind, kl, mmd_sq
+from smoothgan.divergences import KernelSpec, LossKind, kl, kr_norm_1d, mmd_sq
 from smoothgan.errors import GradientUnsupported, PointOffSupport
 from smoothgan.measures import BoxDomain, diff, make_discrete, random_measure
-from smoothgan.smoothness import (OracleFamily, SATURATION_THRESHOLD, bregman,
-                                  bregman_kr_bound_check, build_report, estimate_alpha,
-                                  estimate_beta1, estimate_beta2, kernel_cross_hessian_norm)
+from smoothgan.smoothness import (OracleFamily, SATURATION_THRESHOLD, bregman, build_report,
+                                  estimate_alpha, estimate_beta1, estimate_beta2,
+                                  kernel_cross_hessian_norm)
 from smoothgan.measures import DiscreteMeasure
 
 KC = KernelSpec.critical()
@@ -199,11 +199,26 @@ def test_bregman_constant_shift_invariance():
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
+def bregman_kr_bound_check(kind, pairs):
+    """Worst ratio of Bregman divergence to (1/2) ||mu - nu||_KR^2 over the (nu, mu) pairs;
+    math.inf for an unbounded (infinite-Bregman) pair."""
+    worst = 0.0
+    for nu, mu in pairs:
+        kr = kr_norm_1d(diff(mu, nu))
+        if kr <= 1e-12:
+            continue
+        d = bregman(kind, nu, mu)
+        if math.isinf(d):
+            return math.inf
+        worst = max(worst, d / (0.5 * kr * kr))
+    return worst
+
+
 def test_bregman_kr_bound():
     rng = np.random.default_rng(10)
     pairs = [(random_measure(rng, 1), random_measure(rng, 1)) for _ in range(100)]
     mu0 = random_measure(rng, 1)
-    worst = bregman_kr_bound_check(LossKind("mmd_sq_half", mu0, KC), pairs, 2 * math.pi)
+    worst = bregman_kr_bound_check(LossKind("mmd_sq_half", mu0, KC), pairs)
     assert worst <= 2 * math.pi
 
 
@@ -211,7 +226,7 @@ def test_bregman_kr_unbounded_minimax():
     mu0 = make_discrete([0.0, 0.5], [0.5, 0.5])
     mu = make_discrete([0.0, 1.0], [0.5, 0.5])
     nu = make_discrete([0.5], [1.0])
-    worst = bregman_kr_bound_check(LossKind("minimax_js", mu0), [(nu, mu)], 2 * math.pi)
+    worst = bregman_kr_bound_check(LossKind("minimax_js", mu0), [(nu, mu)])
     assert worst == math.inf
 
 
