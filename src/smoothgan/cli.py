@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -44,9 +45,9 @@ def _write_with_manifest(out_path: str, content: str, args: argparse.Namespace,
     """Write the finished output plus its manifest; nothing is written on error paths."""
     path = Path(out_path)
     path.write_text(content)
-    payload = {k: v for k, v in vars(args).items() if k != "func"}
+    payload = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
     manifest = {
-        "command": " ".join(sys.argv),
+        "command": shlex.join(["smoothgan", *args.argv]),
         "args": payload,
         "seed": payload.get("seed"),
         "seed_derivation": "splitmix64 child streams (smoothgan.rng)",
@@ -101,12 +102,11 @@ def cmd_div(args) -> int:
 def cmd_disc(args) -> int:
     mu = _load_measure(args.mu)
     mu0 = _load_measure(args.mu0)
-    x = _floats(args.at, "--at")[None, :]       # one point, as many coordinates as the measures
+    x = _floats(args.at, "--at")                # one point, as many coordinates as the measures
     loss, kernel = LOSSES[args.loss], _kernel_for(args)
-    print("phi:", fmt_number(float(loss.witness(mu, mu0, kernel, x)[0])))
+    print("phi:", fmt_number(loss.witness(mu, mu0, kernel, x)))
     if loss.grad is not None:
-        grad = np.atleast_1d(loss.grad(mu, mu0, kernel, x)[0])
-        print("grad:", ",".join(fmt_number(float(v)) for v in grad))
+        print("grad:", ",".join(fmt_number(v) for v in loss.grad(mu, mu0, kernel, x).tolist()))
     return 0
 
 
@@ -391,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv                     # the manifest's command, not one of its args
     try:
         return args.func(args)
     except SmoothganError as exc:

@@ -14,36 +14,23 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, PointOffSupport
-from .measures import MERGE_TOL, DiscreteMeasure, _cdf_levels, diff
+from .measures import MERGE_TOL, DiscreteMeasure, _as_batch, _cdf_levels, diff
 
 if TYPE_CHECKING:
     from .divergences import KernelSpec
 
 
-def _as_batch(x, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray, bool]:
+def _query(x, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray, bool]:
     """x as an (n, d) batch for measures of one dimension d, and whether x is one point."""
-    dim = mu.dim
-    if mu0.dim != dim:
-        raise DimensionMismatch(f"dim {dim} vs {mu0.dim}")
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-        return arr, True
-    if arr.ndim == 1:
-        if dim == 1 and arr.size != 1:
-            return arr[:, None], False     # batch of scalars
-        if arr.size != dim:
-            raise DimensionMismatch(f"point has size {arr.size}, expected {dim}")
-        return arr[None, :], True
-    if arr.shape[1] != dim:
-        raise DimensionMismatch(f"points have dim {arr.shape[1]}, expected {dim}")
-    return arr, False
+    if mu0.dim != mu.dim:
+        raise DimensionMismatch(f"dim {mu.dim} vs {mu0.dim}")
+    return _as_batch(x, mu.dim)
 
 
 def phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> float | np.ndarray:
     """MMD witness E_mu[K(x, .)] - E_mu0[K(x, .)], exact weighted kernel sums: one
     Gram block against the pooled support [mu; mu0], weighted [w; -w0]."""
-    pts, single = _as_batch(x, mu, mu0)
+    pts, single = _query(x, mu, mu0)
     val = (k.gram(pts, np.vstack([mu.points, mu0.points]))
            @ np.concatenate([mu.weights, -mu0.weights]))
     return float(val[0]) if single else val
@@ -52,7 +39,7 @@ def phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> floa
 def grad_phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> np.ndarray:
     """Spatial gradient of the MMD witness via the analytic kernel gradient, one
     weighted kernel-gradient sum over the pooled support [mu; mu0], weighted [w; -w0]."""
-    pts, single = _as_batch(x, mu, mu0)
+    pts, single = _query(x, mu, mu0)
     g = k.grad_x_sum(pts, np.vstack([mu.points, mu0.points]),
                      np.concatenate([mu.weights, -mu0.weights]))
     return g[0] if single else g
@@ -61,7 +48,7 @@ def grad_phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) ->
 def _atom_weights(mu: DiscreteMeasure, mu0: DiscreteMeasure, x):
     """Weights of mu and mu0 at each point of x (atoms within MERGE_TOL in sup-norm)
     and whether x is one point; PointOffSupport if any point is off both supports."""
-    pts, single = _as_batch(x, mu, mu0)
+    pts, single = _query(x, mu, mu0)
     hits = [np.max(np.abs(pts[:, None, :] - m.points), axis=2) < MERGE_TOL for m in (mu, mu0)]
     if not np.all(hits[0].any(axis=1) | hits[1].any(axis=1)):
         raise PointOffSupport("density ratio undefined off the union support")
@@ -103,32 +90,26 @@ def phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarra
     if mu.dim != 1 or mu0.dim != 1:
         raise DimensionMismatch("phi_w1_1d requires 1-D measures")
     breaks, slopes = _w1_segments(mu, mu0)
-    pts, single = _as_batch(x, mu, mu0)
-    query = pts[:, 0]
-
-    def integral_from_left(t: np.ndarray) -> np.ndarray:
-        """Integral of the slope field from breaks[0] to t (slope 0 left of breaks[0])."""
-        if len(breaks) == 0:
-            return np.zeros_like(t)
-        gap_len = np.diff(breaks)
-        node_vals = np.concatenate([[0.0], np.cumsum(slopes[:-1] * gap_len)])
-        idx = np.searchsorted(breaks, t, side="right") - 1
-        ii = np.clip(idx, 0, len(breaks) - 1)
-        return np.where(idx >= 0, node_vals[ii] + slopes[ii] * (t - breaks[ii]), 0.0)
-
-    vals = integral_from_left(query) - integral_from_left(np.zeros(1))[0]
+    pts, single = _query(x, mu, mu0)
+    # the integral of the slope field from breaks[0] (slope 0 left of it) at each
+    # query and then at the gauge point 0; diff(mu, mu0) holds at least one atom
+    t = np.append(pts[:, 0], 0.0)
+    node_vals = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(breaks))])
+    idx = np.searchsorted(breaks, t, side="right") - 1
+    ii = np.clip(idx, 0, len(breaks) - 1)
+    integral = np.where(idx >= 0, node_vals[ii] + slopes[ii] * (t - breaks[ii]), 0.0)
+    vals = integral[:-1] - integral[-1]
     return float(vals[0]) if single else vals
 
 
-def grad_phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarray:
+def grad_phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> np.ndarray:
     """Almost-everywhere derivative of the 1-D potential (piecewise -1/0/+1)."""
     if mu.dim != 1 or mu0.dim != 1:
         raise DimensionMismatch("grad_phi_w1_1d requires 1-D measures")
     breaks, slopes = _w1_segments(mu, mu0)
-    pts, single = _as_batch(x, mu, mu0)
-    query = pts[:, 0]
-    idx = np.searchsorted(breaks, query, side="right") - 1
-    out = np.zeros_like(query)
+    pts, single = _query(x, mu, mu0)
+    idx = np.searchsorted(breaks, pts[:, 0], side="right") - 1
+    out = np.zeros_like(pts)
     valid = idx >= 0
-    out[valid] = slopes[idx[valid]]
-    return float(out[0]) if single else out
+    out[valid, 0] = slopes[idx[valid]]
+    return out[0] if single else out

@@ -31,15 +31,13 @@ _EXP_FLOOR = -700.0              # exp(-700) ~ 1e-304 is normal; numpy's exp is 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian kernel K(x,y) = c * exp(-||x-y||^2 / (2 sigma_sq)).
+    """Gaussian kernel K(x,y) = exp(-||x-y||^2 / (2 sigma_sq)), of peak value 1.
 
-    c = (2 pi sigma_sq)^(-d/2) when normalized, else 1.  The critical
-    bandwidth sigma_sq = 1/(2 pi) gives the dimension-free kernel
-    K(x,y) = exp(-pi ||x-y||^2), whose normalization prefactor is exactly 1.
+    The critical bandwidth sigma_sq = 1/(2 pi) gives the dimension-free kernel
+    K(x,y) = exp(-pi ||x-y||^2).
     """
 
     sigma_sq: float = 1.0 / (2.0 * math.pi)
-    normalized: bool = False
 
     def __post_init__(self):
         if not 0 < self.sigma_sq < math.inf:
@@ -47,12 +45,7 @@ class KernelSpec:
 
     @staticmethod
     def critical() -> "KernelSpec":
-        return KernelSpec(sigma_sq=1.0 / (2.0 * math.pi), normalized=False)
-
-    def prefactor(self, dim: int) -> float:
-        if not self.normalized:
-            return 1.0
-        return (2.0 * math.pi * self.sigma_sq) ** (-dim / 2.0)
+        return KernelSpec(sigma_sq=1.0 / (2.0 * math.pi))
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Kernel matrix K[i, j] = K(x_i, y_j) for (n, d) and (m, d) inputs.
@@ -87,8 +80,6 @@ class KernelSpec:
             g *= keep
         else:
             np.exp(g, out=g)
-        if self.normalized:
-            g *= self.prefactor(x.shape[1])
         return g
 
     def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,18 +215,6 @@ def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 # --- f-divergences ---
 
-def kl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """KL divergence on the union support, with 0 log 0 = 0.
-
-    Returns math.inf when mu has mass where nu has none.
-    """
-    _, (wm, wn) = align_many([mu, nu])
-    pos = wm > 0
-    if np.any(wn[pos] == 0):
-        return math.inf
-    return max(float(np.sum(wm[pos] * np.log(wm[pos] / wn[pos]))), 0.0)
-
-
 def js(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> float:
     """Jensen-Shannon divergence; lies in [0, log 2]."""
     _, (wm, w0) = align_many([mu, mu0])
@@ -297,14 +276,6 @@ def _ns_bregman(nu: DiscreteMeasure, mu: DiscreteMeasure, mu0: DiscreteMeasure) 
 
 
 # --- MMD ---
-
-def embedding_gram(xi: SignedMeasure, k: KernelSpec) -> float:
-    """Double Gram sum of a signed measure: integral of K d(xi x xi)."""
-    if xi.n_atoms == 0:
-        return 0.0
-    g = k.gram(xi.points, xi.points)
-    return float(xi.weights @ g @ xi.weights)
-
 
 def mmd_sq(mu: DiscreteMeasure, nu: DiscreteMeasure, k: KernelSpec) -> float:
     """Squared maximum mean discrepancy (the loss itself is half of this).

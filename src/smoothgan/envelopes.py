@@ -335,41 +335,38 @@ def _slope_range_1d(f: GridFn) -> tuple[float, float]:
     return float(d.min()), float(d.max())
 
 
-def conjugate_sum_identity_check(f: GridFn, g: GridFn,
-                                 dual_domain: BoxDomain | None = None,
-                                 dual_step: float | None = None) -> float:
-    """Max interior error of (f (+) g)* versus f* + g* on the dual grid.
+def conjugate_sum_identity_check(f: GridFn, g: GridFn) -> float:
+    """Max interior error of (f (+) g)* versus f* + g* on the dual grid, 1-D only.
 
     The identity holds in the continuum; on a truncated grid it is only
     observable where both conjugate sups are attained inside the domain, so
-    the default dual grid is the intersection of the slope ranges of f and g
-    (one further boundary cell excluded against discretization of the sup).
-    1-D only unless an explicit dual domain is given.
+    the dual grid, of f's step, is the intersection of the slope ranges of f,
+    g and f (+) g, widened to two steps if narrower, and its two end points
+    are excluded against discretization of the sup.
     """
+    if f.dim != 1:
+        raise EmptyDomain("the conjugate-sum identity check is 1-D only")
     conv = inf_conv(f, g)
-    if dual_domain is None:
-        if f.dim != 1:
-            raise EmptyDomain("default dual domain is available in 1-D only")
-        ranges = [_slope_range_1d(h) for h in (f, g, conv)]
-        lo = max(r[0] for r in ranges)
-        hi = min(r[1] for r in ranges)
-        step = dual_step if dual_step is not None else f.step
-        lo, hi = math.ceil(lo / step) * step, math.floor(hi / step) * step
-        if hi - lo < 2 * step:
-            lo, hi = lo - step, lo + step
-        dual_domain = BoxDomain(np.array([lo]), np.array([hi]))
-    c_all = legendre(conv, dual_domain, dual_step)
-    c_sum = legendre(f, dual_domain, dual_step).values + legendre(g, dual_domain, dual_step).values
-    err = np.abs(c_all.values - c_sum)
-    core = err[(slice(1, -1),) * err.ndim] if min(err.shape) > 2 else err
-    return float(np.max(core))
+    ranges = [_slope_range_1d(h) for h in (f, g, conv)]
+    lo = max(r[0] for r in ranges)
+    hi = min(r[1] for r in ranges)
+    step = f.step
+    lo, hi = math.ceil(lo / step) * step, math.floor(hi / step) * step
+    if hi - lo < 2 * step:
+        lo, hi = lo - step, lo + step
+    dual = BoxDomain(np.array([lo]), np.array([hi]))
+    err = np.abs(legendre(conv, dual).values - (legendre(f, dual).values
+                                                + legendre(g, dual).values))
+    return float(np.max(err[1:-1]))
 
 
-def minimizer_invariance_check(f: GridFn, g: GridFn, tol: float = 1e-9) -> bool:
-    """True iff inf-convolution with g preserves min value and argmin set of f.
+def minimizer_invariance_check(f: GridFn, g: GridFn) -> bool:
+    """True iff inf-convolution with g preserves min value and argmin set of f,
+    both to within 1e-9.
 
     Requires g(0) = 0 with g >= 0 (so g has min 0 at the origin).
     """
+    tol = 1e-9
     zero = _origin_offsets(g)
     if abs(float(g.values[tuple(zero)])) > tol or np.min(g.values) < -tol:
         raise PreconditionViolated("need g(0) = 0 and g >= 0")

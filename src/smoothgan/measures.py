@@ -35,6 +35,18 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
+    """A query as an (n, dim) batch, and whether it was one point of shape (dim,).
+
+    Every oracle reads a query this way; any other shape raises DimensionMismatch.
+    """
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
+        raise DimensionMismatch(f"a query is a point of shape ({dim},) or a batch of shape "
+                                f"(n, {dim}), got {pts.shape}")
+    return (pts[None, :], True) if pts.ndim == 1 else (pts, False)
+
+
 def _require_finite(pts: np.ndarray, w: np.ndarray) -> None:
     if not (np.isfinite(pts).all() and np.isfinite(w).all()):
         raise PreconditionViolated("atom points and weights must be finite")
@@ -201,13 +213,6 @@ def diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SignedMeasure:
     return make_signed(pts, w)
 
 
-def cdf_1d(m: DiscreteMeasure | SignedMeasure, x: float) -> float:
-    """Right-continuous CDF of a 1-D measure: total weight of atoms <= x."""
-    if m.dim != 1:
-        raise DimensionMismatch("cdf_1d requires a 1-D measure")
-    return float(m.weights[m.points[:, 0] <= x].sum())
-
-
 def _cdf_levels(xi: SignedMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Sorted 1-D atom positions and the running CDF value on each gap."""
     x = xi.points[:, 0]
@@ -215,13 +220,13 @@ def _cdf_levels(xi: SignedMeasure) -> tuple[np.ndarray, np.ndarray]:
     return x[order], np.cumsum(xi.weights[order])
 
 
-def sample_target(kind: str, n: int, seed: int, dim: int = 2) -> DiscreteMeasure:
-    """Deterministic synthetic target measures inside the unit box.
+def sample_target(kind: str, n: int, seed: int) -> DiscreteMeasure:
+    """Deterministic synthetic 2-D target measures inside the unit box.
 
     kind 'ring': n points on the circle of radius 0.5 centered at the origin
-    (jittered angles, d = 2 only).  kind 'gaussian_mixture': clipped draws
-    from 4 symmetric Gaussian bumps.  kind 'grid_uniform': the first n points
-    of a regular lattice.
+    (jittered angles).  kind 'gaussian_mixture': clipped draws from 4
+    symmetric Gaussian bumps.  kind 'grid_uniform': the first n points of a
+    regular lattice.
     """
     if not (_is_int(n, 1) and _is_int(seed, 0)):
         raise ConfigError(f"target n must be an int >= 1 and seed an int >= 0, got {n!r}, {seed!r}")
@@ -231,26 +236,22 @@ def sample_target(kind: str, n: int, seed: int, dim: int = 2) -> DiscreteMeasure
         pts = 0.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     elif kind == "gaussian_mixture":
         centers = 0.5 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-        if dim == 1:
-            centers = np.array([[-0.5], [0.5], [-0.25], [0.25]])
         labels = rng.integers(0, len(centers), size=n)
-        pts = centers[labels] + 0.1 * rng.standard_normal((n, centers.shape[1]))
+        pts = centers[labels] + 0.1 * rng.standard_normal((n, 2))
         pts = np.clip(pts, -1.0, 1.0)
     elif kind == "grid_uniform":
-        side = int(np.ceil(n ** (1.0 / dim)))
-        axes = [np.linspace(-0.8, 0.8, side) for _ in range(dim)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        pts = mesh[:n]
+        axis = np.linspace(-0.8, 0.8, int(np.ceil(n ** 0.5)))
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)[:n]
     else:
         raise UnknownKind(f"unknown target kind {kind!r}")
     return make_discrete(pts, np.full(len(pts), 1.0 / len(pts)))
 
 
 def random_measure(rng: np.random.Generator, dim: int, domain: BoxDomain | None = None,
-                   min_atoms: int = 2, max_atoms: int = 8) -> DiscreteMeasure:
-    """Random test measure: k ~ U{min..max} atoms uniform in the box, Dirichlet weights."""
+                   max_atoms: int = 8) -> DiscreteMeasure:
+    """Random test measure: k ~ U{2..max_atoms} atoms uniform in the box, Dirichlet weights."""
     box = domain if domain is not None else BoxDomain.unit(dim)
-    k = int(rng.integers(min_atoms, max_atoms + 1))
+    k = int(rng.integers(2, max_atoms + 1))
     pts = rng.uniform(box.lo, box.hi, size=(k, dim))
     w = rng.dirichlet(np.ones(k))
     return make_discrete(pts, w)

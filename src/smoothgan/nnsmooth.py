@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import GRID_CELL_CAP
-from .errors import (ConfigError, DimensionMismatch, NonSmoothActivation, PreconditionViolated,
-                     ProblemTooLarge)
-from .measures import BoxDomain
+from .errors import ConfigError, NonSmoothActivation, PreconditionViolated, ProblemTooLarge
+from .measures import BoxDomain, _as_batch
 from .rng import child_rng
 
 
@@ -190,25 +189,15 @@ def _backward(net: MlpNet, pre: list[np.ndarray], upstream: np.ndarray,
     return g_in[::-1], g_pre[::-1]
 
 
-def _as_batch(net: MlpNet, x) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != net.input_dim:
-        raise DimensionMismatch(f"input dim {pts.shape[1]}, net expects {net.input_dim}")
-    return pts, single
-
-
 def mlp_forward(net: MlpNet, x) -> float | np.ndarray:
-    pts, single = _as_batch(net, x)
+    pts, single = _as_batch(x, net.input_dim)
     out, _ = _forward_cache(net, pts)
     return float(out[0]) if single else out
 
 
 def mlp_input_grad(net: MlpNet, x) -> np.ndarray:
     """Exact input gradient by the layer-wise chain rule."""
-    pts, single = _as_batch(net, x)
+    pts, single = _as_batch(x, net.input_dim)
     _, pre = _forward_cache(net, pts)
     g_in, _ = _backward(net, pre, np.repeat(net.layers[-1][0], len(pts), axis=0))
     g = g_in[0] * net.final_scale
@@ -224,7 +213,7 @@ def mlp_param_grad(net: MlpNet, x, out_grad, in_grad) -> np.ndarray:
     (double backpropagation), whose pre-activation gradients join one
     backward pass from the output.
     """
-    pts, _ = _as_batch(net, x)
+    pts, _ = _as_batch(x, net.input_dim)
     a = np.asarray(out_grad, dtype=float)
     act, deriv, deriv2 = _ACTIVATIONS[net.activation]
     scale, w_last = net.final_scale, net.layers[-1][0]

@@ -47,7 +47,7 @@ class EmbeddingFn:
 
 
 def _is_critical(k: KernelSpec) -> bool:
-    return not k.normalized and abs(k.sigma_sq - 1.0 / (2.0 * math.pi)) < 1e-15
+    return abs(k.sigma_sq - 1.0 / (2.0 * math.pi)) < 1e-15
 
 
 def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: float,

@@ -76,11 +76,11 @@ class OracleFamily:
         return random_measure(rng, self.dim, domain)
 
     def grad(self, mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> np.ndarray:
-        """Spatial gradients (n, d) of the optimal discriminator for (mu, mu0) at points x."""
+        """Spatial gradients (n, d) of the optimal discriminator for (mu, mu0) at an (n, d) batch x."""
         if not self.supports_gradients():
             raise GradientUnsupported(
                 f"{self.kind} oracles are density ratios on atoms; gradient queries unsupported")
-        return np.asarray(LOSSES[self.kind].grad(mu, mu0, self.kernel, x)).reshape(len(x), -1)
+        return LOSSES[self.kind].grad(mu, mu0, self.kernel, x)
 
 
 def _eval_points(domain: BoxDomain, grid_pts: int, rng: np.random.Generator,
@@ -217,11 +217,10 @@ def kernel_cross_hessian_norm(k: KernelSpec, x, y) -> float:
 
     The matrix (1/s2) e^{-z} [ (x-y)(x-y)^T / s2 - I ], z = ||x-y||^2/(2 s2),
     has eigenvalue (1/s2) e^{-z} (2z - 1) along x - y and -(1/s2) e^{-z} on
-    the complement, so its norm is (1/s2) e^{-z} max(|2z - 1|, 1), times the
-    normalization prefactor when the kernel carries one.
+    the complement, so its norm is (1/s2) e^{-z} max(|2z - 1|, 1).
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     s2 = k.sigma_sq
     z = float(np.sum((xv - yv) ** 2)) / (2.0 * s2)
-    return k.prefactor(xv.size) / s2 * math.exp(-z) * max(abs(2.0 * z - 1.0), 1.0)
+    return 1.0 / s2 * math.exp(-z) * max(abs(2.0 * z - 1.0), 1.0)

@@ -75,8 +75,8 @@ class TrainTrace:
     def final_loss(self) -> float:
         return float(self.loss[-1])
 
-    def above_running_min_fraction(self, tol: float = 1e-12) -> float:
-        """Fraction of steps with loss strictly above its running minimum.
+    def above_running_min_fraction(self) -> float:
+        """Fraction of steps with loss more than 1e-12 above its running minimum.
 
         Exactly 0 for a monotone-nonincreasing loss, so this measures how
         much of the run sits on undone progress.  For the bounded kernel
@@ -85,7 +85,7 @@ class TrainTrace:
         growing past any fixed threshold.
         """
         run_min = np.minimum.accumulate(self.loss)
-        return float(np.mean(self.loss > run_min + tol))
+        return float(np.mean(self.loss > run_min + 1e-12))
 
 
 def mmd_particle_grad(theta: np.ndarray, mu0: DiscreteMeasure, k: KernelSpec) -> np.ndarray:

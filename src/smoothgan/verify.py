@@ -31,6 +31,7 @@ from .trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig, TrainConf
                       train_gan2d, train_particles)
 
 MASTER_SEED = 20_26
+ACCEPTANCE_STEPS = 10_000        # steps of each particle descent run in the trainer suite
 
 
 @dataclass(frozen=True)
@@ -293,28 +294,29 @@ def check_gradient_oracles() -> list[CheckResult]:
 
 # --- trainer suite ---
 
-def _acceptance_runs(lr_ratio: float, n_steps: int):
+def _acceptance_runs(lr_ratio: float):
     """(N, trace, seconds) for each of the 12 acceptance configs at this step-size ratio."""
     kc = KernelSpec.critical()
     for kind in ("ring", "gaussian_mixture"):
         for n in (16, 64):
             for seed in (1, 2, 3):
                 cfg = TrainConfig(target=sample_target(kind, n, MASTER_SEED + seed), kernel=kc,
-                                  n_particles=n, n_steps=n_steps, seed=seed, lr_ratio=lr_ratio)
+                                  n_particles=n, n_steps=ACCEPTANCE_STEPS, seed=seed,
+                                  lr_ratio=lr_ratio)
                 trace, dt = _timed(lambda: train_particles(cfg))
                 yield n, trace, dt
 
 
-def check_stationarity_and_descent(n_steps: int = 10_000) -> list[CheckResult]:
+def check_stationarity_and_descent() -> list[CheckResult]:
     stat_broken, descent_broken, seconds = 0, 0, []
-    for n, trace, dt in _acceptance_runs(1.0, n_steps):
+    for n, trace, dt in _acceptance_runs(1.0):
         big_l = (BETA1_MMD_BOUND + BETA2_MMD_BOUND) / n
         stat_broken += not check_stationarity_bound(trace, big_l, float(trace.loss[0]),
                                                     rel_tol=1e-9)
         descent_broken += not check_descent_inequality(trace, big_l, tol=1e-9)
         seconds.append(dt)
     return [
-        CheckResult(f"runs breaking min grad^2 <= 2LJ0/n, of 12 x {n_steps} steps", stat_broken,
+        CheckResult(f"runs breaking min grad^2 <= 2LJ0/n, of 12 x {ACCEPTANCE_STEPS} steps", stat_broken,
                     hi=0, seconds=float(np.sum(seconds))),
         CheckResult("slowest of those runs in seconds", np.max(seconds), hi=60.0),
         CheckResult("runs breaking J(k+1) <= J(k) - g^2/(2L) + 1e-9, of the same 12",
@@ -322,10 +324,10 @@ def check_stationarity_and_descent(n_steps: int = 10_000) -> list[CheckResult]:
     ]
 
 
-def check_instability_contrast(n_steps: int = 10_000) -> list[CheckResult]:
+def check_instability_contrast() -> list[CheckResult]:
     # a diverged run counts as fully triggered
     fractions, dt = _timed(lambda: [1.0 if trace.diverged else trace.above_running_min_fraction()
-                                    for _, trace, _ in _acceptance_runs(1e4, n_steps)])
+                                    for _, trace, _ in _acceptance_runs(1e4)])
     return [CheckResult("least fraction of steps above the running min at lr_ratio=1e4, "
                         "of 12 configs", np.min(fractions), lo=0.10, seconds=dt)]
 

@@ -65,6 +65,19 @@ def test_train_determinism_and_manifest(workdir):
     assert "config_hash" in manifest and "wall_time_s" in manifest
 
 
+def test_manifest_records_the_command_main_parsed(workdir, monkeypatch):
+    args = ["train", "particles", "--n", "8", "--steps", "3", "--out", "t.csv"]
+    monkeypatch.setattr(sys, "argv", ["-c", "hostprog-arg"])     # the host process's own
+    assert main(args) == 0
+    manifest = json.loads((workdir / "t.csv.manifest.json").read_text())
+    assert manifest["command"] == "smoothgan " + " ".join(args)
+    assert "argv" not in manifest["args"]
+    monkeypatch.setattr(sys, "argv", ["smoothgan", *args[:-1], "u v.csv"])
+    assert main() == 0
+    manifest = json.loads((workdir / "u v.csv.manifest.json").read_text())
+    assert manifest["command"] == "smoothgan " + " ".join(args[:-1]) + " 'u v.csv'"
+
+
 def test_plotdata_trace(workdir):
     main(["train", "particles", "--target", "ring", "--n", "8", "--steps", "3",
           "--seed", "7", "--out", "t.csv"])

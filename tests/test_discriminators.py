@@ -8,8 +8,9 @@ import pytest
 from smoothgan.discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd,
                                       phi_ns, phi_w1_1d)
 from smoothgan.divergences import LOSSES, KernelSpec, mmd_sq, w1_1d
-from smoothgan.errors import GradientUnsupported, PointOffSupport
+from smoothgan.errors import DimensionMismatch, GradientUnsupported, PointOffSupport
 from smoothgan.measures import diff, make_discrete, random_measure
+from smoothgan.nnsmooth import mlp_forward, mlp_input_grad, random_mlp
 from smoothgan.smoothness import OracleFamily
 
 KC = KernelSpec.critical()
@@ -20,20 +21,20 @@ ALPHA_BOUND = 2.0 * math.sqrt(2.0 * math.pi) * math.exp(-0.5)   # sup of 2|K'| f
 
 def test_phi_mmd_zero_at_equality():
     m = make_discrete([0.2, -0.4], [0.3, 0.7])
-    xs = np.linspace(-1, 1, 11)
+    xs = np.linspace(-1, 1, 11)[:, None]
     assert np.allclose(phi_mmd(m, m, KC, xs), 0.0, atol=1e-16)
 
 
 def test_phi_mmd_values():
-    assert phi_mmd(D1, D0, KC, 0.0) == pytest.approx(math.exp(-math.pi) - 1.0, abs=1e-15)
-    assert phi_mmd(D1, D0, KC, 0.5) == pytest.approx(0.0, abs=1e-16)
+    assert phi_mmd(D1, D0, KC, [0.0]) == pytest.approx(math.exp(-math.pi) - 1.0, abs=1e-15)
+    assert phi_mmd(D1, D0, KC, [0.5]) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_grad_phi_mmd_values():
-    assert np.allclose(grad_phi_mmd(D0, D0, KC, 0.77), 0.0)
+    assert np.allclose(grad_phi_mmd(D0, D0, KC, [0.77]), 0.0)
     # both kernel bumps pull the same way at the midpoint
     expect = 2.0 * math.pi * math.exp(-math.pi / 4.0)
-    assert grad_phi_mmd(D1, D0, KC, 0.5)[0] == pytest.approx(expect, rel=1e-14)
+    assert grad_phi_mmd(D1, D0, KC, [0.5])[0] == pytest.approx(expect, rel=1e-14)
 
 
 def test_grad_phi_mmd_finite_differences():
@@ -70,37 +71,37 @@ def test_grad_phi_mmd_sup_bound():
 
 
 def test_phi_minimax_values():
-    assert phi_minimax(D0, D0, 0.0) == pytest.approx(0.5 * math.log(0.5), abs=1e-15)
+    assert phi_minimax(D0, D0, [0.0]) == pytest.approx(0.5 * math.log(0.5), abs=1e-15)
     mu = make_discrete([0.0, 1.0], [0.75, 0.25])
     mu0 = make_discrete([0.0, 1.0], [0.25, 0.75])
-    assert phi_minimax(mu, mu0, 0.0) == pytest.approx(0.5 * math.log(0.75), abs=1e-15)
-    assert phi_minimax(mu0, mu, 1.0) == pytest.approx(0.5 * math.log(0.75), abs=1e-15)
+    assert phi_minimax(mu, mu0, [0.0]) == pytest.approx(0.5 * math.log(0.75), abs=1e-15)
+    assert phi_minimax(mu0, mu, [1.0]) == pytest.approx(0.5 * math.log(0.75), abs=1e-15)
 
 
 def test_phi_minimax_infinite_and_off_support():
-    assert phi_minimax(D0, D1, 1.0) == -math.inf
+    assert phi_minimax(D0, D1, [1.0]) == -math.inf
     with pytest.raises(PointOffSupport):
-        phi_minimax(D0, D1, 0.5)
+        phi_minimax(D0, D1, [0.5])
 
 
 def test_phi_ns_values():
-    assert phi_ns(D0, D0, 0.0) == pytest.approx(-0.5 * math.log(0.5), abs=1e-15)
-    assert phi_ns(D0, D1, 0.0) == math.inf
+    assert phi_ns(D0, D0, [0.0]) == pytest.approx(-0.5 * math.log(0.5), abs=1e-15)
+    assert phi_ns(D0, D1, [0.0]) == math.inf
     mu = make_discrete([0.0, 1.0], [0.75, 0.25])
     mu0 = make_discrete([0.0, 1.0], [0.25, 0.75])
-    assert phi_ns(mu, mu0, 0.0) == pytest.approx(-0.5 * math.log(0.25), abs=1e-15)
+    assert phi_ns(mu, mu0, [0.0]) == pytest.approx(-0.5 * math.log(0.25), abs=1e-15)
 
 
 def test_density_ratio_witnesses_take_batches():
     mu = make_discrete([0.0, 1.0], [0.75, 0.25])
     mu0 = make_discrete([0.0, 2.0], [0.25, 0.75])
-    xs = [0.0, 1.0, 2.0]
+    xs = [[0.0], [1.0], [2.0]]
     for phi in (phi_minimax, phi_ns):
         vals = phi(mu, mu0, xs)
         assert isinstance(vals, np.ndarray) and vals.shape == (3,)
         assert np.array_equal(vals, [phi(mu, mu0, x) for x in xs])
         with pytest.raises(PointOffSupport):      # one point off the union support
-            phi(mu, mu0, [0.0, 0.5, 2.0])
+            phi(mu, mu0, [[0.0], [0.5], [2.0]])
     assert phi_minimax(mu, mu0, xs)[2] == -math.inf and phi_ns(mu, mu0, xs)[1] == math.inf
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     mu2, mu02 = make_discrete(pts, [0.75, 0.25]), make_discrete(pts, [0.25, 0.75])
@@ -111,24 +112,24 @@ def test_density_ratio_witnesses_take_batches():
 def test_w1_potential_is_abs():
     mu = make_discrete([-1.0, 1.0], [0.5, 0.5])
     xs = np.linspace(-1, 1, 41)
-    assert np.allclose(phi_w1_1d(mu, D0, xs), np.abs(xs), atol=1e-12)
+    assert np.allclose(phi_w1_1d(mu, D0, xs[:, None]), np.abs(xs), atol=1e-12)
 
 
 def test_w1_potential_zero_at_equality():
     m = make_discrete([0.3, -0.6], [0.5, 0.5])
-    xs = np.linspace(-1, 1, 21)
+    xs = np.linspace(-1, 1, 21)[:, None]
     assert np.allclose(phi_w1_1d(m, m, xs), 0.0, atol=1e-12)
 
 
 def test_w1_potential_two_deltas():
     xs = np.array([0.0, 0.25, 1.0])
-    assert np.allclose(phi_w1_1d(D1, D0, xs), xs, atol=1e-15)
+    assert np.allclose(phi_w1_1d(D1, D0, xs[:, None]), xs, atol=1e-15)
 
 
 def test_w1_potential_gauge():
     rng = np.random.default_rng(23)
     mu, mu0 = random_measure(rng, 1), random_measure(rng, 1)
-    assert phi_w1_1d(mu, mu0, 0.0) == 0.0
+    assert phi_w1_1d(mu, mu0, [0.0]) == 0.0
 
 
 def test_w1_dual_attainment():
@@ -136,7 +137,7 @@ def test_w1_dual_attainment():
     for _ in range(25):
         mu, mu0 = random_measure(rng, 1), random_measure(rng, 1)
         xi = diff(mu, mu0)
-        pairing = float(np.dot(phi_w1_1d(mu, mu0, xi.points[:, 0]), xi.weights))
+        pairing = float(np.dot(phi_w1_1d(mu, mu0, xi.points), xi.weights))
         assert pairing == pytest.approx(w1_1d(mu, mu0), abs=1e-9)
 
 
@@ -145,7 +146,7 @@ def test_w1_potential_one_lipschitz():
     grid = np.linspace(-1, 1, 501)
     for _ in range(20):
         mu, mu0 = random_measure(rng, 1), random_measure(rng, 1)
-        vals = phi_w1_1d(mu, mu0, grid)
+        vals = phi_w1_1d(mu, mu0, grid[:, None])
         slopes = np.abs(np.diff(vals)) / (grid[1] - grid[0])
         assert slopes.max() <= 1.0 + 1e-9
 
@@ -154,15 +155,53 @@ def test_w1_potential_kink_divergence():
     # potential |x| has a slope jump at 0: finite-difference smoothness >= 1/h
     mu = make_discrete([-1.0, 1.0], [0.5, 0.5])
     for h in (1e-2, 1e-4, 1e-6):
-        g_left = grad_phi_w1_1d(mu, D0, -h / 2)
-        g_right = grad_phi_w1_1d(mu, D0, h / 2)
+        g_left = grad_phi_w1_1d(mu, D0, [-h / 2])[0]
+        g_right = grad_phi_w1_1d(mu, D0, [h / 2])[0]
         assert abs(g_right - g_left) / h >= 1.0 / h
 
 
 def test_oracle_dispatch_and_gradient_support():
     rng = np.random.default_rng(37)
     mu, mu0 = random_measure(rng, 1), random_measure(rng, 1)
-    assert LOSSES["mmd"].witness(mu, mu0, KC, 0.1) == pytest.approx(phi_mmd(mu, mu0, KC, 0.1))
-    assert LOSSES["w1"].witness(mu, mu0, None, 0.1) == pytest.approx(phi_w1_1d(mu, mu0, 0.1))
+    x = [0.1]
+    assert LOSSES["mmd"].witness(mu, mu0, KC, x) == pytest.approx(phi_mmd(mu, mu0, KC, x))
+    assert LOSSES["w1"].witness(mu, mu0, None, x) == pytest.approx(phi_w1_1d(mu, mu0, x))
     with pytest.raises(GradientUnsupported):
-        OracleFamily("js").grad(mu, mu0, 0.1)
+        OracleFamily("js").grad(mu, mu0, [x])
+
+
+# name -> (oracle of (mu, mu0, net, x), whether it returns gradients, dimensions it takes)
+QUERY_ORACLES = {
+    "phi_mmd": (lambda mu, mu0, net, x: phi_mmd(mu, mu0, KC, x), False, (1, 2)),
+    "grad_phi_mmd": (lambda mu, mu0, net, x: grad_phi_mmd(mu, mu0, KC, x), True, (1, 2)),
+    "phi_minimax": (lambda mu, mu0, net, x: phi_minimax(mu, mu0, x), False, (1, 2)),
+    "phi_ns": (lambda mu, mu0, net, x: phi_ns(mu, mu0, x), False, (1, 2)),
+    "phi_w1_1d": (lambda mu, mu0, net, x: phi_w1_1d(mu, mu0, x), False, (1,)),
+    "grad_phi_w1_1d": (lambda mu, mu0, net, x: grad_phi_w1_1d(mu, mu0, x), True, (1,)),
+    "mlp_forward": (lambda mu, mu0, net, x: mlp_forward(net, x), False, (1, 2)),
+    "mlp_input_grad": (lambda mu, mu0, net, x: mlp_input_grad(net, x), True, (1, 2)),
+}
+QUERY_CASES = [(name, d) for name, (_, _, dims) in QUERY_ORACLES.items() for d in dims]
+
+
+@pytest.mark.parametrize("name, d", QUERY_CASES, ids=[f"{n}-d{d}" for n, d in QUERY_CASES])
+def test_query_convention(name, d):
+    # a point of shape (d,) or a batch of shape (n, d), nothing else
+    oracle, is_grad, _ = QUERY_ORACLES[name]
+    rng = np.random.default_rng(41 + d)
+    mu, mu0 = random_measure(rng, d), random_measure(rng, d)
+    net = random_mlp(d, 4, 2, "elu", seed=3)
+    pts = np.vstack([mu.points, mu0.points])        # on the support, where every oracle is defined
+    point = oracle(mu, mu0, net, pts[0])
+    if is_grad:
+        assert isinstance(point, np.ndarray) and point.shape == (d,)
+    else:
+        assert isinstance(point, float)
+    for batch in (pts, pts[:1]):
+        out = oracle(mu, mu0, net, batch)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == ((len(batch), d) if is_grad else (len(batch),))
+    np.testing.assert_allclose(oracle(mu, mu0, net, pts[:1])[0], point, rtol=1e-14)
+    for bad in [np.float64(pts[0, 0]), pts[0, 0]] + [np.zeros(k) for k in {1, 2, 3} - {d}]:
+        with pytest.raises(DimensionMismatch):
+            oracle(mu, mu0, net, bad)

@@ -20,8 +20,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from smoothgan.cli import build_parser
-from smoothgan.divergences import (LOSSES, KernelSpec, LossKind, js, kl, kr_norm_1d, loss_eval,
-                                   mmd_sq, ns_kl, w1_1d, w1_lp)
+from smoothgan.divergences import (LOSSES, KernelSpec, LossKind, align_many, js, kr_norm_1d,
+                                   loss_eval, mmd_sq, ns_kl, w1_1d, w1_lp)
 from smoothgan.errors import (DimensionMismatch, NonZeroMass, PreconditionViolated,
                               ProblemTooLarge, SolverFailed, UnknownKind)
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
@@ -34,6 +34,19 @@ atoms_1d = st.lists(st.tuples(st.floats(-1, 1), st.floats(0.05, 1.0)), min_size=
 def _measure(atoms):
     return make_discrete([a for a, _ in atoms], [w for _, w in atoms])
 
+
+def kl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """KL divergence on the union support, with 0 log 0 = 0.
+
+    Returns math.inf when mu has mass where nu has none.
+    """
+    _, (wm, wn) = align_many([mu, nu])
+    pos = wm > 0
+    if np.any(wn[pos] == 0):
+        return math.inf
+    return max(float(np.sum(wm[pos] * np.log(wm[pos] / wn[pos]))), 0.0)
+
+
 D0 = make_discrete([0.0], [1.0])
 D1 = make_discrete([1.0], [1.0])
 HALF = make_discrete([0.0, 1.0], [0.5, 0.5])
@@ -42,17 +55,9 @@ KC = KernelSpec.critical()
 
 def test_critical_kernel():
     assert KC.sigma_sq == pytest.approx(1.0 / (2 * math.pi), abs=1e-18)
-    assert not KC.normalized
     # K(x, y) = exp(-pi ||x - y||^2)
     g = KC.gram(np.array([[0.0]]), np.array([[1.0]]))
     assert g[0, 0] == pytest.approx(math.exp(-math.pi), rel=1e-15)
-
-
-def test_kernel_normalized_prefactor():
-    k = KernelSpec(sigma_sq=1.0, normalized=True)
-    assert k.prefactor(2) == pytest.approx(1.0 / (2 * math.pi), rel=1e-15)
-    kc = KernelSpec.critical()
-    assert kc.prefactor(3) == 1.0
 
 
 def test_loss_kind_kernel_consistency():
@@ -302,8 +307,8 @@ def test_w1_lp_sparse_constraints(m, n, monkeypatch):
 
     monkeypatch.setattr("scipy.optimize.linprog", capture)
     rng = np.random.default_rng(m * n)
-    mu = random_measure(rng, 2, min_atoms=m, max_atoms=m)
-    nu = random_measure(rng, 2, min_atoms=n, max_atoms=n)
+    mu = make_discrete(rng.uniform(-1, 1, (m, 2)), rng.dirichlet(np.ones(m)))
+    nu = make_discrete(rng.uniform(-1, 1, (n, 2)), rng.dirichlet(np.ones(n)))
     w1_lp(mu, nu)
     a_eq = seen["a_eq"]
     assert sparse.issparse(a_eq)

@@ -1,0 +1,41 @@
+"""The package holds only what a program calls: the CLI, smoothgan.verify and
+the benchmark's workloads, not the tests."""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# KernelSpec.grad_x has no caller in the program's code: the benchmark's tracer
+# wraps it by the string "KernelSpec.grad_x", and the tests use it as the
+# reference kernel gradient
+NAMED_ONLY_AS_STRINGS = {"grad_x"}
+
+
+def _program_files() -> list[Path]:
+    """The package's modules and the benchmark's non-test files."""
+    return sorted((ROOT / "src" / "smoothgan").glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+
+
+def test_every_public_name_has_a_program_caller():
+    assert (ROOT / "src" / "smoothgan" / "cli.py").exists()
+    trees = {path: ast.parse(path.read_text()) for path in _program_files()}
+    uses = defaultdict(list)              # name -> (file, line) of each load of it
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses[node.id].append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                uses[node.attr].append((path, node.lineno))
+    uncalled = set()
+    for path, tree in trees.items():
+        if path.parent.name != "smoothgan":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not any(p != path or not node.lineno <= line <= node.end_lineno
+                                for p, line in uses[node.name])):
+                uncalled.add(node.name)
+    assert sorted(uncalled - NAMED_ONLY_AS_STRINGS) == []

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from smoothgan.errors import (DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
                               PreconditionViolated, UnknownKind)
 from smoothgan import measures
-from smoothgan.measures import (BoxDomain, cdf_1d, diff, make_discrete, make_signed,
+from smoothgan.measures import (BoxDomain, _cdf_levels, diff, make_discrete, make_signed,
                                 measure_from_csv, measure_to_csv, random_measure,
                                 require_mass_zero, sample_target)
 from smoothgan.divergences import align_many
@@ -111,30 +111,33 @@ def test_diff_antisymmetry():
     assert np.allclose(both.weights, 0.0, atol=1e-15)
 
 
+def cdf_1d(m, x: float) -> float:
+    """Right-continuous CDF of a 1-D measure: total weight of atoms <= x."""
+    return float(m.weights[m.points[:, 0] <= x].sum())
+
+
 def test_cdf_examples():
-    d0 = make_discrete([0.0], [1.0])
-    assert cdf_1d(d0, -1.0) == 0.0
-    assert cdf_1d(d0, 0.0) == 1.0
-    half = make_discrete([0.0, 1.0], [0.5, 0.5])
-    assert cdf_1d(half, 0.5) == 0.5
-    with pytest.raises(DimensionMismatch):
-        cdf_1d(make_discrete([[0.0, 0.0]], [1.0]), 0.0)
+    # _cdf_levels: the sorted atoms, and the CDF on the gap right of each
+    x, levels = _cdf_levels(make_discrete([0.0], [1.0]))
+    assert x.tolist() == [0.0] and levels.tolist() == [1.0]
+    x, levels = _cdf_levels(make_discrete([1.0, 0.0], [0.5, 0.5]))
+    assert x.tolist() == [0.0, 1.0] and levels.tolist() == [0.5, 1.0]
 
 
 def test_cdf_signed_measure():
-    xi = diff(make_discrete([1.0], [1.0]), make_discrete([0.0], [1.0]))
-    assert cdf_1d(xi, -0.5) == 0.0
-    assert cdf_1d(xi, 0.5) == -1.0
-    assert cdf_1d(xi, 1.5) == pytest.approx(0.0, abs=1e-15)
+    x, levels = _cdf_levels(diff(make_discrete([1.0], [1.0]), make_discrete([0.0], [1.0])))
+    assert x.tolist() == [0.0, 1.0]
+    assert levels[0] == -1.0
+    assert levels[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cdf_nondecreasing_reaches_one():
     rng = np.random.default_rng(2)
     m = random_measure(rng, 1)
-    grid = np.linspace(-1, 1, 101)
-    vals = [cdf_1d(m, x) for x in grid]
-    assert np.all(np.diff(vals) >= 0)
-    assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+    x, levels = _cdf_levels(m)
+    assert np.all(np.diff(x) > 0) and np.all(np.diff(levels) >= 0)
+    assert levels[-1] == pytest.approx(1.0, abs=1e-12)
+    assert levels == pytest.approx([cdf_1d(m, v) for v in x], abs=1e-15)
 
 
 def test_sample_target_grid():

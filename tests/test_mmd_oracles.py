@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 from smoothgan.discriminators import grad_phi_mmd
-from smoothgan.divergences import KernelSpec, embedding_gram, mmd_sq
-from smoothgan.measures import DiscreteMeasure, diff, make_discrete, sample_target
+from smoothgan.divergences import KernelSpec, mmd_sq
+from smoothgan.measures import (DiscreteMeasure, SignedMeasure, diff, make_discrete,
+                                sample_target)
 from smoothgan.trainer import mmd_particle_grad
 
-KERNELS = (KernelSpec.critical(), KernelSpec(sigma_sq=0.3, normalized=True))
+KERNELS = (KernelSpec.critical(), KernelSpec(sigma_sq=0.3))
 
 
 def gram_ref(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """K[i, j] from the (n, m, d) difference tensor."""
     sq = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-    return k.prefactor(x.shape[1]) * np.exp(-sq / (2.0 * k.sigma_sq))
+    return np.exp(-sq / (2.0 * k.sigma_sq))
+
+
+def embedding_gram(xi: SignedMeasure, k: KernelSpec) -> float:
+    """Double Gram sum of a signed measure: integral of K d(xi x xi)."""
+    return float(xi.weights @ gram_ref(k, xi.points, xi.points) @ xi.weights)
 
 
 def kernel_grad_sum_ref(k: KernelSpec, x: np.ndarray, y: np.ndarray, w) -> np.ndarray:
@@ -113,7 +119,7 @@ def test_gram_floor_zeroes_underflowing_entries(k, d):
         assert 0 < low.sum() < low.size
         g = k.gram(a, b)
         assert np.all(g[low] == 0.0)
-        assert np.array_equal(g[~low], k.prefactor(d) * np.exp(expo[~low]))
+        assert np.array_equal(g[~low], np.exp(expo[~low]))
         assert not np.any((g != 0.0) & (np.abs(g) < np.finfo(float).tiny))    # no subnormal
         assert np.abs(g - gram_ref(k, a, b)).max() <= 1e-13
 

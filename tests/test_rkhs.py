@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothgan.divergences import KernelSpec, embedding_gram, mmd_sq
+from smoothgan.divergences import KernelSpec, mmd_sq
 from smoothgan.errors import (LengthMismatch, OrderTooLarge, PreconditionViolated,
                              ProblemTooLarge, QuadratureDomainTooSmall)
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
@@ -14,23 +14,27 @@ from smoothgan.rkhs import EmbeddingFn, gp_penalty, truncated_series_norm
 KC = KernelSpec.critical()
 
 
+def _gram_norm_sq(xi) -> float:
+    """The Gram-form RKHS norm of the expansion with a signed measure's atoms and weights."""
+    return EmbeddingFn(xi.points[:, 0], xi.weights, KC).gram_norm_sq()
+
+
 def test_embedding_norm_reproducing():
-    # ||K(x, .)||^2 = K(x, x) = 1 for the unnormalized kernel
-    assert embedding_gram(make_signed([0.0], [1.0]), KC) == pytest.approx(1.0, abs=1e-15)
+    # ||K(x, .)||^2 = K(x, x) = 1 for the kernel of peak 1
+    assert _gram_norm_sq(make_signed([0.0], [1.0])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_embedding_norm_zero():
-    assert embedding_gram(make_signed(np.zeros((0, 1)), np.zeros(0)), KC) == 0.0
+    assert _gram_norm_sq(make_signed(np.zeros((0, 1)), np.zeros(0))) == 0.0
 
 
 def test_embedding_norm_matches_mmd():
     rng = np.random.default_rng(1)
     for _ in range(10):
         mu, nu = random_measure(rng, 1), random_measure(rng, 1)
-        assert embedding_gram(diff(mu, nu), KC) == pytest.approx(
-            mmd_sq(mu, nu, KC), abs=5e-16)
-    assert embedding_gram(diff(make_discrete([0.0], [1.0]), make_discrete([1.0], [1.0])),
-                          KC) == pytest.approx(2 - 2 * math.exp(-math.pi), abs=1e-15)
+        assert _gram_norm_sq(diff(mu, nu)) == pytest.approx(mmd_sq(mu, nu, KC), abs=5e-16)
+    assert _gram_norm_sq(diff(make_discrete([0.0], [1.0]), make_discrete([1.0], [1.0]))
+                         ) == pytest.approx(2 - 2 * math.exp(-math.pi), abs=1e-15)
 
 
 def test_series_reproducing_function():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothgan.divergences import KernelSpec, LossKind, kl, kr_norm_1d, mmd_sq
+from smoothgan.divergences import KernelSpec, LossKind, kr_norm_1d, mmd_sq
 from smoothgan.errors import GradientUnsupported, PointOffSupport
 from smoothgan.measures import BoxDomain, diff, make_discrete, random_measure
 from smoothgan.smoothness import (OracleFamily, SATURATION_THRESHOLD, bregman, build_report,
@@ -137,6 +137,11 @@ def _three_on_support(rng, support):
                  for _ in range(3))
 
 
+def _kl(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    """KL(p || q) for measures with positive weights on one sorted support."""
+    return float(np.sum(p.weights * np.log(p.weights / q.weights)))
+
+
 def test_bregman_ns_identity():
     # closed form: KL of the two mixtures with the reference
     rng = np.random.default_rng(5)
@@ -146,7 +151,7 @@ def test_bregman_ns_identity():
         kind = LossKind("non_saturating_kl", mu0)
         mid_nu = make_discrete(sup, 0.5 * nu.weights + 0.5 * mu0.weights)
         mid_mu = make_discrete(sup, 0.5 * mu.weights + 0.5 * mu0.weights)
-        assert bregman(kind, nu, mu) == pytest.approx(kl(mid_nu, mid_mu), abs=1e-12)
+        assert bregman(kind, nu, mu) == pytest.approx(_kl(mid_nu, mid_mu), abs=1e-12)
 
 
 def test_bregman_minimax_identity():
@@ -159,7 +164,7 @@ def test_bregman_minimax_identity():
         mid_nu = make_discrete(sup, 0.5 * nu.weights + 0.5 * mu0.weights)
         mid_mu = make_discrete(sup, 0.5 * mu.weights + 0.5 * mu0.weights)
         val = bregman(kind, nu, mu)
-        assert val == pytest.approx(0.5 * kl(nu, mu) - kl(mid_nu, mid_mu), abs=1e-12)
+        assert val == pytest.approx(0.5 * _kl(nu, mu) - _kl(mid_nu, mid_mu), abs=1e-12)
         assert val >= -1e-14
 
 

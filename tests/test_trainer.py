@@ -36,7 +36,7 @@ def test_grad_finite_differences():
         rng = np.random.default_rng(700 + t)
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 3))
         theta = rng.uniform(-1, 1, size=(n, d))
-        target = sample_target("gaussian_mixture", 6, t, dim=d)
+        target = random_measure(rng, d)
         grad = mmd_particle_grad(theta, target, KC)
         w = np.full(n, 1.0 / n)
         h = 1e-6
