@@ -4,9 +4,9 @@ Implements the minimax (Jensen-Shannon), non-saturating KL, Wasserstein-1 and
 half-squared-MMD losses, each against a fixed reference measure, together
 with the Kantorovich-Rubinstein norm on mass-zero signed measures, and the
 table LOSSES of their properties.  Infinite values are legitimate returns
-(math.inf), never exceptions.  scipy loads on first use, inside the transport
-LP and the JS/NS Bregman divergences, so code that calls neither never
-imports it.
+(math.inf), never exceptions.  The transport LP is a network simplex in
+numpy; scipy loads on first use, inside the JS/NS Bregman divergences, so code
+that does not call them never imports it.
 """
 
 from __future__ import annotations
@@ -19,12 +19,15 @@ import numpy as np
 
 from .discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd, phi_ns,
                              phi_w1_1d)
-from .errors import (DimensionMismatch, PointOffSupport, PreconditionViolated, ProblemTooLarge,
-                     SolverFailed, UnknownKind)
-from .measures import (DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms, diff,
+from .errors import (DimensionMismatch, NegativeWeight, NonZeroMass, PointOffSupport,
+                     PreconditionViolated, ProblemTooLarge, SolverFailed, UnknownKind)
+from .measures import (MASS_TOL, DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms, diff,
                        require_mass_zero)
 
 _LP_MAX_CELLS = 10 ** 6
+_LP_TOL = 1e-12                  # optimal once every reduced cost is >= -_LP_TOL * max C
+_LP_COLS_FANCY = 16              # shift reduced-cost columns by a gather when under n/16 move
+_LP_PIVOTS_PER_NODE = 50         # a safety net: measured solves need under 2 per node
 _GRAM_MAX_CELLS = 10 ** 7        # 80 MB of float64, the size of envelopes.GRID_CELL_CAP
 _EXP_FLOOR = -700.0              # exp(-700) ~ 1e-304 is normal; numpy's exp is slow near underflow
 
@@ -182,35 +185,219 @@ def kr_norm_1d(xi: SignedMeasure) -> float:
 
 
 def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact optimal transport cost with Euclidean ground distance.
+    """Exact optimal transport cost with Euclidean ground distance, in any dimension.
 
-    Solves the transport linear program on the discrete supports with an
-    exact simplex method (HiGHS); any dimension.  The m*n cells are capped at
-    1e6: at the cap the cost takes 8 MB and the sparse constraints 24 MB, and
-    building them peaks near 36 MB in any dimension, where a dense constraint
-    matrix would take 16 GB.  Larger problems raise ProblemTooLarge before
-    anything is allocated; a failed solve raises SolverFailed.
+    A primal network simplex on the m x n transportation tableau.  The basis
+    is a spanning tree over the m rows and n columns, started by the
+    matrix-minimum rule; each pivot enters the cell of least reduced cost
+    (Dantzig) and leaves by the strongly-feasible-tree rule (Cunningham 1976),
+    so degenerate pivots cannot cycle.  It stops once every reduced cost is at
+    least -1e-12 max C and returns sum C x over the basis.  The m*n cells are
+    capped at 1e6; at the cap a solve peaks near 28 MB in any dimension, mostly
+    the cost, the sorted cells and the reduced costs at 8 MB each, with no
+    constraint matrix.  Larger problems raise ProblemTooLarge, and masses that
+    differ by more than MASS_TOL raise NonZeroMass, before anything is
+    allocated; a negative weight raises NegativeWeight, and a solve that
+    reaches the pivot cap SolverFailed.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-    from scipy.spatial.distance import cdist
     _check_dims(mu, nu)
     m, n = mu.n_atoms, nu.n_atoms
     if m * n > _LP_MAX_CELLS:
         raise ProblemTooLarge(f"{m} x {n} transport cells exceed {_LP_MAX_CELLS}")
-    cost = cdist(mu.points, nu.points)
-    # CSR rows: row marginals kron(I_m, 1_n'), then column marginals kron(1_m', I_n)
-    # without the last, redundant one; 24 bytes per cell
-    cells = np.arange(m * n, dtype=np.int32)
-    cols = np.concatenate([cells, cells.reshape(m, n).T.ravel()[:-m]])
-    starts = np.concatenate([np.arange(m, dtype=np.int32) * n,
-                             m * n + np.arange(n, dtype=np.int32) * m])
-    a_eq = sparse.csr_array((np.ones(len(cols)), cols, starts), shape=(m + n - 1, m * n))
-    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise SolverFailed(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    gap = float(mu.weights.sum()) - float(nu.weights.sum())
+    if not abs(gap) <= MASS_TOL:
+        raise NonZeroMass(f"transport between masses that differ by {gap:g}")
+    if (mu.weights < 0).any() or (nu.weights < 0).any():
+        raise NegativeWeight("transport weights must be nonnegative")
+    # a zero column would leave its tree arc empty and pointing down, so drop it
+    keep = nu.weights > 0
+    y, b = nu.points[keep], nu.weights[keep]
+    if m == 0 or len(b) == 0:
+        return 0.0                      # no mass to move
+    cost = np.zeros((m, len(b)))        # Euclidean distances, one axis at a time
+    sq = np.empty_like(cost)
+    for x_k, y_k in zip(mu.points.T, y.T):
+        np.subtract.outer(x_k, y_k, out=sq)
+        sq *= sq
+        cost += sq
+    del sq
+    np.sqrt(cost, out=cost)
+    return _network_simplex(cost, mu.weights, b)
+
+
+def _network_simplex(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """min sum C x over x >= 0 with row sums a and column sums b (b > 0).
+
+    Nodes 0..m-1 are the rows and m..m+n-1 the columns.  Each non-root node v
+    holds the basic cell joining it to parent[v] and that cell's flow[v]; the
+    tree is kept in preorder, so subtree(v) is order[pos[v]:pos[v] + size[v]].
+    The tree stays strongly feasible: an arc with zero flow runs from a row
+    child to its column parent.  Reduced costs are updated in place after each
+    pivot and recomputed from the tree before the solve may stop.
+    """
+    m, n = cost.shape
+    big = m + n
+    parent, flow = _matrix_minimum_tree(cost, a, b)
+    children = [[] for _ in range(big)]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(v)
+    order, stack = [], [parent.index(-1)]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    size = [1] * big
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    order = np.array(order)
+    pos = np.empty(big, dtype=np.intp)
+    pos[order] = np.arange(big)
+
+    def exact_reduced_costs():
+        # dual potentials with u_i + v_j = C_ij on every basic cell, the root's at 0
+        pot = [0.0] * big
+        for v in order[1:].tolist():
+            p = parent[v]
+            pot[v] = (cost[v, p - m] if v < m else cost[p, v - m]) - pot[p]
+        reduced = cost - np.array(pot[:m])[:, None]
+        reduced -= pot[m:]
+        return reduced
+
+    tol = _LP_TOL * cost.max(initial=0.0)
+    reduced, exact = exact_reduced_costs(), True
+    for _ in range(_LP_PIVOTS_PER_NODE * big + 1):
+        cell = int(reduced.argmin())
+        r = float(reduced.flat[cell])
+        if r >= -tol:
+            if not exact:
+                reduced, exact = exact_reduced_costs(), True
+                continue
+            up = np.array(parent)
+            v = np.flatnonzero(up >= 0)
+            rows, cols = np.where(v < m, v, up[v]), np.where(v < m, up[v], v) - m
+            return float(cost[rows, cols] @ np.array(flow)[v])
+        exact = False
+        # the cycle closed by cell (i, j): the tree paths up from row i and from
+        # column j to their apex, each node standing for the arc to its parent
+        i, j = divmod(cell, n)
+        col = m + j
+        posl = pos.tolist()
+        at = posl[col]
+        up_i, v = [], i
+        while not posl[v] <= at < posl[v] + size[v]:
+            up_i.append(v)
+            v = parent[v]
+        apex, up_j, v = v, [], col
+        while v != apex:
+            up_j.append(v)
+            v = parent[v]
+        # flow around the cycle runs i -> j, so it falls on the row arcs of the
+        # i side and the column arcs of the j side
+        theta = min([flow[v] for v in up_i if v < m] + [flow[v] for v in up_j if v >= m])
+        # leave by the last blocking arc met from the apex along that orientation:
+        # the j-side one nearest the apex, else the i-side one nearest row i
+        hit = [t for t, v in enumerate(up_j) if v >= m and flow[v] == theta]
+        if hit:
+            t = hit[-1]
+            path, shrink, grow, enter, other = up_j[:t + 1], up_j[t + 1:], up_i, col, i
+        else:
+            t = next(t for t, v in enumerate(up_i) if v < m and flow[v] == theta)
+            path, shrink, grow, enter, other = up_i[:t + 1], up_i[t + 1:], up_j, i, col
+        if theta > 0:
+            for v in up_i:
+                flow[v] += theta if v >= m else -theta
+            for v in up_j:
+                flow[v] += theta if v < m else -theta
+        # cut subtree(q) off at the leaving arc and hang it from `other` by the
+        # entering cell: u += r, v -= r in it (signs swapped if `enter` is a
+        # column) makes that cell's reduced cost 0.  Shifting the rest the other
+        # way gives the same prices, so the smaller side moves.
+        q = path[-1]
+        start, cut = posl[q], size[q]
+        shift = r if enter < m else -r
+        if 2 * cut <= big:
+            moved = order[start:start + cut]
+        else:
+            moved, shift = np.concatenate([order[:start], order[start + cut:]]), -shift
+        reduced[moved[moved < m]] -= shift
+        cols = moved[moved >= m] - m
+        if _LP_COLS_FANCY * len(cols) <= n:     # a strided gather costs a cache line per cell
+            reduced[:, cols] += shift
+        else:
+            dv = np.zeros(n)
+            dv[cols] = shift
+            reduced += dv
+        # the subtree's preorder from `enter`: each path node's old subtree
+        # without the branch the path came up by, in path order
+        pieces = [order[posl[enter]:posl[enter] + size[enter]]]
+        for below, v in zip(path, path[1:]):
+            pieces += [order[posl[v]:posl[below]],
+                       order[posl[below] + size[below]:posl[v] + size[v]]]
+        seg = np.concatenate(pieces)
+        # re-hang the path: each arc passes to the node it led up to
+        acc = 0
+        for t in range(len(path) - 1, 0, -1):
+            acc += size[path[t]] - size[path[t - 1]]
+            parent[path[t]], flow[path[t]], size[path[t]] = path[t - 1], flow[path[t - 1]], acc
+        parent[enter], flow[enter], size[enter] = other, theta, cut
+        for v in shrink:
+            size[v] -= cut
+        for v in grow:
+            size[v] += cut
+        at = posl[other]
+        if at < start:
+            lo, hi = at + 1, start + cut
+            order[lo:hi] = np.concatenate([seg, order[lo:start]])
+        else:
+            lo, hi = start, at + 1
+            order[lo:hi] = np.concatenate([order[start + cut:hi], seg])
+        pos[order[lo:hi]] = np.arange(lo, hi)
+    raise SolverFailed(f"transport LP failed: no optimum after "
+                       f"{_LP_PIVOTS_PER_NODE * big} pivots")
+
+
+def _matrix_minimum_tree(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Initial basis: allocate to cells in increasing cost, each allocation crossing
+    out one line, so the m + n - 1 cells span rows and columns as a tree.
+
+    A tie crosses out the column and keeps the row with nothing left, so every
+    empty cell crosses out its row: rooted at the last line standing, each
+    empty arc runs from a row child up to its column parent.  The cells come
+    from one sort, scanned in blocks that numpy filters down to those whose row
+    and column are both still open.  Returns parent and flow lists as in
+    _network_simplex.
+    """
+    m, n = cost.shape
+    ranked = np.argsort(cost, axis=None)
+    rows_open, cols_open = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+    ra, rb = a.tolist(), b.tolist()
+    parent, flow = [-1] * (m + n), [0.0] * (m + n)
+    rows_left, cols_left, start, block = m, n, 0, m + n
+    while rows_left + cols_left > 1:
+        cells = ranked[start:start + block]
+        start += block
+        block *= 2
+        i_all, j_all = np.divmod(cells, n)
+        live = rows_open[i_all] & cols_open[j_all]
+        for i, j in zip(i_all[live].tolist(), j_all[live].tolist()):
+            if not (rows_open[i] and cols_open[j]):
+                continue
+            # the last open row or column stays open for the lines still to attach,
+            # and absorbs the rounding of the masses
+            if cols_left > 1 and (rows_left == 1 or rb[j] <= ra[i]):
+                ra[i] -= rb[j]
+                cols_open[j] = False
+                cols_left -= 1
+                parent[m + j], flow[m + j] = i, rb[j]
+            else:
+                rb[j] -= ra[i]
+                rows_open[i] = False
+                rows_left -= 1
+                parent[i], flow[i] = m + j, max(ra[i], 0.0)
+            if rows_left + cols_left == 1:
+                break
+    return parent, flow
 
 
 # --- f-divergences ---

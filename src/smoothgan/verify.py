@@ -104,6 +104,30 @@ def check_w1_oracle_equivalence() -> list[CheckResult]:
             CheckResult("JS/W1 ratio at x=1e-3 (no finite Lipschitz constant)", ratio, lo=690.0)]
 
 
+def check_w1_lp_assignment() -> list[CheckResult]:
+    """The transport LP in 2-D against an assignment solver: between uniform
+    measures of n atoms each the optimal plan is a permutation over n."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    def body():
+        errs = []
+        for t in range(20):
+            rng = child_rng(MASTER_SEED, 150, t)
+            n = int(rng.integers(1, 41))
+            x, y = rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, (n, 2))
+            cost = cdist(x, y)
+            rows, cols = linear_sum_assignment(cost)
+            lp = w1_lp(DiscreteMeasure(x, np.full(n, 1.0 / n)),
+                       DiscreteMeasure(y, np.full(n, 1.0 / n)))
+            errs.append(abs(lp - cost[rows, cols].sum() / n))
+        return np.max(errs)
+
+    worst, dt = _timed(body)
+    return [CheckResult("w1_lp vs assignment, uniform 2-D pairs (20 pairs, n <= 40)", worst,
+                        hi=1e-9, seconds=dt)]
+
+
 # --- smoothness suite ---
 
 def check_beta2_certificate() -> list[CheckResult]:
@@ -348,7 +372,7 @@ def check_gan2d_equilibrium() -> list[CheckResult]:
 
 
 SUITES = {
-    "divergences": (check_w1_oracle_equivalence,),
+    "divergences": (check_w1_oracle_equivalence, check_w1_lp_assignment),
     "smoothness": (check_beta2_certificate, check_bregman_identity, check_cross_hessian),
     "envelopes": (check_envelopes,),
     "rkhs": (check_rkhs_series,),

@@ -15,7 +15,8 @@ from smoothgan.verify import (CheckResult, check_beta2_certificate, check_bregma
                               check_cross_hessian, check_envelopes, check_gan2d_equilibrium,
                               check_gradient_oracles, check_instability_contrast,
                               check_network_bounds, check_rkhs_series,
-                              check_stationarity_and_descent, check_w1_oracle_equivalence)
+                              check_stationarity_and_descent, check_w1_lp_assignment,
+                              check_w1_oracle_equivalence)
 
 
 def _assert_all(results):
@@ -48,6 +49,10 @@ def test_criterion_cross_hessian():
 
 def test_criterion_w1_oracle_and_ratio():
     _assert_all(check_w1_oracle_equivalence())
+
+
+def test_criterion_w1_lp_assignment():
+    _assert_all(check_w1_lp_assignment())
 
 
 def test_criterion_envelopes():
@@ -94,6 +99,7 @@ def test_nan_transport_lp_fails_its_record(monkeypatch):
     monkeypatch.setattr(verify_mod, "w1_lp", lambda mu, nu: math.nan)
     rec = {r.name: r for r in check_w1_oracle_equivalence()}
     assert not rec["w1 closed form vs transport LP (100 pairs)"].passed
+    assert not any(r.passed for r in check_w1_lp_assignment())
 
 
 def test_nan_kr_norm_fails_both_mmd_records(monkeypatch):

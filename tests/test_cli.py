@@ -526,10 +526,11 @@ def test_oversized_grid_exit_2(workdir, capsys, argv):
 
 
 def test_failed_transport_lp_exit_2(workdir, capsys, monkeypatch):
-    monkeypatch.setattr("scipy.optimize.linprog", lambda c, **kw: type(
-        "Res", (), {"success": False, "message": "stub failure", "fun": math.nan}))
-    (workdir / "nu2.csv").write_text("x_1,x_2,w\n0,0,1\n")
-    assert main(["div", "eval", "--loss", "w1", "--mu", "mu2.csv", "--mu0", "nu2.csv"]) == 2
+    # a pair whose matrix-minimum start is not optimal, with no pivot allowed
+    monkeypatch.setattr("smoothgan.divergences._LP_PIVOTS_PER_NODE", 0)
+    (workdir / "p2.csv").write_text("x_1,x_2,w\n0,0,0.5\n3,0,0.5\n")
+    (workdir / "q2.csv").write_text("x_1,x_2,w\n2,0,0.5\n5,0,0.5\n")
+    assert main(["div", "eval", "--loss", "w1", "--mu", "p2.csv", "--mu0", "q2.csv"]) == 2
     err = capsys.readouterr().err
     assert "transport LP failed" in err and "Traceback" not in err
 
@@ -546,8 +547,14 @@ def test_scipy_loads_on_first_use(tmp_path):
         seen["train"] = (code, scipy_modules())
         from smoothgan.divergences import w1_lp
         from smoothgan.measures import make_discrete
-        w1_lp(make_discrete([[0.0, 0.0]], [1.0]), make_discrete([[1.0, 0.0]], [1.0]))
-        seen["w1_lp"] = "scipy.optimize" in sys.modules
+        w1_lp(make_discrete([[0.0, 0.0], [3.0, 0.0]], [0.5, 0.5]),
+              make_discrete([[2.0, 0.0], [5.0, 0.0]], [0.5, 0.5]))
+        seen["w1_lp"] = scipy_modules()
+        from smoothgan.divergences import LossKind
+        from smoothgan.smoothness import bregman
+        half = make_discrete([0.0, 1.0], [0.5, 0.5])
+        bregman(LossKind("minimax_js", half), half, half)
+        seen["js_bregman"] = "scipy.special" in sys.modules
         print(json.dumps(seen))
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -555,7 +562,7 @@ def test_scipy_loads_on_first_use(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout.splitlines()[-1]) == {
-        "import": [], "train": [0, []], "w1_lp": True}
+        "import": [], "train": [0, []], "w1_lp": [], "js_bregman": True}
 
 
 # --- every numeric option against 0, -1, nan, inf and a non-number ---

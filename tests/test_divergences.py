@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.optimize import linprog
 
+from smoothgan import divergences
 from smoothgan.cli import build_parser
 from smoothgan.divergences import (LOSSES, KernelSpec, LossKind, align_many, js, kr_norm_1d,
                                    loss_eval, mmd_sq, ns_kl, w1_1d, w1_lp)
-from smoothgan.errors import (DimensionMismatch, NonZeroMass, PreconditionViolated,
-                              ProblemTooLarge, SolverFailed, UnknownKind)
+from smoothgan.errors import (DimensionMismatch, NegativeWeight, NonZeroMass,
+                              PreconditionViolated, ProblemTooLarge, SolverFailed,
+                              UnknownKind)
 from smoothgan.measures import diff, make_discrete, make_signed, random_measure
 from smoothgan.measures import DiscreteMeasure
 from smoothgan.smoothness import OracleFamily
@@ -297,26 +298,6 @@ def _w1_lp_dense(mu, nu):
     return float(res.fun)
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 3), (7, 9)])
-def test_w1_lp_sparse_constraints(m, n, monkeypatch):
-    seen = {}
-
-    def capture(c, A_eq, b_eq, **kw):
-        seen["a_eq"] = A_eq
-        return linprog(c, A_eq=A_eq, b_eq=b_eq, **kw)
-
-    monkeypatch.setattr("scipy.optimize.linprog", capture)
-    rng = np.random.default_rng(m * n)
-    mu = make_discrete(rng.uniform(-1, 1, (m, 2)), rng.dirichlet(np.ones(m)))
-    nu = make_discrete(rng.uniform(-1, 1, (n, 2)), rng.dirichlet(np.ones(n)))
-    w1_lp(mu, nu)
-    a_eq = seen["a_eq"]
-    assert sparse.issparse(a_eq)
-    assert np.array_equal(a_eq.toarray(), _dense_constraints(m, n)[:-1])
-    # 2mn - m ones: an 8-byte value and a 4-byte column index each
-    assert a_eq.data.nbytes + a_eq.indices.nbytes == 12 * (2 * m * n - m)
-
-
 def test_w1_lp_sparse_matches_dense_2d():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -341,33 +322,27 @@ def test_w1_lp_cap_raises_before_allocating():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_w1_lp_cost_matches_difference_tensor(dim, monkeypatch):
-    seen = []
-
-    def capture(c, **kw):
-        seen.append(c)
-        return linprog(c, **kw)
-
-    monkeypatch.setattr("scipy.optimize.linprog", capture)
+def test_w1_lp_cost_matches_difference_tensor(dim):
     rng = np.random.default_rng(10 + dim)
     for _ in range(10):
         mu = random_measure(rng, dim, max_atoms=12)
         nu = random_measure(rng, dim, max_atoms=12)
-        val = w1_lp(mu, nu)
+        assert abs(w1_lp(mu, nu) - _w1_lp_dense(mu, nu)) <= 1e-12
+        # between point masses the plan is the one cell, so the value is its cost
         tensor = np.sqrt(np.sum((mu.points[:, None, :] - nu.points[None, :, :]) ** 2, axis=-1))
-        assert np.abs(seen[-1] - tensor.ravel()).max() <= 1e-12
-        assert abs(val - _w1_lp_dense(mu, nu)) <= 1e-12
+        for i, j in np.ndindex(tensor.shape):
+            one = w1_lp(make_discrete(mu.points[i:i + 1], [1.0]),
+                        make_discrete(nu.points[j:j + 1], [1.0]))
+            assert abs(one - tensor[i, j]) <= 1e-12
 
 
-def test_w1_lp_setup_memory_independent_of_dimension(monkeypatch):
-    # no (m, n, d) temporary: building the LP takes the same memory in 1-D and 8-D
-    monkeypatch.setattr("scipy.optimize.linprog",
-                        lambda c, **kw: type("Res", (), {"success": True, "fun": 0.0}))
+def test_w1_lp_setup_memory_independent_of_dimension():
+    # no (m, n, d) temporary: the whole solve takes the same memory in 1-D and 8-D
     rng = np.random.default_rng(9)
     peaks = {}
     for dim in (1, 8):
-        mu = DiscreteMeasure(rng.uniform(size=(300, dim)), np.full(300, 1 / 300))
-        nu = DiscreteMeasure(rng.uniform(size=(300, dim)), np.full(300, 1 / 300))
+        mu = DiscreteMeasure(rng.uniform(size=(200, dim)), np.full(200, 1 / 200))
+        nu = DiscreteMeasure(rng.uniform(size=(200, dim)), np.full(200, 1 / 200))
         tracemalloc.start()
         try:
             w1_lp(mu, nu)
@@ -377,9 +352,90 @@ def test_w1_lp_setup_memory_independent_of_dimension(monkeypatch):
     assert peaks[8] <= 1.05 * peaks[1]
 
 
+# masses 1/2 at 0 and 3 against 2 and 5: the cheapest cell (3, 2) first leaves
+# 0 -> 5, so the matrix-minimum start is not optimal and the solve must pivot
+PIVOT_MU = make_discrete([[0.0, 0.0], [3.0, 0.0]], [0.5, 0.5])
+PIVOT_NU = make_discrete([[2.0, 0.0], [5.0, 0.0]], [0.5, 0.5])
+
+
 def test_w1_lp_solver_failure_is_typed(monkeypatch):
-    monkeypatch.setattr("scipy.optimize.linprog", lambda c, **kw: type(
-        "Res", (), {"success": False, "message": "stub failure", "fun": math.nan}))
-    mu = make_discrete([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    with pytest.raises(SolverFailed, match="stub failure"):
-        w1_lp(mu, make_discrete([[0.0, 1.0]], [1.0]))
+    assert w1_lp(PIVOT_MU, PIVOT_NU) == pytest.approx(2.0, abs=1e-15)
+    monkeypatch.setattr(divergences, "_LP_PIVOTS_PER_NODE", 0)
+    with pytest.raises(SolverFailed, match="no optimum after 0 pivots"):
+        w1_lp(PIVOT_MU, PIVOT_NU)
+    # a start that is already optimal needs no pivot
+    assert w1_lp(PIVOT_MU, make_discrete([[1.0, 0.0]], [1.0])) == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_w1_lp_unequal_masses_raise(dim):
+    def measure(xs, ws):
+        return DiscreteMeasure(np.array([[x] + [0.0] * (dim - 1) for x in xs]), np.array(ws))
+
+    mu = measure([0.0, 1.0], [0.5, 0.5])
+    for ws in ([1.0, 0.5], [0.5, 1.0]):
+        nu = measure([0.3, 2.0], ws)
+        with pytest.raises(NonZeroMass):
+            w1_lp(mu, nu)
+        with pytest.raises(NonZeroMass):
+            w1_lp(nu, mu)
+        if dim == 1:
+            with pytest.raises(NonZeroMass):
+                w1_1d(mu, nu)
+    # masses that differ by rounding are equal
+    nu = measure([0.3, 2.0], [0.5, np.nextafter(0.5, 1.0)])
+    assert w1_lp(mu, nu) == pytest.approx(0.5 * 0.3 + 0.5 * 1.0, abs=1e-12)
+
+
+def test_w1_lp_weight_checks():
+    mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
+    with pytest.raises(NegativeWeight):
+        w1_lp(mu, make_discrete([0.0], [1.0]))
+    # zero-weight atoms carry nothing on either side
+    mu = DiscreteMeasure(np.array([[0.0], [1.0], [4.0]]), np.array([0.5, 0.0, 0.5]))
+    nu = DiscreteMeasure(np.array([[0.5], [9.0], [2.0]]), np.array([0.5, 0.0, 0.5]))
+    assert w1_lp(mu, nu) == pytest.approx(w1_1d(mu, nu), abs=1e-15)
+    assert w1_lp(nu, mu) == pytest.approx(w1_1d(mu, nu), abs=1e-15)
+    zero = DiscreteMeasure(np.array([[0.0], [1.0]]), np.zeros(2))
+    assert w1_lp(zero, zero) == 0.0
+
+
+# --- transport LP against the HiGHS oracle, degenerate inputs included ---
+
+@st.composite
+def transport_pairs(draw):
+    """(mu, nu) in d = 1..3 with up to 30 atoms each: random, uniform n x n,
+    identical supports, lattice points with tied costs, 1 x n and m x 1, and
+    masses that differ by rounding."""
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["random", "uniform", "identical", "lattice", "row", "column"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if shape in ("uniform", "identical"):
+        m = n
+    elif shape == "row":
+        m = 1
+    elif shape == "column":
+        n = 1
+
+    def points(k):
+        if shape == "lattice":
+            return rng.integers(0, 3, (k, dim)).astype(float)
+        return rng.uniform(-1.0, 1.0, (k, dim))
+
+    def weights(k):
+        return np.full(k, 1.0 / k) if shape == "uniform" else rng.dirichlet(np.ones(k))
+
+    x = points(m)
+    y = x.copy() if shape == "identical" else points(n)
+    a, b = weights(m), weights(n)
+    if draw(st.booleans()):
+        b[-1] = np.nextafter(b[-1], 1.0)     # masses 1 ulp apart
+    return DiscreteMeasure(x, a), DiscreteMeasure(y, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(transport_pairs())
+def test_w1_lp_matches_highs(pair):
+    mu, nu = pair
+    assert abs(w1_lp(mu, nu) - _w1_lp_dense(mu, nu)) <= 1e-12

@@ -1,5 +1,5 @@
 """The package holds only what a program calls: the CLI, smoothgan.verify and
-the benchmark's workloads, not the tests."""
+the benchmark's workloads, not the tests; and one solver per concept."""
 
 import ast
 from collections import defaultdict
@@ -39,3 +39,11 @@ def test_every_public_name_has_a_program_caller():
                                 for p, line in uses[node.name])):
                 uncalled.add(node.name)
     assert sorted(uncalled - NAMED_ONLY_AS_STRINGS) == []
+
+
+def test_one_transport_solver():
+    # the package's transport LP is the network simplex in divergences.w1_lp;
+    # scipy's linprog (HiGHS) serves only the tests, as the oracle
+    users = [p.name for p in sorted((ROOT / "src" / "smoothgan").glob("*.py"))
+             if "linprog" in p.read_text()]
+    assert users == []
