@@ -27,12 +27,12 @@ from .divergences import LOSSES, KernelSpec, LossKind, loss_eval
 from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, moreau,
                         pasch_hausdorff)
 from .errors import (ConfigError, DimensionMismatch, MalformedTrace, SmoothganError,
-                     UnknownKind)
+                     UnknownKind, refuse_over)
 from .measures import (BoxDomain, fmt_number, measure_from_csv, sample_target, table_from_csv,
                        table_to_csv)
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
 from .rkhs import EmbeddingFn, truncated_series_norm
-from .smoothness import OracleFamily, build_report, check_cloud_size
+from .smoothness import OracleFamily, build_report
 from .trainer import (GanLoopConfig, TrainConfig, trace_from_csv, trace_to_csv, train_gan2d,
                       train_particles)
 from .verify import SUITES, run_suite
@@ -113,7 +113,8 @@ def cmd_disc(args) -> int:
 def cmd_smooth(args) -> int:
     t0 = time.perf_counter()
     fam = OracleFamily(args.loss, dim=args.d, kernel=_kernel_for(args))
-    check_cloud_size(args.grid_pts, args.d)    # before the domain's 2 d coordinates exist
+    # before the domain's 2 d coordinates exist
+    refuse_over(args.grid_pts * args.d, "evaluation-cloud coordinates")
     report = build_report(fam, BoxDomain.unit(args.d), args.trials, args.grid_pts, args.seed)
     payload = report.to_dict()
     if args.format == "csv":                   # floats at 15 digits, ints and bools as words

@@ -20,15 +20,13 @@ import numpy as np
 from .discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd, phi_ns,
                              phi_w1_1d)
 from .errors import (DimensionMismatch, NegativeWeight, NonZeroMass, PointOffSupport,
-                     PreconditionViolated, ProblemTooLarge, SolverFailed, UnknownKind)
+                     PreconditionViolated, SolverFailed, UnknownKind, refuse_over)
 from .measures import (MASS_TOL, DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms, diff,
                        require_mass_zero)
 
 _LP_MAX_CELLS = 10 ** 6
 _LP_TOL = 1e-12                  # optimal once every reduced cost is >= -_LP_TOL * max C
-_LP_COLS_FANCY = 16              # shift reduced-cost columns by a gather when under n/16 move
 _LP_PIVOTS_PER_NODE = 50         # a safety net: measured solves need under 2 per node
-_GRAM_MAX_CELLS = 10 ** 7        # 80 MB of float64, the size of envelopes.GRID_CELL_CAP
 _EXP_FLOOR = -700.0              # exp(-700) ~ 1e-304 is normal; numpy's exp is slow near underflow
 
 
@@ -59,11 +57,9 @@ class KernelSpec:
         e^-700 times the kernel's peak), so no entry is subnormal; every other entry
         is np.exp of its exponent.  A block whose row norms rule out such an
         exponent skips the check over its entries.
-        More than 10^7 cells raise ProblemTooLarge before anything is allocated.
+        More than CELL_CAP cells raise ProblemTooLarge before anything is allocated.
         """
-        if len(x) * len(y) > _GRAM_MAX_CELLS:
-            raise ProblemTooLarge(f"a {len(x)} x {len(y)} kernel Gram matrix exceeds "
-                                  f"{_GRAM_MAX_CELLS} cells")
+        refuse_over(len(x) * len(y), "kernel Gram cells")
         xx, yy = np.vecdot(x, x), np.vecdot(y, y)
         g = (-2.0 * x) @ y.T       # a GEMM even when y is x: numpy sends x @ x.T to slower SYRK
         g += xx[:, None]
@@ -92,10 +88,14 @@ class KernelSpec:
 
     def grad_x_sum(self, x: np.ndarray, y: np.ndarray, w) -> np.ndarray:
         """sum_j w_j grad_x K(x_i, y_j) = ((K diag(w) y)_i - x_i (K w)_i) / sigma_sq,
-        shape (n, d), for weights w of shape (m,) or one scalar weight."""
+        shape (n, d), for weights w of shape (m,)."""
         kw = self.gram(x, y)
         kw *= w
         return (kw @ y - x * kw.sum(axis=1)[:, None]) / self.sigma_sq
+
+
+def _is_critical(k: KernelSpec) -> bool:
+    return abs(k.sigma_sq - 1.0 / (2.0 * math.pi)) < 1e-15
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,7 @@ def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """
     _check_dims(mu, nu)
     m, n = mu.n_atoms, nu.n_atoms
-    if m * n > _LP_MAX_CELLS:
-        raise ProblemTooLarge(f"{m} x {n} transport cells exceed {_LP_MAX_CELLS}")
+    refuse_over(m * n, "transport cells", _LP_MAX_CELLS)
     gap = float(mu.weights.sum()) - float(nu.weights.sum())
     if not abs(gap) <= MASS_TOL:
         raise NonZeroMass(f"transport between masses that differ by {gap:g}")
@@ -321,13 +320,9 @@ def _network_simplex(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
         else:
             moved, shift = np.concatenate([order[:start], order[start + cut:]]), -shift
         reduced[moved[moved < m]] -= shift
-        cols = moved[moved >= m] - m
-        if _LP_COLS_FANCY * len(cols) <= n:     # a strided gather costs a cache line per cell
-            reduced[:, cols] += shift
-        else:
-            dv = np.zeros(n)
-            dv[cols] = shift
-            reduced += dv
+        dv = np.zeros(n)
+        dv[moved[moved >= m] - m] = shift
+        reduced += dv
         # the subtree's preorder from `enter`: each path node's old subtree
         # without the branch the path came up by, in path order
         pieces = [order[posl[enter]:posl[enter] + size[enter]]]

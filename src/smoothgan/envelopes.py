@@ -34,20 +34,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, EmptyDomain, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
-                     PreconditionViolated, ProblemTooLarge)
+                     PreconditionViolated, refuse_over)
 from .measures import BoxDomain, table_from_csv, table_to_csv
 
-GRID_CELL_CAP = 10 ** 7          # cells of any grid built from caller-given bounds
 _CELL_PAIR_CAP = 10 ** 9
 
 
 def grid_axes(domain: BoxDomain, step: float) -> list[np.ndarray]:
-    """Per-axis coordinate arrays; endpoints must be whole numbers of steps apart."""
+    """Per-axis coordinate arrays; endpoints must be whole numbers of steps apart.
+
+    A grid of more than CELL_CAP cells raises ProblemTooLarge before any axis exists.
+    """
     if not (math.isfinite(step) and step > 0):
         raise GridMismatch(f"grid step must be finite and positive, got {step}")
     steps = (domain.hi - domain.lo) / step
-    if np.prod(steps + 1) > GRID_CELL_CAP:
-        raise ProblemTooLarge(f"a grid of {np.prod(steps + 1):.3g} cells exceeds {GRID_CELL_CAP}")
+    refuse_over(np.prod(steps + 1), "grid cells")
     axes = []
     for lo, hi, n_float in zip(domain.lo, domain.hi, steps):
         n = int(round(n_float))
@@ -117,9 +118,7 @@ def _minplus(fv: np.ndarray, gv: np.ndarray, zero) -> np.ndarray:
     shift = np.argwhere(finite) - np.asarray(zero)      # output index of b's first cell
     lo, hi = np.maximum(shift, 0), np.minimum(shift + b.shape, fv.shape)
     keep = np.all(lo < hi, axis=1)
-    if np.count_nonzero(keep) * fv.size > _CELL_PAIR_CAP:
-        raise ProblemTooLarge(f"an inf-convolution scan of {np.count_nonzero(keep)} x {fv.size}"
-                              f" cells exceeds {_CELL_PAIR_CAP} cell pairs")
+    refuse_over(np.count_nonzero(keep) * fv.size, "inf-convolution cell pairs", _CELL_PAIR_CAP)
     out = np.full(fv.shape, np.inf)
     for v, ol, oh, bl, bh in zip(a[finite][keep].tolist(), lo[keep].tolist(), hi[keep].tolist(),
                                  (lo - shift)[keep].tolist(), (hi - shift)[keep].tolist()):
@@ -404,6 +403,7 @@ def gridfn_from_csv(text: str) -> GridFn:
     if dim == 1:
         return GridFn(dom, step, vals[np.argsort(coords[:, 0])])
     xs, ys = axes
+    refuse_over(len(xs) * len(ys), "grid cells")
     grid = np.full((len(xs), len(ys)), np.inf)
     ix = np.searchsorted(xs, coords[:, 0])
     iy = np.searchsorted(ys, coords[:, 1])

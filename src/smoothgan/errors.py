@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one guard on problem size."""
+
+CELL_CAP = 10 ** 7      # 80 MB of float64: the most cells an outside size may ask for
 
 
 class SmoothganError(Exception):
@@ -23,6 +25,13 @@ class UnknownKind(SmoothganError):
 
 class ProblemTooLarge(SmoothganError):
     pass
+
+
+def refuse_over(count, what: str, cap: int = CELL_CAP) -> None:
+    """Raise ProblemTooLarge if count (of what) exceeds cap; call it before allocating."""
+    if count > cap:
+        shown = f"{count:.3g}" if isinstance(count, float) else count    # ints exactly
+        raise ProblemTooLarge(f"{shown} {what} exceed the cap of {cap}")
 
 
 class SolverFailed(SmoothganError):

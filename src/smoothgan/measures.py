@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
-                     PreconditionViolated, SmoothganError, UnknownKind)
+                     PreconditionViolated, SmoothganError, UnknownKind, refuse_over)
 
 MERGE_TOL = 1e-12   # sup-norm distance below which atoms are considered equal
 MASS_TOL = 1e-12
@@ -226,10 +226,12 @@ def sample_target(kind: str, n: int, seed: int) -> DiscreteMeasure:
     kind 'ring': n points on the circle of radius 0.5 centered at the origin
     (jittered angles).  kind 'gaussian_mixture': clipped draws from 4
     symmetric Gaussian bumps.  kind 'grid_uniform': the first n points of a
-    regular lattice.
+    regular lattice.  More than CELL_CAP coordinates raise ProblemTooLarge
+    before any point is drawn.
     """
     if not (_is_int(n, 1) and _is_int(seed, 0)):
         raise ConfigError(f"target n must be an int >= 1 and seed an int >= 0, got {n!r}, {seed!r}")
+    refuse_over(2 * n, "target coordinates")
     rng = np.random.default_rng(seed)
     if kind == "ring":
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))

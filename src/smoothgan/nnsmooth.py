@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelopes import GRID_CELL_CAP
-from .errors import ConfigError, NonSmoothActivation, PreconditionViolated, ProblemTooLarge
+from .errors import ConfigError, NonSmoothActivation, PreconditionViolated, refuse_over
 from .measures import BoxDomain, _as_batch
 from .rng import child_rng
 
@@ -99,15 +98,14 @@ def random_mlp(input_dim: int, width: int, depth: int, activation: str, seed: in
                final_scale: float = 1.0) -> MlpNet:
     """Depth weight layers, uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
 
-    More than 10^7 parameters raise ProblemTooLarge before any layer is drawn.
+    More than CELL_CAP parameters raise ProblemTooLarge before any layer is drawn.
     """
     if min(input_dim, width, depth) < 1:
         raise PreconditionViolated("input_dim, width and depth must be at least 1")
     # weights and biases of the first layer, the depth - 2 hidden ones and the output one
     n_params = (input_dim + 1 if depth == 1 else
                 (input_dim + 1) * width + (depth - 2) * (width + 1) * width + width + 1)
-    if n_params > GRID_CELL_CAP:
-        raise ProblemTooLarge(f"a net of {n_params:.3g} parameters exceeds {GRID_CELL_CAP}")
+    refuse_over(n_params, "net parameters")
     sizes = [input_dim] + [width] * (depth - 1) + [1]
     layers = []
     for i in range(depth):

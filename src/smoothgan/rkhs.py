@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import KernelSpec
-from .envelopes import GRID_CELL_CAP
-from .errors import (LengthMismatch, OrderTooLarge, PreconditionViolated, ProblemTooLarge,
-                     QuadratureDomainTooSmall)
+from .divergences import KernelSpec, _is_critical
+from .errors import (LengthMismatch, OrderTooLarge, PreconditionViolated,
+                     QuadratureDomainTooSmall, refuse_over)
 
 MAX_ORDER = 30
 
@@ -46,10 +45,6 @@ class EmbeddingFn:
         return float(self.coeffs @ g @ self.coeffs)
 
 
-def _is_critical(k: KernelSpec) -> bool:
-    return abs(k.sigma_sq - 1.0 / (2.0 * math.pi)) < 1e-15
-
-
 def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: float,
                           quad_step: float = 1e-3) -> list[float]:
     """Partial sums S_0 <= S_1 <= ... <= S_order of the derivative-series norm.
@@ -73,8 +68,8 @@ def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: f
         raise QuadratureDomainTooSmall(
             f"need [{f.centers.min() - margin:.3f}, {f.centers.max() + margin:.3f}]")
 
-    if len(f.centers) * ((quad_hi - quad_lo) / quad_step + 1) > GRID_CELL_CAP:
-        raise ProblemTooLarge(f"centers x quadrature points exceed {GRID_CELL_CAP}")
+    refuse_over(len(f.centers) * ((quad_hi - quad_lo) / quad_step + 1),
+                "center x quadrature-point cells")
     x = np.arange(quad_lo, quad_hi + 0.5 * quad_step, quad_step)
     t = math.sqrt(math.pi) * (x[None, :] - f.centers[:, None])   # (centers, grid)
     bump = np.exp(-t ** 2)

@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .divergences import LOSSES, KernelSpec, LossKind
-from .envelopes import GRID_CELL_CAP
-from .errors import GradientUnsupported, PreconditionViolated, ProblemTooLarge, UnknownKind
+from .errors import GradientUnsupported, PreconditionViolated, UnknownKind, refuse_over
 from .measures import BoxDomain, DiscreteMeasure, random_measure
 from .rng import child_rng
 
@@ -171,23 +170,15 @@ def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int
     return best
 
 
-def check_cloud_size(grid_pts: int, dim: int) -> None:
-    """Refuse an evaluation cloud of more than 10^7 coordinates before it is drawn."""
-    if grid_pts * dim > GRID_CELL_CAP:
-        raise ProblemTooLarge(f"an evaluation cloud of {grid_pts} points in {dim} dimensions "
-                              f"exceeds {GRID_CELL_CAP} cells")
-
-
 def build_report(family: OracleFamily, domain: BoxDomain, n_trials: int,
                  grid_pts: int, seed: int) -> SmoothnessReport:
     """Run all three estimators; cap divergent values at the saturation threshold.
 
-    More than 10^7 trials, like more than 10^7 steps, raise ProblemTooLarge
-    before the first trial.
+    An evaluation cloud of more than CELL_CAP coordinates, or more than
+    CELL_CAP trials, raises ProblemTooLarge before the first trial.
     """
-    check_cloud_size(grid_pts, domain.dim)
-    if n_trials > GRID_CELL_CAP:
-        raise ProblemTooLarge(f"{n_trials} trials exceed {GRID_CELL_CAP}")
+    refuse_over(grid_pts * domain.dim, "evaluation-cloud coordinates")
+    refuse_over(n_trials, "trials")
     if n_trials < 1 or grid_pts < 2:
         raise PreconditionViolated("need n_trials >= 1 and grid_pts >= 2")
     raw = (

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import KernelSpec, mmd_sq
-from .envelopes import GRID_CELL_CAP
+from .divergences import KernelSpec, _is_critical, mmd_sq
 from .errors import (ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace,
-                     ProblemTooLarge)
+                     PreconditionViolated, refuse_over)
 from .measures import DiscreteMeasure, _is_int, table_from_csv, table_to_csv
 from .nnsmooth import (MlpNet, mlp_forward, mlp_input_grad, mlp_param_grad, random_mlp,
                        spectral_normalize)
@@ -49,6 +48,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr_ratio < math.inf or self.n_steps < 1 or self.n_particles < 1:
             raise ConfigError("need finite lr_ratio > 0, n_steps >= 1, n_particles >= 1")
+        # the step 1/L is built from the critical kernel's beta1 and beta2 bounds
+        if not _is_critical(self.kernel):
+            raise PreconditionViolated(f"particle descent takes the critical kernel, "
+                                       f"not sigma_sq = {self.kernel.sigma_sq}")
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,11 @@ def _descend(step, theta: np.ndarray, n_steps: int, lr: float) -> TrainTrace:
 
     step(k, theta) returns (loss, grad, bad) at the k-th iterate; the trace
     records the loss and the gradient's Frobenius norm.  A bad step stops the
-    run as diverged, keeping its row.  More than 10^7 steps raise
+    run as diverged, keeping its row.  More than CELL_CAP steps raise
     ProblemTooLarge before the trace arrays exist; an initial iterate that is
     not finite or lies past the escape threshold is refused before the first step.
     """
-    if n_steps > GRID_CELL_CAP:
-        raise ProblemTooLarge(f"{n_steps} steps exceed {GRID_CELL_CAP}")
+    refuse_over(n_steps, "steps")
     if not np.all(np.abs(theta) <= ESCAPE_THRESHOLD):
         raise ConfigError(f"the initial iterate must be finite with entries of size at most "
                           f"{ESCAPE_THRESHOLD:g}")

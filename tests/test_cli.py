@@ -512,14 +512,22 @@ def test_bad_numeric_option_exit_2(workdir, capsys, argv):
     ["nn", "init", "--input-dim=1000000000"],
     ["train", "particles", "--n", "4", "--steps=1000000000"],
     ["sweep", "--ratios", "1", "--seeds", "1", "--n", "4", "--steps=1000000000"],
+    ["env", "moreau", "--f", "diag.csv", "--beta", "1"],
+    ["train", "particles", "--n=1000000000", "--steps", "1"],
+    ["train", "gan2d", "--config", "big.json"],
 ], ids=["dual-grid", "quadrature-grid", "train-gram", "sweep-gram", "smooth-grid-pts",
         "smooth-d", "smooth-trials", "nn-width", "nn-depth", "nn-input-dim", "train-steps",
-        "sweep-steps"])
+        "sweep-steps", "grid-csv", "train-target", "gan2d-target"])
 def test_oversized_grid_exit_2(workdir, capsys, argv):
     # 2e9 grid cells, a 1e10-cell kernel Gram (74.5 GiB), a 1e9-coordinate evaluation
-    # cloud, a net of over 1e9 parameters, 1e9 steps (8 GB of trace) or 1e9 estimator
-    # trials (hours of work): refused before numpy is asked for the memory or the time
+    # cloud, a net of over 1e9 parameters, 1e9 steps (8 GB of trace), 1e9 estimator
+    # trials (hours of work), a 55 KB grid CSV whose 4000 diagonal points span 1.6e7
+    # cells, or a target of 1e9 points (16 GB): refused before numpy is asked for the
+    # memory or the time
     _quad_grid(workdir)
+    (workdir / "diag.csv").write_text(
+        "x,y,value\n" + "".join(f"{i / 1000},{i / 1000},0\n" for i in range(4000)))
+    (workdir / "big.json").write_text('{"target": {"kind": "ring", "n": 1000000000}}')
     assert main(argv + ["--out", "o.out"]) == 2
     assert "exceed" in capsys.readouterr().err
     assert not (workdir / "o.out").exists()

@@ -516,6 +516,20 @@ def test_grid_axes_caps_the_product_of_axes():
         grid_axes(_DOM2, 2e-4)                            # 10001^2 cells
 
 
+def test_grid_csv_refuses_before_allocating():
+    # 4000 points on a diagonal span 4000 x 4000 cells: the dense grid would take
+    # 128 MB, and is refused from the axis lengths alone
+    text = "x,y,value\n" + "".join(f"{i / 1000},{i / 1000},0\n" for i in range(4000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge, match="exceed"):
+            gridfn_from_csv(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 # --- the min-plus kernel against the brute-force minimum over every pair of cells ---
 
 def _infconv_brute(f: GridFn, g: GridFn) -> np.ndarray:

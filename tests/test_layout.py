@@ -47,3 +47,15 @@ def test_one_transport_solver():
     users = [p.name for p in sorted((ROOT / "src" / "smoothgan").glob("*.py"))
              if "linprog" in p.read_text()]
     assert users == []
+
+
+def test_one_size_guard():
+    # every size refusal goes through errors.refuse_over: no other module
+    # constructs ProblemTooLarge
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "smoothgan").glob("*.py"))
+             if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProblemTooLarge"]
+    assert sites == []

@@ -9,7 +9,8 @@ import pytest
 from smoothgan import trainer
 from smoothgan.discriminators import grad_phi_mmd
 from smoothgan.divergences import KernelSpec, mmd_sq
-from smoothgan.errors import ConfigError, DegenerateConstants, MalformedTrace, ProblemTooLarge
+from smoothgan.errors import (ConfigError, DegenerateConstants, MalformedTrace,
+                              PreconditionViolated, ProblemTooLarge)
 from smoothgan.measures import DiscreteMeasure, make_discrete, random_measure, sample_target
 from smoothgan.nnsmooth import random_mlp, spectral_normalize
 from smoothgan.trainer import (BETA1_MMD_BOUND, BETA2_MMD_BOUND, GanLoopConfig, TrainConfig,
@@ -75,6 +76,13 @@ def test_train_at_optimum_is_stationary():
     trace = train_particles(cfg)
     assert np.abs(trace.grad_norm).max() <= 1e-13
     assert np.abs(trace.loss).max() <= 1e-13
+
+
+def test_train_config_refuses_a_non_critical_kernel():
+    # the step 1/L comes from the critical kernel's beta1 and beta2 bounds
+    with pytest.raises(PreconditionViolated, match="critical kernel"):
+        TrainConfig(target=sample_target("ring", 8, 3), kernel=KernelSpec(sigma_sq=0.002),
+                    n_particles=8, n_steps=5, seed=1)
 
 
 def test_train_deterministic():
