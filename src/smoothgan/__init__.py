@@ -8,7 +8,7 @@ gradient-descent stationarity guarantee at the prescribed learning rate.
 
 from .divergences import KernelSpec, LossKind
 from .envelopes import GridFn
-from .measures import BoxDomain, DiscreteMeasure, SignedMeasure
+from .measures import BoxDomain, DiscreteMeasure
 from .nnsmooth import MlpNet
 from .smoothness import OracleFamily, SmoothnessReport
 from .trainer import GanLoopConfig, TrainConfig, TrainTrace
@@ -24,7 +24,6 @@ __all__ = [
     "LossKind",
     "MlpNet",
     "OracleFamily",
-    "SignedMeasure",
     "SmoothnessReport",
     "TrainConfig",
     "TrainTrace",

@@ -28,8 +28,8 @@ from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, more
                         pasch_hausdorff)
 from .errors import (ConfigError, DimensionMismatch, MalformedTrace, SmoothganError,
                      UnknownKind, refuse_over)
-from .measures import (BoxDomain, fmt_number, measure_from_csv, sample_target, table_from_csv,
-                       table_to_csv)
+from .measures import (BoxDomain, _require_coords, fmt_number, measure_from_csv, sample_target,
+                       table_from_csv, table_to_csv)
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
 from .rkhs import EmbeddingFn, truncated_series_norm
 from .smoothness import OracleFamily, build_report
@@ -103,6 +103,7 @@ def cmd_disc(args) -> int:
     mu = _load_measure(args.mu)
     mu0 = _load_measure(args.mu0)
     x = _floats(args.at, "--at")                # one point, as many coordinates as the measures
+    _require_coords(x, "--at coordinates")
     loss, kernel = LOSSES[args.loss], _kernel_for(args)
     print("phi:", fmt_number(loss.witness(mu, mu0, kernel, x)))
     if loss.grad is not None:
@@ -397,10 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv                     # the manifest's command, not one of its args
     try:
         return args.func(args)
-    except SmoothganError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SmoothganError, OSError, UnicodeDecodeError) as exc:   # OSError: unreadable paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

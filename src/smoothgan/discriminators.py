@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, PointOffSupport
-from .measures import MERGE_TOL, DiscreteMeasure, _as_batch, _cdf_levels, diff
+from .measures import MERGE_TOL, DiscreteMeasure, _as_batch, _cdf_levels, _require_same_dim, diff
 
 if TYPE_CHECKING:
     from .divergences import KernelSpec
@@ -22,8 +22,7 @@ if TYPE_CHECKING:
 
 def _query(x, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray, bool]:
     """x as an (n, d) batch for measures of one dimension d, and whether x is one point."""
-    if mu0.dim != mu.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {mu0.dim}")
+    _require_same_dim(mu, mu0)
     return _as_batch(x, mu.dim)
 
 

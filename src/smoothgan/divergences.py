@@ -21,8 +21,8 @@ from .discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd,
                              phi_w1_1d)
 from .errors import (DimensionMismatch, NegativeWeight, NonZeroMass, PointOffSupport,
                      PreconditionViolated, SolverFailed, UnknownKind, refuse_over)
-from .measures import (MASS_TOL, DiscreteMeasure, SignedMeasure, _cdf_levels, _merge_atoms, diff,
-                       require_mass_zero)
+from .measures import (MASS_TOL, DiscreteMeasure, _cdf_levels, _merge_atoms, _require_same_dim,
+                       diff, require_mass_zero)
 
 _LP_MAX_CELLS = 10 ** 6
 _LP_TOL = 1e-12                  # optimal once every reduced cost is >= -_LP_TOL * max C
@@ -137,18 +137,13 @@ class LossKind:
         object.__setattr__(self, "loss", loss)
 
 
-def _check_dims(mu: DiscreteMeasure | SignedMeasure, nu: DiscreteMeasure | SignedMeasure):
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
-
-
 def align_many(measures: list[DiscreteMeasure]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Map measures onto their union support (atoms merged as in make_discrete).
 
     Returns (points, weight_vectors), one aligned weight vector per input.
     """
     for m in measures[1:]:
-        _check_dims(measures[0], m)
+        _require_same_dim(measures[0], m)
     pts = np.vstack([m.points for m in measures])
     w = np.zeros((len(pts), len(measures)))
     start = 0
@@ -163,13 +158,13 @@ def align_many(measures: list[DiscreteMeasure]) -> tuple[np.ndarray, list[np.nda
 
 def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact 1-D Wasserstein-1 distance: the KR norm of mu - nu."""
-    _check_dims(mu, nu)
+    _require_same_dim(mu, nu)
     if mu.dim != 1:
         raise DimensionMismatch("w1_1d requires 1-D measures")
     return kr_norm_1d(diff(mu, nu))
 
 
-def kr_norm_1d(xi: SignedMeasure) -> float:
+def kr_norm_1d(xi: DiscreteMeasure) -> float:
     """Kantorovich-Rubinstein norm of a mass-zero 1-D signed measure.
 
     Equals the integral of |F_xi|; for xi = mu - nu this is W1(mu, nu).
@@ -200,7 +195,7 @@ def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     allocated; a negative weight raises NegativeWeight, and a solve that
     reaches the pivot cap SolverFailed.
     """
-    _check_dims(mu, nu)
+    _require_same_dim(mu, nu)
     m, n = mu.n_atoms, nu.n_atoms
     refuse_over(m * n, "transport cells", _LP_MAX_CELLS)
     gap = float(mu.weights.sum()) - float(nu.weights.sum())
@@ -467,7 +462,7 @@ def mmd_sq(mu: DiscreteMeasure, nu: DiscreteMeasure, k: KernelSpec) -> float:
     against the pooled support [x; y], weighted [w_mu; -2 w_nu], so the form
     takes two Gram calls: K(x, [x; y]) and K(y, y).
     """
-    _check_dims(mu, nu)
+    _require_same_dim(mu, nu)
     x, y, wx, wy = mu.points, nu.points, mu.weights, nu.weights
     val = (wx @ (k.gram(x, np.vstack([x, y])) @ np.concatenate([wx, -2.0 * wy]))
            + wy @ k.gram(y, y) @ wy)

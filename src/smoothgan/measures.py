@@ -1,8 +1,10 @@
-"""Discrete probability and signed measures on a compact box.
+"""Discrete measures on a compact box: probability measures and signed ones.
 
 Measures are finitely supported: a continuous target only ever enters as a
-large equal-weight sample.  All types are immutable after construction and
-every operation is pure.
+large equal-weight sample.  One type, DiscreteMeasure, holds every weighted
+set of atoms; make_discrete builds a probability measure, make_signed and diff
+a signed one.  All types are immutable after construction and every
+operation is pure.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +21,14 @@ from .errors import (ConfigError, DimensionMismatch, EmptySupport, NegativeWeigh
 
 MERGE_TOL = 1e-12   # sup-norm distance below which atoms are considered equal
 MASS_TOL = 1e-12
+# largest atom coordinate: past ~1.3e154 the kernel Gram's ||x||^2 + ||y||^2 - 2 x.y
+# overflows to inf - inf
+COORD_MAX = 1e150
 
 
 def _is_int(v, least: int) -> bool:
     """An integer (not a bool) of at least least."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
-
-
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2:
-        raise DimensionMismatch(f"points must be (n, d), got shape {pts.shape}")
-    return pts
 
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -45,11 +41,6 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
         raise DimensionMismatch(f"a query is a point of shape ({dim},) or a batch of shape "
                                 f"(n, {dim}), got {pts.shape}")
     return (pts[None, :], True) if pts.ndim == 1 else (pts, False)
-
-
-def _require_finite(pts: np.ndarray, w: np.ndarray) -> None:
-    if not (np.isfinite(pts).all() and np.isfinite(w).all()):
-        raise PreconditionViolated("atom points and weights must be finite")
 
 
 def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +112,11 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Probability measure with finite support: weighted atoms in R^d."""
+    """Finitely supported measure: weighted atoms in R^d.
+
+    make_discrete builds a probability measure (positive weights summing to 1);
+    make_signed and diff build signed ones (weights of any sign).
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -139,30 +134,32 @@ class DiscreteMeasure:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class SignedMeasure:
-    """Finite signed measure: weighted atoms with weights of any sign."""
+def _require_coords(pts: np.ndarray, what: str) -> None:
+    """Every coordinate of pts at most COORD_MAX in magnitude (NaN fails the test too)."""
+    if not np.abs(pts).max(initial=0.0) <= COORD_MAX:
+        raise PreconditionViolated(f"{what} must be finite and at most {COORD_MAX:g} in magnitude")
 
-    points: np.ndarray
-    weights: np.ndarray
-    total_mass: float = field(init=False)
 
-    def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
-        object.__setattr__(self, "total_mass", float(self.weights.sum()))
+def _atoms(points, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The one atom parser: (n, d) points (a vector is n 1-D points) and (n,) weights,
+    every coordinate within COORD_MAX and every weight finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2:
+        raise DimensionMismatch(f"points must be (n, d), got shape {pts.shape}")
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if w.shape != (pts.shape[0],):
+        raise DimensionMismatch(f"{pts.shape[0]} points vs weights of shape {w.shape}")
+    _require_coords(pts, "atom coordinates")
+    if not np.isfinite(w).all():
+        raise PreconditionViolated("atom weights must be finite")
+    return pts, w
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def is_mass_zero(self) -> bool:
-        return abs(self.total_mass) <= MASS_TOL
+def _require_same_dim(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
 
 
 def make_discrete(points, weights) -> DiscreteMeasure:
@@ -170,13 +167,9 @@ def make_discrete(points, weights) -> DiscreteMeasure:
 
     Idempotent: applying it to the output's (points, weights) changes nothing.
     """
-    pts = _as_points(points)
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    pts, w = _atoms(points, weights)
     if pts.shape[0] == 0:
         raise EmptySupport("a measure needs at least one atom")
-    if w.shape != (pts.shape[0],):
-        raise DimensionMismatch(f"{pts.shape[0]} points vs weights of shape {w.shape}")
-    _require_finite(pts, w)
     if (w < 0).any():
         raise NegativeWeight("probability weights must be nonnegative")
     if w.sum() <= 0:
@@ -191,29 +184,20 @@ def make_discrete(points, weights) -> DiscreteMeasure:
     return DiscreteMeasure(pts, w / w.sum())
 
 
-def make_signed(points, weights) -> SignedMeasure:
-    """Build a signed measure, merging coincident atoms."""
-    pts = _as_points(points)
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.shape != (pts.shape[0],):
-        raise DimensionMismatch(f"{pts.shape[0]} points vs weights of shape {w.shape}")
-    if pts.shape[0] == 0:
-        return SignedMeasure(np.zeros((0, 1)), np.zeros(0))
-    _require_finite(pts, w)
-    pts, w = _merge_atoms(pts, w)
-    return SignedMeasure(pts, w)
+def make_signed(points, weights) -> DiscreteMeasure:
+    """Build a signed measure (weights of any sign), merging coincident atoms."""
+    return DiscreteMeasure(*_merge_atoms(*_atoms(points, weights)))
 
 
-def diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SignedMeasure:
+def diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     """The signed measure mu - nu (always mass-zero)."""
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
+    _require_same_dim(mu, nu)
     pts = np.concatenate([mu.points, nu.points])
     w = np.concatenate([mu.weights, -nu.weights])
     return make_signed(pts, w)
 
 
-def _cdf_levels(xi: SignedMeasure) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_levels(xi: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Sorted 1-D atom positions and the running CDF value on each gap."""
     x = xi.points[:, 0]
     order = np.argsort(x)
@@ -249,11 +233,11 @@ def sample_target(kind: str, n: int, seed: int) -> DiscreteMeasure:
     return make_discrete(pts, np.full(len(pts), 1.0 / len(pts)))
 
 
-def random_measure(rng: np.random.Generator, dim: int, domain: BoxDomain | None = None,
-                   max_atoms: int = 8) -> DiscreteMeasure:
-    """Random test measure: k ~ U{2..max_atoms} atoms uniform in the box, Dirichlet weights."""
+def random_measure(rng: np.random.Generator, dim: int,
+                   domain: BoxDomain | None = None) -> DiscreteMeasure:
+    """Random test measure: k ~ U{2..8} atoms uniform in the box, Dirichlet weights."""
     box = domain if domain is not None else BoxDomain.unit(dim)
-    k = int(rng.integers(2, max_atoms + 1))
+    k = int(rng.integers(2, 9))
     pts = rng.uniform(box.lo, box.hi, size=(k, dim))
     w = rng.dirichlet(np.ones(k))
     return make_discrete(pts, w)
@@ -306,12 +290,12 @@ def table_from_csv(text: str, words: dict[str, tuple[str, ...]] | None = None,
 
 # measures: one row per atom, header x_1..x_d,w
 
-def measure_to_csv(m: DiscreteMeasure | SignedMeasure) -> str:
+def measure_to_csv(m: DiscreteMeasure) -> str:
     return table_to_csv([f"x_{i + 1}" for i in range(m.dim)] + ["w"],
                         np.column_stack([m.points, m.weights]).tolist())
 
 
-def measure_from_csv(text: str, signed: bool = False) -> DiscreteMeasure | SignedMeasure:
+def measure_from_csv(text: str, signed: bool = False) -> DiscreteMeasure:
     header, table = table_from_csv(text)
     if len(header) < 2 or header[-1].strip().lower() != "w":
         raise ConfigError("measure CSV needs a header row of coordinates ending in 'w'")
@@ -319,6 +303,7 @@ def measure_from_csv(text: str, signed: bool = False) -> DiscreteMeasure | Signe
     return make_signed(pts, w) if signed else make_discrete(pts, w)
 
 
-def require_mass_zero(xi: SignedMeasure) -> None:
-    if not xi.is_mass_zero:
-        raise NonZeroMass(f"signed measure has total mass {xi.total_mass:g}")
+def require_mass_zero(xi: DiscreteMeasure) -> None:
+    mass = float(xi.weights.sum())
+    if not abs(mass) <= MASS_TOL:
+        raise NonZeroMass(f"signed measure has total mass {mass:g}")

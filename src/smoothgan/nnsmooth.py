@@ -286,4 +286,7 @@ def net_from_json(text: str) -> MlpNet:
         activation, final_scale = payload["activation"], float(payload["final_scale"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed network JSON: {exc!r}") from exc
+    # JSON's NaN and Infinity parse as floats
+    if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in layers):
+        raise ConfigError("network weights and biases must be finite")
     return MlpNet(layers, activation, final_scale)

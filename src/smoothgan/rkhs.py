@@ -93,15 +93,13 @@ def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: f
     return sums
 
 
-def gp_penalty(phi_values, phi_grads, weights) -> float:
-    """Two-term RKHS-norm surrogate: sum_i w_i (phi_i^2 + ||grad phi_i||^2 / 4 pi)."""
+def gp_penalty(phi_values, phi_grads) -> float:
+    """Two-term RKHS-norm surrogate: the mean over points of phi_i^2 + ||grad phi_i||^2 / 4 pi."""
     v = np.atleast_1d(np.asarray(phi_values, dtype=float))
     g = np.asarray(phi_grads, dtype=float)
     if g.ndim == 1:
         g = g[:, None]
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if not (len(v) == len(g) == len(w)):
-        raise LengthMismatch(f"lengths {len(v)}, {len(g)}, {len(w)} differ")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise PreconditionViolated("weights must form a probability vector")
-    return float(np.sum(w * (v ** 2 + np.sum(g ** 2, axis=1) / (4.0 * math.pi))))
+    if not len(v) == len(g) > 0:
+        raise LengthMismatch(f"need as many gradients as values, at least one: {len(v)}, {len(g)}")
+    terms = v ** 2 + np.sum(g ** 2, axis=1) / (4.0 * math.pi)
+    return float(np.sum(terms * (1.0 / len(terms))))    # the bits of a 1/n-weighted sum

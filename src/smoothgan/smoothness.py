@@ -13,8 +13,7 @@ whose operator norm is available in closed form from its two eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,17 +48,13 @@ class OracleFamily:
     """A family of discriminator oracles indexed by the generator measure.
 
     kind names an entry of LOSSES; gradient queries need one with a witness
-    gradient: 'mmd' in any dimension, 'w1' in 1-D.  The reference measure is
-    resampled per trial unless mu0 is pinned.  A custom sampler lets tests
-    drive the estimators with hand-picked measures.
+    gradient: 'mmd' in any dimension, 'w1' in 1-D.  The estimators draw the
+    generator and the reference measure afresh in each trial.
     """
 
     kind: str
     dim: int = 1
     kernel: KernelSpec | None = None
-    mu0: DiscreteMeasure | None = None
-    sampler: Callable[[np.random.Generator], DiscreteMeasure] | None = field(
-        default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in LOSSES:
@@ -68,11 +63,6 @@ class OracleFamily:
 
     def supports_gradients(self) -> bool:
         return LOSSES[self.kind].grad is not None
-
-    def _draw(self, rng: np.random.Generator, domain: BoxDomain) -> DiscreteMeasure:
-        if self.sampler is not None:
-            return self.sampler(rng)
-        return random_measure(rng, self.dim, domain)
 
     def grad(self, mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> np.ndarray:
         """Spatial gradients (n, d) of the optimal discriminator for (mu, mu0) at an (n, d) batch x."""
@@ -100,8 +90,8 @@ def estimate_alpha(family: OracleFamily, domain: BoxDomain, n_measures: int,
     best = 0.0
     for t in range(n_measures):
         rng = child_rng(seed, 0, t)
-        mu = family._draw(rng, domain)
-        mu0 = family.mu0 if family.mu0 is not None else family._draw(rng, domain)
+        mu = random_measure(rng, family.dim, domain)
+        mu0 = random_measure(rng, family.dim, domain)
         pts = _eval_points(domain, grid_pts, rng, np.vstack([mu.points, mu0.points]))
         best = max(best, float(np.linalg.norm(family.grad(mu, mu0, pts), axis=1).max()))
     return best
@@ -118,8 +108,8 @@ def estimate_beta1(family: OracleFamily, domain: BoxDomain, n_measures: int,
     best = 0.0
     for t in range(n_measures):
         rng = child_rng(seed, 1, t)
-        mu = family._draw(rng, domain)
-        mu0 = family.mu0 if family.mu0 is not None else family._draw(rng, domain)
+        mu = random_measure(rng, family.dim, domain)
+        mu0 = random_measure(rng, family.dim, domain)
         atoms = np.vstack([mu.points, mu0.points])
         use_atom = rng.random(n_point_pairs) < 0.5
         anchors = rng.uniform(domain.lo, domain.hi, size=(n_point_pairs, domain.dim))
@@ -150,9 +140,9 @@ def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int
     best = 0.0
     for t in range(n_measure_pairs):
         rng = child_rng(seed, 2, t)
-        mu = family._draw(rng, domain)
+        mu = random_measure(rng, family.dim, domain)
         if t % 2 == 0:
-            nu = family._draw(rng, domain)
+            nu = random_measure(rng, family.dim, domain)
         else:
             h = 10.0 ** rng.uniform(-3, math.log10(0.5))
             direc = rng.standard_normal(domain.dim)
@@ -162,7 +152,7 @@ def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int
         dist = LOSSES["w1"].value(mu, nu, None)
         if dist < 1e-12:
             continue
-        mu0 = family.mu0 if family.mu0 is not None else family._draw(rng, domain)
+        mu0 = random_measure(rng, family.dim, domain)
         pts = _eval_points(domain, grid_pts, rng, np.vstack([mu.points, nu.points]))
         gap = family.grad(mu, mu0, pts) - family.grad(nu, mu0, pts)
         sup = float(np.linalg.norm(gap, axis=1).max())

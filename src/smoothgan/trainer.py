@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +161,14 @@ def train_particles(cfg: TrainConfig) -> TrainTrace:
     gen_measure_w = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
 
     def step(_kstep, theta):
-        loss = 0.5 * mmd_sq(DiscreteMeasure(theta, gen_measure_w), cfg.target, cfg.kernel)
-        grad = mmd_particle_grad(theta, cfg.target, cfg.kernel)
         # NaN fails both comparisons: it propagates through max and is never <=
-        bad = not (loss <= DIVERGENCE_THRESHOLD and np.abs(theta).max() <= ESCAPE_THRESHOLD)
-        return loss, grad, bad
+        escaped = not np.abs(theta).max() <= ESCAPE_THRESHOLD
+        # an escaped iterate gives the run's last row; past about 1e154 the Gram's
+        # squared norms overflow, and that row holds inf or nan without a warning
+        with np.errstate(over="ignore", invalid="ignore") if escaped else nullcontext():
+            loss = 0.5 * mmd_sq(DiscreteMeasure(theta, gen_measure_w), cfg.target, cfg.kernel)
+            grad = mmd_particle_grad(theta, cfg.target, cfg.kernel)
+        return loss, grad, escaped or not loss <= DIVERGENCE_THRESHOLD
 
     return _descend(step, theta, cfg.n_steps, gamma)
 
@@ -230,8 +234,7 @@ def _disc_objective(net: MlpNet, theta: np.ndarray, target: DiscreteMeasure,
     """E_mu[phi] - E_mu0[phi] - penalty_coef * E_interp[phi^2 + ||grad phi||^2/(4 pi)]."""
     gen_term = float(np.mean(mlp_forward(net, theta)))
     tgt_term = float(np.dot(mlp_forward(net, target.points), target.weights))
-    pen = gp_penalty(mlp_forward(net, interp), mlp_input_grad(net, interp),
-                     np.full(len(interp), 1.0 / len(interp)))
+    pen = gp_penalty(mlp_forward(net, interp), mlp_input_grad(net, interp))
     return gen_term - tgt_term - penalty_coef * pen
 
 

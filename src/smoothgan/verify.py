@@ -92,8 +92,8 @@ def check_w1_oracle_equivalence() -> list[CheckResult]:
         errs = []
         for t in range(100):
             rng = child_rng(MASTER_SEED, 100, t)
-            mu = random_measure(rng, 1, max_atoms=8)
-            nu = random_measure(rng, 1, max_atoms=8)
+            mu = random_measure(rng, 1)
+            nu = random_measure(rng, 1)
             errs.append(abs(w1_1d(mu, nu) - w1_lp(mu, nu)))
         return np.max(errs)
 

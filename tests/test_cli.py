@@ -316,14 +316,28 @@ def test_one_parser_serves_every_call(workdir, capsys):
         (workdir / "o.csv").unlink(missing_ok=True)
 
 
-def test_missing_file_exit_2(workdir):
-    assert main(["div", "eval", "--loss", "w1", "--mu", "absent.csv",
-                 "--mu0", "mu0.csv"]) == 2
+def test_missing_file_exit_2(workdir, capsys):
+    # an absent file, a directory and a binary file as input, and a directory as output
+    (workdir / "adir").mkdir()
+    (workdir / "binary.csv").write_bytes(b"\xff\xfe\x00\xd0 not text")
+    div = ["div", "eval", "--loss", "w1", "--mu0", "mu0.csv", "--mu"]
+    for argv in (div + ["absent.csv"], div + ["adir"], div + ["binary.csv"],
+                 ["train", "particles", "--n", "8", "--steps", "5", "--out", "adir"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_non_finite_weight_exit_2(workdir, capsys):
     (workdir / "bad.csv").write_text("x_1,w\n0.3,nan\n0.5,1\n")
     assert main(["div", "eval", "--loss", "mmd", "--mu", "bad.csv", "--mu0", "mu0.csv"]) == 2
+    assert "nan" not in capsys.readouterr().out
+    # past ~1.3e154 the Gram's squared norms overflow: such coordinates are refused
+    (workdir / "huge.csv").write_text("x_1,w\n1e200,1\n")
+    assert main(["div", "eval", "--loss", "mmd", "--mu", "huge.csv", "--mu0", "mu0.csv"]) == 2
+    assert "nan" not in capsys.readouterr().out
+    (workdir / "far.csv").write_text("x_1,w\n1e10,1\n")
+    assert main(["disc", "eval", "--loss", "mmd", "--mu", "far.csv", "--mu0", "mu0.csv",
+                 "--at", "1e300"]) == 2
     assert "nan" not in capsys.readouterr().out
 
 
@@ -348,9 +362,18 @@ def test_gan2d_unknown_keys_exit_2(workdir, capsys):
     assert "n_stepz" in err and "target.sed" in err and "depth" not in err
 
 
-def test_malformed_net_and_grid_exit_2(workdir):
+def test_malformed_net_and_grid_exit_2(workdir, capsys):
     (workdir / "net.json").write_text('{"layers": [{"shape": [2, 3], "weights": [1]}]}')
     assert main(["nn", "specnorm", "--net", "net.json"]) == 2
+    for bad in ("NaN", "Infinity"):          # JSON reads both as floats
+        (workdir / "net.json").write_text(
+            '{"activation": "elu", "final_scale": 1.0, "layers": [{"shape": [1, 2], '
+            f'"weights": [1.0, {bad}], "bias": [0.0]}}]}}')
+        assert main(["nn", "specnorm", "--net", "net.json"]) == 2
+        assert main(["nn", "specnorm", "--net", "net.json", "--normalize",
+                     "--out", "out.json"]) == 2
+        assert "nan" not in capsys.readouterr().out
+        assert not (workdir / "out.json").exists()
     (workdir / "f.csv").write_text("x,value\n0.0,abc\n")
     assert main(["env", "moreau", "--f", "f.csv", "--beta", "1", "--out", "o.csv"]) == 2
 

@@ -59,3 +59,16 @@ def test_one_size_guard():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProblemTooLarge"]
     assert sites == []
+
+
+def test_one_measure_type():
+    # weighted atoms, probability or signed, are one type: no other class declares
+    # both points and weights
+    owners = [f"{path.name}:{node.name}"
+              for path in sorted((ROOT / "src" / "smoothgan").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef)
+              and {"points", "weights"} <= {stmt.target.id for stmt in node.body
+                                            if isinstance(stmt, ast.AnnAssign)
+                                            and isinstance(stmt.target, ast.Name)}]
+    assert owners == ["measures.py:DiscreteMeasure"]

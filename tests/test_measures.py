@@ -85,12 +85,12 @@ def test_diff_self_is_zero():
     m = make_discrete([0.0, 0.5], [0.4, 0.6])
     xi = diff(m, m)
     assert np.allclose(xi.weights, 0.0)
-    assert xi.is_mass_zero
+    require_mass_zero(xi)
 
 
 def test_diff_two_deltas():
     xi = diff(make_discrete([1.0], [1.0]), make_discrete([0.0], [1.0]))
-    assert xi.is_mass_zero
+    require_mass_zero(xi)
     w_at = {float(p): w for p, w in zip(xi.points[:, 0], xi.weights)}
     assert w_at[1.0] == 1.0 and w_at[0.0] == -1.0
 
@@ -208,6 +208,9 @@ def test_signed_csv_roundtrip():
 def test_require_mass_zero():
     with pytest.raises(NonZeroMass):
         require_mass_zero(make_signed([0.0], [0.5]))
+    empty = make_signed(np.zeros((0, 3)), [])           # no atoms, still 3-D
+    require_mass_zero(empty)
+    assert empty.points.shape == (0, 3) and empty.weights.shape == (0,)
 
 
 def test_box_validation():
@@ -419,6 +422,8 @@ _BAD_INPUTS = {
     "points of rank 3": (np.zeros((2, 1, 1)), [1.0, 1.0], DimensionMismatch, DimensionMismatch),
     "nan point": ([[_NAN], [0.0]], [1.0, 1.0], PreconditionViolated, PreconditionViolated),
     "inf point": ([[0.0, _INF]], [1.0], PreconditionViolated, PreconditionViolated),
+    # past ~1.3e154 the kernel Gram's squared norms overflow
+    "point beyond 1e150": ([[0.0, -1e151]], [1.0], PreconditionViolated, PreconditionViolated),
     "nan weight": ([0.0, 1.0], [_NAN, 1.0], PreconditionViolated, PreconditionViolated),
     "inf weight": ([0.0, 1.0], [1.0, -_INF], PreconditionViolated, PreconditionViolated),
     "negative weight": ([0.0, 1.0], [-0.5, 1.5], NegativeWeight, None),

@@ -6,8 +6,7 @@ import pytest
 
 from smoothgan.discriminators import grad_phi_mmd
 from smoothgan.divergences import KernelSpec, mmd_sq
-from smoothgan.measures import (DiscreteMeasure, SignedMeasure, diff, make_discrete,
-                                sample_target)
+from smoothgan.measures import DiscreteMeasure, diff, make_discrete, sample_target
 from smoothgan.trainer import mmd_particle_grad
 
 KERNELS = (KernelSpec.critical(), KernelSpec(sigma_sq=0.3))
@@ -19,7 +18,7 @@ def gram_ref(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp(-sq / (2.0 * k.sigma_sq))
 
 
-def embedding_gram(xi: SignedMeasure, k: KernelSpec) -> float:
+def embedding_gram(xi: DiscreteMeasure, k: KernelSpec) -> float:
     """Double Gram sum of a signed measure: integral of K d(xi x xi)."""
     return float(xi.weights @ gram_ref(k, xi.points, xi.points) @ xi.weights)
 

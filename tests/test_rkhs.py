@@ -77,26 +77,26 @@ def test_embedding_validation():
 
 
 def test_gp_penalty_values():
-    assert gp_penalty([0.0], [[0.0]], [1.0]) == 0.0
-    assert gp_penalty([1.0], [[0.0]], [1.0]) == pytest.approx(1.0, abs=1e-15)
-    assert gp_penalty([0.0], [[2.0]], [1.0]) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert gp_penalty([0.0], [[0.0]]) == 0.0
+    assert gp_penalty([1.0], [[0.0]]) == pytest.approx(1.0, abs=1e-15)
+    assert gp_penalty([0.0], [[2.0]]) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert gp_penalty([1.0, 0.0], [[0.0], [0.0]]) == 0.5           # the mean over points
 
 
 def test_gp_penalty_permutation_invariant():
     rng = np.random.default_rng(2)
     vals = rng.standard_normal(6)
     grads = rng.standard_normal((6, 2))
-    w = np.full(6, 1.0 / 6.0)
-    base = gp_penalty(vals, grads, w)
+    base = gp_penalty(vals, grads)
     perm = rng.permutation(6)
-    assert gp_penalty(vals[perm], grads[perm], w) == pytest.approx(base, abs=1e-15)
+    assert gp_penalty(vals[perm], grads[perm]) == pytest.approx(base, abs=1e-15)
 
 
 def test_gp_penalty_validation():
     with pytest.raises(LengthMismatch):
-        gp_penalty([1.0, 2.0], [[0.0]], [1.0])
-    with pytest.raises(PreconditionViolated):
-        gp_penalty([1.0], [[0.0]], [0.5])
+        gp_penalty([1.0, 2.0], [[0.0]])
+    with pytest.raises(LengthMismatch):
+        gp_penalty([], np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("lo, hi", [(math.nan, 9.0), (-9.0, math.inf), (-math.inf, 9.0)])

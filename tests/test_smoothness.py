@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothgan import smoothness
 from smoothgan.divergences import KernelSpec, LossKind, kr_norm_1d, mmd_sq
 from smoothgan.errors import GradientUnsupported, PointOffSupport
 from smoothgan.measures import BoxDomain, diff, make_discrete, random_measure
@@ -37,10 +38,11 @@ def test_alpha_w1_family():
     assert est >= 0.6
 
 
-def test_alpha_trivial_family():
+def test_alpha_trivial_family(monkeypatch):
+    # every draw the same measure: mu = mu0, so the witness and its gradient vanish
     mu0 = make_discrete([0.25], [1.0])
-    fam = OracleFamily("mmd", dim=1, kernel=KC, mu0=mu0, sampler=lambda rng: mu0)
-    assert estimate_alpha(fam, BOX, 10, 51, seed=1) == 0.0
+    monkeypatch.setattr(smoothness, "random_measure", lambda rng, dim, domain: mu0)
+    assert estimate_alpha(MMD_FAM, BOX, 10, 51, seed=1) == 0.0
 
 
 def test_beta1_estimate_bounds():
@@ -50,10 +52,8 @@ def test_beta1_estimate_bounds():
 
 
 def test_beta1_saturates_on_kink():
-    spike = make_discrete([-1.0, 1.0], [0.5, 0.5])
-    fam = OracleFamily("w1", dim=1, mu0=make_discrete([0.0], [1.0]),
-                       sampler=lambda rng: spike)
-    est = estimate_beta1(fam, BOX, 50, 40, seed=3)
+    # the 1-D Kantorovich potential kinks at atoms, so its gradient jumps
+    est = estimate_beta1(OracleFamily("w1", dim=1), BOX, 50, 40, seed=3)
     assert est > SATURATION_THRESHOLD
 
 
@@ -104,10 +104,7 @@ def test_gradient_unsupported():
 
 
 def test_build_report_caps_saturation():
-    spike = make_discrete([-1.0, 1.0], [0.5, 0.5])
-    fam = OracleFamily("w1", dim=1, mu0=make_discrete([0.0], [1.0]),
-                       sampler=lambda rng: spike)
-    rep = build_report(fam, BOX, 50, 101, seed=3)
+    rep = build_report(OracleFamily("w1", dim=1), BOX, 50, 101, seed=3)
     assert rep.beta1_saturated
     assert rep.beta1_hat == SATURATION_THRESHOLD
     assert rep.alpha_hat <= 1.0 + 1e-9

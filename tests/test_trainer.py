@@ -114,17 +114,19 @@ def test_train_instability_detector():
 
 
 def test_train_particle_escape_diverges():
-    # at lr_ratio 1e8 the first move throws the particles past the escape threshold
+    # at lr_ratio 1e8 the first move throws the particles past the escape threshold;
+    # at 1e300 it throws them where the kernel's squared norms overflow
     n = 8
-    cfg = TrainConfig(target=sample_target("ring", n, 5), kernel=KC, n_particles=n,
-                      n_steps=50, seed=9, lr_ratio=1e8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        trace = train_particles(cfg)
-    assert len(trace) == 2
-    assert trace.diverged
-    assert len(trace.step_size) == 2
-    assert trace_to_csv(trace).rstrip("\n").endswith(",diverged")
+    for lr_ratio in (1e8, 1e300):
+        cfg = TrainConfig(target=sample_target("ring", n, 5), kernel=KC, n_particles=n,
+                          n_steps=50, seed=9, lr_ratio=lr_ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = train_particles(cfg)
+        assert len(trace) == 2
+        assert trace.diverged
+        assert len(trace.step_size) == 2
+        assert trace_to_csv(trace).rstrip("\n").endswith(",diverged")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
