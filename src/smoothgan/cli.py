@@ -28,8 +28,8 @@ from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, more
                         pasch_hausdorff)
 from .errors import (ConfigError, DimensionMismatch, MalformedTrace, SmoothganError,
                      UnknownKind, refuse_over)
-from .measures import (BoxDomain, _require_coords, fmt_number, measure_from_csv, sample_target,
-                       table_from_csv, table_to_csv)
+from .measures import (BoxDomain, fmt_number, measure_from_csv, sample_target, table_from_csv,
+                       table_to_csv)
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
 from .rkhs import EmbeddingFn, truncated_series_norm
 from .smoothness import OracleFamily, build_report
@@ -60,8 +60,16 @@ def _write_with_manifest(out_path: str, content: str, args: argparse.Namespace,
     Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _read(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 raises ConfigError naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_measure(path: str, signed: bool = False):
-    return measure_from_csv(Path(path).read_text(), signed=signed)
+    return measure_from_csv(_read(path), signed=signed)
 
 
 def _kernel_for(args) -> KernelSpec | None:
@@ -103,7 +111,6 @@ def cmd_disc(args) -> int:
     mu = _load_measure(args.mu)
     mu0 = _load_measure(args.mu0)
     x = _floats(args.at, "--at")                # one point, as many coordinates as the measures
-    _require_coords(x, "--at coordinates")
     loss, kernel = LOSSES[args.loss], _kernel_for(args)
     print("phi:", fmt_number(loss.witness(mu, mu0, kernel, x)))
     if loss.grad is not None:
@@ -131,9 +138,9 @@ def cmd_smooth(args) -> int:
 
 def cmd_env(args) -> int:
     t0 = time.perf_counter()
-    f = gridfn_from_csv(Path(args.f).read_text())
+    f = gridfn_from_csv(_read(args.f))
     if args.op == "infconv":
-        g = gridfn_from_csv(Path(_need(args.g, "--g")).read_text())
+        g = gridfn_from_csv(_read(_need(args.g, "--g")))
         out = inf_conv(f, g)
     elif args.op == "ph":
         out = pasch_hausdorff(f, _need(args.alpha, "--alpha"))
@@ -177,7 +184,7 @@ def cmd_nn(args) -> int:
             net = spectral_normalize(net)
         _write_with_manifest(_need(args.out, "--out"), net_to_json(net) + "\n", args, t0)
         return 0
-    net = net_from_json(Path(_need(args.net, "--net")).read_text())
+    net = net_from_json(_read(_need(args.net, "--net")))
     for i, (w, _b) in enumerate(net.layers):
         print(f"layer {i}: specnorm {fmt_number(power_iteration(w, seed=args.seed))}")
     if args.normalize:
@@ -189,7 +196,7 @@ def cmd_nn(args) -> int:
 def _gan2d_config(path: str | None) -> dict:
     """The gan2d JSON config, with every key checked against the known ones."""
     try:
-        blob = json.loads(Path(_need(path, "--config")).read_text())
+        blob = json.loads(_read(_need(path, "--config")))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(blob, dict) or not isinstance(blob.get("target"), dict):
@@ -265,7 +272,7 @@ def cmd_verify(args) -> int:
 
 def cmd_plotdata(args) -> int:
     t0 = time.perf_counter()
-    text = Path(args.trace).read_text()
+    text = _read(args.trace)
     if text.startswith("step,loss,"):                    # a trace: step grad_norm
         trace = trace_from_csv(text)
         lines = [f"{i} {fmt_number(g)}\n" for i, g in enumerate(trace.grad_norm.tolist())]
@@ -398,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv                     # the manifest's command, not one of its args
     try:
         return args.func(args)
-    except (SmoothganError, OSError, UnicodeDecodeError) as exc:   # OSError: unreadable paths
+    except (SmoothganError, OSError) as exc:   # OSError: unreadable paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

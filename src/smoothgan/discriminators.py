@@ -14,16 +14,23 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, PointOffSupport
-from .measures import MERGE_TOL, DiscreteMeasure, _as_batch, _cdf_levels, _require_same_dim, diff
+from .measures import (MERGE_TOL, DiscreteMeasure, _as_batch, _cdf_levels, _require_coords,
+                       _require_same_dim, diff)
 
 if TYPE_CHECKING:
     from .divergences import KernelSpec
 
 
 def _query(x, mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray, bool]:
-    """x as an (n, d) batch for measures of one dimension d, and whether x is one point."""
+    """x as an (n, d) batch for measures of one dimension d, and whether x is one point.
+
+    Every coordinate must be within COORD_MAX, as the atoms' are: past it the
+    kernel Gram overflows to NaN.
+    """
     _require_same_dim(mu, mu0)
-    return _as_batch(x, mu.dim)
+    pts, single = _as_batch(x, mu.dim)
+    _require_coords(pts, "query coordinates")
+    return pts, single
 
 
 def phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> float | np.ndarray:

@@ -11,19 +11,24 @@ Every inf-convolution is a minimum of sums f(x) + g(y), each the same single
 addition however it is reached.  The general kernel `_minplus` forms them
 all, looping over the finite cells of whichever operand has fewer and
 lowering one shifted window of the output per cell; a separable 2-D shift
-function takes two such passes.  The envelopes form fewer sums:
+function takes two such passes.  Other paths form fewer sums:
 
+- 1-D inf_conv with a convex operand: `_monotone_minplus`, a monotone
+  matrix search (Aggarwal et al. 1987) over rows by levels, O(n log n);
 - 1-D Moreau: a lower convex hull, shared with `legendre`, names the
   minimizing cell up to its hull neighbours (Lucet 1997), O(n log n);
 - 1-D Pasch-Hausdorff: running minima name one cell on each side, O(n);
 - 2-D Pasch-Hausdorff: `_minplus` over the cells that an l1 envelope
   (Felzenszwalb & Huttenlocher 2012) does not rule out.
 
-`_minplus` and the 2-D pruning give the minimum over every sum bit for bit.
-The 1-D searches locate the minimizer in exact arithmetic: on exact ties (f
-linear with slope +-alpha, f = -x^2 / (2 beta) + affine, values on a lattice
-commensurate with alpha * step) the sum they pick may exceed the smallest
-rounded sum by a few eps * (max|f| + max g).
+`_minplus`, the monotone search and the 2-D pruning give the minimum over
+every sum bit for bit, exact ties included: the search needs an operand
+convex in exact arithmetic and sums that cannot overflow, and otherwise
+leaves the input to the scan.  The 1-D envelope searches locate the
+minimizer in exact arithmetic: on exact ties (f linear with slope +-alpha,
+f = -x^2 / (2 beta) + affine, values on a lattice commensurate with
+alpha * step) the sum they pick may exceed the smallest rounded sum by a few
+eps * (max|f| + max g).
 """
 
 from __future__ import annotations
@@ -127,12 +132,106 @@ def _minplus(fv: np.ndarray, gv: np.ndarray, zero) -> np.ndarray:
     return out
 
 
+def _is_convex(v: np.ndarray) -> bool:
+    """True iff v's finite cells are contiguous and convex in exact arithmetic.
+
+    v[k - 1] + v[k + 1] >= 2 v[k] is decided on the rounded sum s and its exact
+    error (TwoSum): s > 2 v[k] implies the exact sum is larger too, and s ==
+    2 v[k] leaves the sign of the error to decide.
+    """
+    fin = np.flatnonzero(np.isfinite(v))
+    if fin[-1] - fin[0] + 1 != len(fin):
+        return False
+    u = v[fin[0]:fin[-1] + 1]
+    a, b, twice = u[2:], u[:-2], 2 * u[1:-1]
+    s = a + b
+    z = s - a
+    err = (a - (s - z)) + (b - z)
+    return bool(np.all((s > twice) | ((s == twice) & (err >= 0))))
+
+
+def _monotone_operands(fv: np.ndarray, gv: np.ndarray):
+    """(h, c) for `_monotone_minplus` with c convex, or None where the scan is the better choice.
+
+    The scan forms (fewer finite cells) x len(f) sums, each in a contiguous
+    window; the search about 2 len(f) per level, each gathered, at about eight
+    times the cost.  So the search is taken when the sparser operand has more
+    than 16 finite cells per level.  Of two convex operands the one with fewer
+    finite cells (then the smaller bytes) is c, whatever the argument order.
+    No sum may overflow, so that every sum and its rounding error are exact.
+    """
+    finite = [np.isfinite(v) for v in (fv, gv)]
+    counts = [np.count_nonzero(m) for m in finite]
+    if min(counts) <= 16 * len(fv).bit_length():
+        return None
+    top = sum(float(np.max(np.abs(v), where=m, initial=0.0)) for v, m in zip((fv, gv), finite))
+    if not math.isfinite(2 * top):
+        return None
+    convex = [(n, v.tobytes(), i) for i, (v, n) in enumerate(zip((fv, gv), counts))
+              if _is_convex(v)]
+    if not convex:
+        return None
+    return (gv, fv) if min(convex)[2] == 0 else (fv, gv)
+
+
+def _monotone_minplus(hv: np.ndarray, cv: np.ndarray, zero: int, n: int) -> np.ndarray:
+    """out[i] = min_p h[p] + c[i - p + zero] for i < n, 1-D, for c convex on its finite cells.
+
+    Convex c makes the sums Monge, so the leftmost column attaining the exact
+    minimum of row i, J[i], never decreases with i, and no column left of it
+    (or right of it, for rows above) holds a smaller rounded sum.  Rows are
+    solved by levels, every other row of the stride at a time: a row searches
+    columns J[up] to J[down] of its nearest solved rows, clipped to where c is
+    finite, so a level forms at most len(h) + n sums.  The rounded minimum over
+    those is the scan's minimum bit for bit; J is the leftmost column of that
+    rounded minimum whose rounding error (TwoSum) is least.  A row with no
+    finite sum passes on the first column of its band, which no finite row
+    above it exceeds and no finite row below it undercuts.
+    """
+    refuse_over(len(hv) + n, "inf-convolution sums per level")
+    band = np.flatnonzero(np.isfinite(cv))
+    out = np.full(n, np.inf)
+    best = np.empty(n + 2, dtype=np.intp)        # best[r] = J[r - 1]; rows 0 and n + 1 bound
+    best[0], best[n + 1] = 0, len(hv) - 1
+    stride = 1 << (n.bit_length() - 1)
+    while stride:
+        r = np.arange(stride, n + 1, 2 * stride)
+        up, down = best[r - stride], best[np.minimum(r + stride, n + 1)]
+        t = r - 1 + zero                               # h[p] + c[t - p] lands on row r - 1
+        lo, hi = np.maximum(up, t - band[-1]), np.minimum(down, t - band[0])
+        best[r] = np.minimum(lo, down)                 # the first column of the band, clipped
+        rows = np.flatnonzero(lo <= hi)
+        if len(rows):
+            width = (hi - lo + 1)[rows]
+            start = np.cumsum(width) - width
+            p = np.arange(start[-1] + width[-1]) + np.repeat(lo[rows] - start, width)
+            hp, cq = hv[p], cv[np.repeat(t[rows], width) - p]
+            sums = hp + cq
+            low = np.minimum.reduceat(sums, start)
+            k = np.flatnonzero(sums == np.repeat(low, width))     # >= 1 per row
+            if len(k) > len(rows):                     # a rounded tie: least error wins
+                with np.errstate(invalid="ignore"):    # inf - inf on rows with no finite sum
+                    z = sums[k] - hp[k]
+                    err = np.nan_to_num((hp[k] - (sums[k] - z)) + (cq[k] - z))
+                at = np.searchsorted(k, start)
+                least = np.minimum.reduceat(err, at)
+                hit = np.flatnonzero(err == np.repeat(least, np.diff(at, append=len(k))))
+                k = k[hit[np.searchsorted(hit, at)]]
+            out[r[rows] - 1] = low
+            finite = np.isfinite(low)
+            best[r[rows[finite]]] = p[k[finite]]
+        stride >>= 1
+    return out
+
+
 def _infconv_kernel(f: GridFn, g: GridFn) -> GridFn:
     """Exact discrete inf-convolution; g may live on a different origin-aligned grid."""
     if abs(f.step - g.step) > 1e-12 or f.dim != g.dim:
         raise GridMismatch("inf-convolution needs equal steps and dimensions")
     zero = _origin_offsets(g)
     fv, gv = f.values, g.values
+    if f.dim == 1 and (pair := _monotone_operands(fv, gv)) is not None:
+        return GridFn(f.domain, f.step, _monotone_minplus(*pair, zero[0], len(fv)))
     if f.dim == 2:
         if np.all(np.isfinite(gv)) and np.allclose(gv[:, :1] + gv[:1, :] - gv[0, 0], gv,
                                                    atol=1e-12, rtol=0.0):

@@ -73,7 +73,10 @@ class TrainTrace:
 
     @property
     def min_grad_norm(self) -> float:
-        return float(np.min(self.grad_norm))
+        """The least finite gradient norm: a diverged run's overflowed last row does not
+        hide the others.  NaN only if no row is finite."""
+        finite = self.grad_norm[np.isfinite(self.grad_norm)]
+        return float(np.min(finite)) if finite.size else math.nan
 
     @property
     def final_loss(self) -> float:

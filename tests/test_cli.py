@@ -325,6 +325,11 @@ def test_missing_file_exit_2(workdir, capsys):
                  ["train", "particles", "--n", "8", "--steps", "5", "--out", "adir"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: ")
+    # a file that is not UTF-8 is named, whichever option read it
+    for argv in (div + ["mu.csv", "--mu0", "binary.csv"], div + ["binary.csv"],
+                 ["env", "legendre", "--f", "binary.csv", "--out", "o.csv"]):
+        assert main(argv) == 2, argv
+        assert "binary.csv" in capsys.readouterr().err
 
 
 def test_non_finite_weight_exit_2(workdir, capsys):
@@ -497,6 +502,22 @@ def test_nn_init_zero_size_exit_2(workdir, flag):
 def test_sweep_bad_ratios_exit_2(workdir, ratios):
     assert main(["sweep", "--ratios", ratios, "--seeds", "1", "--n", "4", "--steps", "3",
                  "--out", "s.csv"]) == 2
+
+
+def test_train_particles_diverged_min_grad_norm_finite(workdir, capsys):
+    # the last row overflows; the least gradient norm of the rows before it is still reported
+    assert main(["train", "particles", "--target", "ring", "--n", "8", "--lr-ratio", "1e300",
+                 "--steps", "5", "--seed", "1", "--out", "t.csv"]) == 0
+    out = capsys.readouterr().out
+    assert "diverged True" in out
+    assert math.isfinite(float(out.split("min_grad_norm ")[1].split()[0]))
+
+
+def test_min_grad_norm_skips_non_finite_rows():
+    ones = np.ones(3)
+    assert TrainTrace(ones, np.array([0.5, 0.2, np.nan]), ones, True).min_grad_norm == 0.2
+    assert math.isnan(TrainTrace(ones, np.array([np.nan, np.inf, np.nan]), ones,
+                                 True).min_grad_norm)
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf"])

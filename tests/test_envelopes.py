@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothgan.envelopes import (GridFn, _infconv_kernel, _l1_prune, conjugate_sum_identity_check,
-                                 grid_axes, gridfn_from_csv, gridfn_to_csv, inf_conv, legendre,
-                                 minimizer_invariance_check, moreau, pasch_hausdorff)
+from smoothgan.envelopes import (GridFn, _infconv_kernel, _is_convex, _l1_prune, _minplus,
+                                 _monotone_minplus, _monotone_operands,
+                                 conjugate_sum_identity_check, grid_axes, gridfn_from_csv,
+                                 gridfn_to_csv, inf_conv, legendre, minimizer_invariance_check,
+                                 moreau, pasch_hausdorff)
 from smoothgan.errors import (GridMismatch, NonPositiveAlpha, NonPositiveBeta,
                               PreconditionViolated, ProblemTooLarge)
 from smoothgan.measures import BoxDomain
@@ -638,12 +640,198 @@ def test_infconv_matches_brute_force(label):
 
 
 def test_1d_scan_cell_cap():
-    # 40001^2 cell pairs, past the pair budget: refused before the scan starts
+    # 40001^2 cell pairs, past the pair budget: refused before the scan starts.  Neither
+    # operand is convex, so the monotone search cannot take them
+    dom = _dom1(-20.0, 20.0)
+    xs = grid_axes(dom, STEP)[0]
+    f, g = GridFn(dom, STEP, np.cos(xs)), GridFn(dom, STEP, np.sin(xs))
+    with pytest.raises(ProblemTooLarge):
+        inf_conv(f, g)
+
+
+def test_1d_convex_pair_past_the_scan_cap_completes():
+    # the pair the scan refuses takes the monotone search when one operand is convex: about
+    # 2 x 40001 sums per level, and the Huber function it should give
     dom = _dom1(-20.0, 20.0)
     xs = grid_axes(dom, STEP)[0]
     f, g = GridFn(dom, STEP, 0.5 * xs ** 2), GridFn(dom, STEP, np.abs(xs))
+    tracemalloc.start()
+    try:
+        conv = inf_conv(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20                    # 26 arrays of 40001 floats
+    huber = np.where(np.abs(xs) <= 1.0, 0.5 * xs ** 2, np.abs(xs) - 0.5)
+    assert np.abs(conv.values - huber).max() <= 1e-13
+
+
+def test_monotone_search_sums_per_level_cap():
+    # len(h) + n sums per level over CELL_CAP: refused before anything is allocated
     with pytest.raises(ProblemTooLarge):
-        inf_conv(f, g)
+        _monotone_minplus(np.zeros(3), np.zeros(3), 1, 10 ** 7)
+
+
+# --- the monotone search (one convex operand, 1-D) against the full scan, bit for bit ---
+
+def _search(fv, gv, zero):
+    """The monotone search for _minplus(fv, gv, [zero]), on whichever operand is convex."""
+    h, c = (fv, gv) if _is_convex(gv) else (gv, fv)
+    assert _is_convex(c)
+    return _monotone_minplus(h, c, zero, len(fv))
+
+
+def _assert_search_equals_scan(fv, gv, zero):
+    assert np.array_equal(_search(fv, gv, zero), _minplus(fv, gv, [zero]))
+
+
+_SEARCH_DOMS = {"origin on the grid": (-1.0, 1.0), "origin off the grid": (0.25, 2.0)}
+
+
+def _convex_shift(rng, kind, xs):
+    """A convex operand on the grid xs: a x^2, a |x| (exact at dyadic a and step), random
+    convex, or a x^2 truncated to a random interval."""
+    a = float(rng.choice([0.5, 1.0, 2.0]))
+    if kind == "x^2":
+        return a * xs ** 2
+    if kind == "a|x|":
+        return a * np.abs(xs)
+    if kind == "random convex":
+        slopes = np.sort(rng.uniform(-2.0, 2.0, len(xs) - 1))
+        return np.concatenate([[0.0], np.cumsum(slopes * (xs[1] - xs[0]))])
+    lo, hi = np.sort(rng.integers(0, len(xs), 2))
+    return np.where((np.arange(len(xs)) >= lo) & (np.arange(len(xs)) <= hi), a * xs ** 2, np.inf)
+
+
+@pytest.mark.parametrize("kind", ["x^2", "a|x|", "random convex", "interval-truncated x^2"])
+@pytest.mark.parametrize("origin", list(_SEARCH_DOMS))
+@pytest.mark.parametrize("n", [17, 129, 2001])
+def test_monotone_search_equals_scan(kind, origin, n):
+    lo = _SEARCH_DOMS[origin][0]
+    step = 1 / 16
+    dom = _dom1(lo, lo + step * (n - 1))
+    xs = grid_axes(dom, step)[0]
+    rng = np.random.default_rng([n, len(kind), len(origin)])
+    zero = int(round(-lo / step))
+    for holes in (0.0, 0.3, 0.9):
+        f = _holes(rng, _bumpy(rng, xs), holes)               # nonconvex, with holes
+        g = _convex_shift(rng, kind, xs)
+        if kind == "a|x|":
+            assert _is_convex(g)
+        _assert_search_equals_scan(f, g, zero)                # f (+) g
+        _assert_search_equals_scan(g, f, zero)                # g (+) f
+        if n == 2001 and holes < 0.9 and np.isfinite(g).sum() > 176:
+            # the routing takes the search, in both argument orders, with the same bits
+            assert _monotone_operands(f, g) is not None
+            fg = inf_conv(GridFn(dom, step, f), GridFn(dom, step, g)).values
+            assert np.array_equal(fg, _minplus(f, g, [zero]))
+            assert np.array_equal(fg, inf_conv(GridFn(dom, step, g), GridFn(dom, step, f)).values)
+
+
+def test_monotone_search_on_the_difference_grid():
+    # g on its own, longer grid (the envelopes' shift functions) with the origin at its middle
+    rng = np.random.default_rng(5)
+    f = GridFn(_D1, 1 / 16, _holes(rng, _bumpy(rng, grid_axes(_D1, 1 / 16)[0]), 0.3))
+    for g in (_parabola(f, 0.7), _cone(f, 1.0)):
+        _assert_search_equals_scan(f.values, g.values, len(f.values) - 1)
+
+
+def test_monotone_routing():
+    xs = grid_axes(_dom1(-2.0, 2.0), 2e-3)[0]                        # 2001 points
+    chi = np.where(np.abs(xs) < 1e-9, 0.0, np.inf)
+    bumpy = _bumpy(np.random.default_rng(0), xs)
+    assert _monotone_operands(bumpy, xs ** 2) is not None
+    assert _monotone_operands(xs ** 2, chi) is None                  # one finite cell: the scan
+    assert _monotone_operands(bumpy, np.cos(xs)) is None             # neither operand convex
+    assert _monotone_operands(bumpy, np.where(np.abs(xs) < 1, xs ** 2, np.inf)) is not None
+    holed = np.where(np.abs(xs - 0.5) < 0.1, np.inf, xs ** 2)         # convex values, a gap
+    assert _monotone_operands(bumpy, holed) is None
+    assert _monotone_operands(bumpy * 1e307, xs ** 2 * 1e307) is None   # sums could overflow
+    # of two convex operands the one with fewer finite cells is searched, in either order
+    band = np.where(np.abs(xs) < 1, xs ** 2, np.inf)
+    for pair in ((xs ** 2, band), (band, xs ** 2)):
+        assert _monotone_operands(*pair)[1] is band
+
+
+def test_is_convex_is_exact():
+    assert _is_convex(np.array([1.0, 0.0, 1.0, np.inf]))
+    assert _is_convex(np.array([np.inf, 3.0]))
+    assert not _is_convex(np.array([0.0, 1.0, 0.0]))
+    # 0.1 + 0.3 rounds to 0.4 = 2 * 0.2, but the exact sum of the doubles is below it
+    v = np.array([0.1, 0.2, 0.3])
+    assert v[0] + v[2] == 2 * v[1]
+    assert not _is_convex(v)
+    assert _is_convex(-v)
+
+
+_convex_strategy = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40).map(
+    lambda s: np.concatenate([[0.0], np.cumsum(np.sort(s))]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.floats(-4.0, 4.0), st.just(np.inf)), min_size=2, max_size=41),
+       _convex_strategy, st.integers(-10, 50), st.integers(0, 40), st.integers(0, 40))
+def test_monotone_search_equals_scan_property(fvals, gvals, zero, cut_lo, cut_hi):
+    f = np.array(fvals)
+    if not np.isfinite(f).any():
+        f[0] = 0.0
+    g = gvals.copy()
+    g[:min(cut_lo, len(g) - 1)] = np.inf                 # truncate g to an interval
+    g[len(g) - min(cut_hi, len(g) - 1 - min(cut_lo, len(g) - 1)):] = np.inf
+    if _is_convex(g):
+        _assert_search_equals_scan(f, g, zero)
+        if len(g) == len(f):
+            _assert_search_equals_scan(g, f, zero)
+
+
+def test_monotone_search_rounded_ties():
+    # values of one or two decimals: sums that differ exactly often round to the same
+    # double, and the column a later row starts from must be the exact minimizer
+    f = np.array([-0.1, -0.3, 0.0, -0.1, 0.3, 0.3, -0.1, np.inf, 0.3, np.inf, np.inf, 0.0, 0.0,
+                  0.2, -0.1, 0.3])
+    g = np.cumsum([0.0, -0.8, 0.1, 0.1, 0.1, 0.2, 0.3, 0.3, 0.4, 0.4, 0.6, 0.7, 0.7, 0.9, 0.9,
+                   1.0])
+    assert _is_convex(g)
+    _assert_search_equals_scan(f, g, 18)
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n, dec = int(rng.integers(3, 40)), int(rng.integers(1, 3))
+        f = np.round(rng.uniform(-1, 1, n) * rng.choice([1, 10, 0.3, 1 / 3]), dec)
+        f[rng.uniform(size=n) < 0.2] = np.inf
+        f[rng.integers(n)] = 0.1
+        slopes = np.sort(np.round(rng.uniform(-1, 1, n - 1), dec))
+        g = (np.concatenate([[0.0], np.cumsum(slopes)]) * rng.choice([1, 0.1, 0.3, 1 / 3])
+             + rng.choice([0, 0.1, 0.7]))
+        if _is_convex(g):
+            _assert_search_equals_scan(f, g, int(rng.integers(-3, n + 3)))
+
+
+_SEARCH_TIES = {
+    # label: (f(xs, a), convex g(xs, a)), exact real ties that round unevenly, a = 0.5, 1, 2
+    "cone, f slope +a": (lambda xs, a: a * xs + 0.3, lambda xs, a: a * np.abs(xs)),
+    "cone, f slope -a": (lambda xs, a: 0.7 - a * xs, lambda xs, a: a * np.abs(xs)),
+    "parabola, f = -x^2 / (2a) + affine": (lambda xs, a: -xs ** 2 / (2 * a) + 0.4 * xs - 0.1,
+                                           lambda xs, a: xs ** 2 / (2 * a)),
+}
+
+
+@pytest.mark.parametrize("family", list(_SEARCH_TIES))
+@pytest.mark.parametrize("origin", list(_SEARCH_DOMS))
+def test_monotone_search_ties(family, origin):
+    # every sum of a row ties in exact arithmetic; the search still gives the scan's bits,
+    # which are within 4 eps of the brute-force minimum
+    values, shift = _SEARCH_TIES[family]
+    dom = _dom1(*_SEARCH_DOMS[origin])
+    xs = grid_axes(dom, 1 / 16)[0]
+    zero = int(round(-dom.lo[0] * 16))
+    for a in (0.5, 1.0, 2.0):
+        f, g = GridFn(dom, 1 / 16, values(xs, a)), GridFn(dom, 1 / 16, shift(xs, a))
+        _assert_search_equals_scan(f.values, g.values, zero)
+        out, brute = _search(f.values, g.values, zero), _infconv_brute(f, g)
+        finite = np.isfinite(brute)
+        assert np.array_equal(np.isfinite(out), finite)
+        tol = 4 * np.finfo(float).eps * (np.abs(f.values).max() + g.values.max())
+        assert np.abs(out[finite] - brute[finite]).max() <= tol
 
 
 # --- the envelope fast paths against the full min-plus scan, bit for bit ---
