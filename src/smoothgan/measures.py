@@ -251,30 +251,11 @@ def fmt_number(v) -> str:
 
 
 def table_to_csv(header: list[str], rows) -> str:
-    """A header line, then one line per row: numbers through fmt_number, text as given.
-
-    Each row is formatted through one %-template per sequence of cell types,
-    %.15g for a number and %s for text, the bytes csv.writer writes for it.  A
-    row whose text csv.writer would quote (a comma, quote or line break, or a
-    lone empty cell) goes through csv.writer.
-    """
+    """A header line, then one line per row: numbers through fmt_number, text as given."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    templates = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = templates.get(kinds)
-        if fmt is None:
-            fmt = templates[kinds] = ",".join("%s" if issubclass(k, str) else "%.15g"
-                                              for k in kinds)
-        line = fmt % row
-        if "%s" in fmt and (line.count(",") != len(row) - 1 or not line
-                            or any(ch in line for ch in '"\r\n')):
-            writer.writerow([c if isinstance(c, str) else fmt_number(c) for c in row])
-        else:
-            buf.write(line + "\n")
+    writer.writerows([c if isinstance(c, str) else fmt_number(c) for c in row] for row in rows)
     return buf.getvalue()
 
 
