@@ -13,10 +13,9 @@ all, looping over the finite cells of whichever operand has fewer and
 lowering one shifted window of the output per cell; a separable 2-D shift
 function takes two such passes.  Other paths form fewer sums:
 
-- 1-D inf_conv with a convex operand: `_monotone_minplus`, a monotone
-  matrix search (Aggarwal et al. 1987) over rows by levels, O(n log n);
-- 1-D Moreau: a lower convex hull, shared with `legendre`, names the
-  minimizing cell up to its hull neighbours (Lucet 1997), O(n log n);
+- 1-D inf_conv and Moreau with a convex operand: `_monotone_minplus`, a
+  monotone matrix search (Aggarwal et al. 1987) over rows by levels,
+  O(n log n);
 - 1-D Pasch-Hausdorff: running minima name one cell on each side, O(n);
 - 2-D Pasch-Hausdorff: `_minplus` over the cells that an l1 envelope
   (Felzenszwalb & Huttenlocher 2012) does not rule out.
@@ -24,11 +23,10 @@ function takes two such passes.  Other paths form fewer sums:
 `_minplus`, the monotone search and the 2-D pruning give the minimum over
 every sum bit for bit, exact ties included: the search needs an operand
 convex in exact arithmetic and sums that cannot overflow, and otherwise
-leaves the input to the scan.  The 1-D envelope searches locate the
-minimizer in exact arithmetic: on exact ties (f linear with slope +-alpha,
-f = -x^2 / (2 beta) + affine, values on a lattice commensurate with
-alpha * step) the sum they pick may exceed the smallest rounded sum by a few
-eps * (max|f| + max g).
+leaves the input to the scan.  The 1-D Pasch-Hausdorff running minima locate
+the minimizer in exact arithmetic: on exact ties (f linear with slope
++-alpha, values on a lattice commensurate with alpha * step) the sum they
+pick may exceed the smallest rounded sum by a few eps * (max|f| + max g).
 """
 
 from __future__ import annotations
@@ -328,28 +326,15 @@ def pasch_hausdorff(f: GridFn, alpha: float) -> GridFn:
 def moreau(f: GridFn, beta: float) -> GridFn:
     """Quadratic regularization: inf-convolution with ||.||^2 / (2 beta).
 
-    In 1-D, min_j f_j + (x - y_j)^2 / (2 beta) = x^2 / (2 beta)
-    - max_j [x y_j - (beta f_j + y_j^2 / 2)] / beta: the maximizing cell is the
-    vertex of the lower convex hull of (y_j, beta f_j + y_j^2 / 2) whose edge
-    slopes enclose x, found by binary search, in O(n log n).  The envelope is
-    taken as the smallest sum f_j + g(x - y_j) at that vertex and its two hull
-    neighbours.  In 2-D the quadratic is separable: two min-plus passes.
+    The quadratic is sampled on the full difference domain.  In 1-D it is
+    convex in exact arithmetic, so `_infconv_kernel` takes the monotone
+    search (the scan, when f has few finite cells), with the scan's bits
+    either way.  In 2-D it is separable: two min-plus passes.
     """
     if not 0 < beta < math.inf:
         raise NonPositiveBeta(f"beta must be finite and positive, got {beta}")
     dd, norm = _difference_norm(f)
-    g = GridFn(dd, f.step, norm ** 2 / (2.0 * beta))
-    if f.dim == 2:
-        return _infconv_kernel(f, g)
-    x = f.axes()[0]
-    j = np.flatnonzero(np.isfinite(f.values))
-    with np.errstate(over="ignore"):
-        hull, slopes = _lower_hull(x[j], beta * f.values[j] + x[j] ** 2 / 2)
-    if not np.all(np.isfinite(slopes)):          # beta f overflowed: no hull to search
-        return _infconv_kernel(f, g)
-    k = np.searchsorted(slopes, x)[:, None] + np.array([-1, 0, 1])
-    cand = j[hull[np.clip(k, 0, len(hull) - 1)]]
-    return GridFn(f.domain, f.step, _gathered_min(f.values, g.values, cand))
+    return _infconv_kernel(f, GridFn(dd, f.step, norm ** 2 / (2.0 * beta)))
 
 
 def _lower_hull(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[float]]:

@@ -198,18 +198,21 @@ def check_envelopes() -> list[CheckResult]:
 
     f_q = GridFn(dom, step, 0.5 * xs ** 2)
     for alpha in (0.5, 1.0, 2.0):
-        ph = pasch_hausdorff(f_q, alpha)
+        ph, dt = _timed(lambda: pasch_hausdorff(f_q, alpha))
         res.append(CheckResult(f"Pasch-Hausdorff slope bound (alpha={alpha})",
-                               np.max(np.abs(np.diff(ph.values))) / step, hi=alpha + 2 * step))
+                               np.max(np.abs(np.diff(ph.values))) / step, hi=alpha + 2 * step,
+                               seconds=dt))
 
     for beta in (1.0, 2.0):
-        mo = moreau(f_abs, beta)          # inf-convolution with |x|^2 / (2 beta): 1/beta-smooth
+        # inf-convolution with |x|^2 / (2 beta): 1/beta-smooth
+        mo, dt = _timed(lambda: moreau(f_abs, beta))
         res.append(CheckResult(f"Moreau second-difference bound (beta={beta})",
                                np.max(np.abs(np.diff(mo.values, 2))) / step ** 2,
-                               hi=1.0 / beta + 2 * step))
+                               hi=1.0 / beta + 2 * step, seconds=dt))
 
-    res.append(CheckResult("conjugate of inf-convolution equals sum of conjugates",
-                           conjugate_sum_identity_check(f_abs, f_q), hi=2 * step))
+    err, dt = _timed(lambda: conjugate_sum_identity_check(f_abs, f_q))
+    res.append(CheckResult("conjugate of inf-convolution equals sum of conjugates", err,
+                           hi=2 * step, seconds=dt))
 
     def random_convex(rng) -> GridFn:
         slopes = np.sort(rng.uniform(-2.0, 2.0, len(xs) - 1))

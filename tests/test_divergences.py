@@ -301,8 +301,11 @@ def _w1_lp_dense(mu, nu):
     cost = np.sqrt(np.sum((mu.points[:, None, :] - nu.points[None, :, :]) ** 2, axis=-1))
     a_eq = _dense_constraints(mu.n_atoms, nu.n_atoms)
     b_eq = np.concatenate([mu.weights, nu.weights])
+    # at HiGHS's default tolerances reduced costs down to -1e-7 pass as optimal, which
+    # left one 21-atom pair 5.8e-10 above the optimum that w1_lp finds
     res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None),
-                  method="highs")
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
     return float(res.fun)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothgan.envelopes import (GridFn, _infconv_kernel, _is_convex, _l1_prune, _minplus,
-                                 _monotone_minplus, _monotone_operands,
+                                 _monotone_minplus, _monotone_operands, _origin_offsets,
                                  conjugate_sum_identity_check, grid_axes, gridfn_from_csv,
                                  gridfn_to_csv, inf_conv, legendre, minimizer_invariance_check,
                                  moreau, pasch_hausdorff)
@@ -892,7 +892,8 @@ def test_1d_envelopes_equal_full_scan(seed, holes):
     rng = np.random.default_rng(seed)
     f = _grid(_holes(rng, _bumpy(rng, XS), holes))                     # 6001 points
     beta = rng.uniform(0.5, 2.0)
-    assert np.array_equal(moreau(f, beta).values, _infconv_kernel(f, _parabola(f, beta)).values)
+    g = _parabola(f, beta)
+    assert np.array_equal(moreau(f, beta).values, _minplus(f.values, g.values, _origin_offsets(g)))
     dom = _dom1(-2.0, 2.0)                                             # 4001 points
     f = GridFn(dom, STEP, _holes(rng, _bumpy(rng, grid_axes(dom, STEP)[0]), holes))
     alpha = rng.uniform(0.5, 2.0)
@@ -900,14 +901,51 @@ def test_1d_envelopes_equal_full_scan(seed, holes):
                           _infconv_kernel(f, _cone(f, alpha)).values)
 
 
-def test_moreau_overflowing_hull_falls_back_to_the_scan():
-    # beta f overflows, so the hull has no finite slopes to search
+def test_moreau_of_huge_values_equals_the_scan():
+    # beta f would overflow, but no sum f + g does, so the monotone search takes them
     f = _grid(np.where(np.abs(XS) < 1.0, 1e300, 1.5e300))
+    g = _parabola(f, 1e10)
+    assert _monotone_operands(f.values, g.values) is not None
     mo = moreau(f, 1e10)
-    assert np.array_equal(mo.values, _infconv_kernel(f, _parabola(f, 1e10)).values)
+    assert np.array_equal(mo.values, _minplus(f.values, g.values, _origin_offsets(g)))
 
 
-# --- exact ties: the 1-D candidate searches may pick a sum a few ulps above the minimum ---
+@pytest.mark.parametrize("n", [101, 401, 2001])
+@pytest.mark.parametrize("origin", list(_SEARCH_DOMS))
+def test_moreau_ties_equal_full_scan(n, origin):
+    # f = -x^2 / (2 beta) + a x + 0.1: every sum of a row ties in exact arithmetic,
+    # and moreau still gives the scan's bits
+    lo, step = _SEARCH_DOMS[origin][0], 2.0 / (n - 1)
+    dom = _dom1(lo, lo + 2.0)
+    xs = grid_axes(dom, step)[0]
+    for beta in (0.25, 0.5, 1.0, 2.0):
+        for a in (-1.0, 0.0, 0.3, 1.0):
+            f = GridFn(dom, step, -xs ** 2 / (2 * beta) + a * xs + 0.1)
+            g = _parabola(f, beta)
+            assert np.array_equal(moreau(f, beta).values,
+                                  _minplus(f.values, g.values, _origin_offsets(g)))
+
+
+def test_moreau_kernel_takes_the_search():
+    # were the quadratic ever refused, 1-D moreau would fall back to the O(n^2) scan:
+    # about 60x slower at 6001 points, and refused past about 31623 points
+    rng = np.random.default_rng(3)
+    verify_f = GridFn(DOM, STEP, np.abs(np.arange(-3.0, 3.0 + STEP / 2, STEP)))
+    cli_dom = _dom1(-2.0, 2.0)                                         # 2001 points, via CSV
+    cli_f = gridfn_from_csv(gridfn_to_csv(GridFn(cli_dom, 2e-3,
+                                                 _bumpy(rng, grid_axes(cli_dom, 2e-3)[0]))))
+    grids = [verify_f, _grid(_bumpy(rng, XS)), cli_f]
+    for lo, hi, step in ((-2.0, 2.0, 1e-3), (-1.0, 1.0, 5e-3), (0.25, 2.25, 0.01),
+                         (-24.0, 24.0, 0.3)):
+        dom = _dom1(lo, hi)
+        grids.append(GridFn(dom, step, _bumpy(rng, grid_axes(dom, step)[0])))
+    for f in grids:
+        for beta in (1e-8, 1e-4, 0.25, 0.5, 1.0, 2.0, 1e4, 1e10):
+            assert _monotone_operands(f.values, _parabola(f, beta).values) is not None
+
+
+# --- exact ties: 1-D Pasch-Hausdorff may pick a sum a few ulps above the minimum; Moreau
+# gives the scan's, within the same bound ---
 
 _TIE_FAMILIES = {
     # label: (envelope, shift function, f(xs, parameter)), parameters 0.5, 1 and 2

@@ -49,6 +49,18 @@ def test_one_transport_solver():
     assert users == []
 
 
+def test_one_convex_search():
+    # every 1-D inf-convolution with a convex operand goes through the monotone search
+    # in envelopes._infconv_kernel; the lower convex hull serves only the Legendre transform
+    callers = [f"{path.name}:{fn.name}"
+               for path in sorted((ROOT / "src" / "smoothgan").glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lower_hull"]
+    assert callers == ["envelopes.py:_conjugate_1d"]
+
+
 def test_one_size_guard():
     # every size refusal goes through errors.refuse_over: no other module
     # constructs ProblemTooLarge
