@@ -27,7 +27,7 @@ from .divergences import LOSSES, KernelSpec, LossKind, loss_eval
 from .envelopes import (gridfn_from_csv, gridfn_to_csv, inf_conv, legendre, moreau,
                         pasch_hausdorff)
 from .errors import (ConfigError, DimensionMismatch, MalformedTrace, SmoothganError,
-                     UnknownKind, refuse_over)
+                     UnknownKind, need_count, refuse_over)
 from .measures import (BoxDomain, fmt_number, measure_from_csv, sample_target, table_from_csv,
                        table_to_csv)
 from .nnsmooth import net_from_json, net_to_json, power_iteration, random_mlp, spectral_normalize
@@ -246,8 +246,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     ratios = _floats(args.ratios, "--ratios")
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    need_count(args.seeds, "--seeds", 1, ConfigError)
     rows = []
     for ratio in ratios:
         for seed in range(args.seeds):

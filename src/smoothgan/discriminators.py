@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, PointOffSupport
+from .errors import DimensionMismatch, PointOffSupport, refuse_over
 from .measures import (MERGE_TOL, DiscreteMeasure, _as_batch, _cdf_levels, _require_coords,
                        _require_same_dim, diff)
 
@@ -53,8 +53,10 @@ def grad_phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) ->
 
 def _atom_weights(mu: DiscreteMeasure, mu0: DiscreteMeasure, x):
     """Weights of mu and mu0 at each point of x (atoms within MERGE_TOL in sup-norm)
-    and whether x is one point; PointOffSupport if any point is off both supports."""
+    and whether x is one point; PointOffSupport if any point is off both supports.  More
+    than CELL_CAP query-atom coordinate differences raise ProblemTooLarge before any exists."""
     pts, single = _query(x, mu, mu0)
+    refuse_over(pts.size * (len(mu.points) + len(mu0.points)), "query-atom differences")
     hits = [np.max(np.abs(pts[:, None, :] - m.points), axis=2) < MERGE_TOL for m in (mu, mu0)]
     if not np.all(hits[0].any(axis=1) | hits[1].any(axis=1)):
         raise PointOffSupport("density ratio undefined off the union support")

@@ -20,7 +20,8 @@ import numpy as np
 from .discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd, phi_ns,
                              phi_w1_1d)
 from .errors import (DimensionMismatch, NegativeWeight, NonZeroMass, PointOffSupport,
-                     PreconditionViolated, SolverFailed, UnknownKind, refuse_over)
+                     PreconditionViolated, SolverFailed, UnknownKind, need_positive,
+                     refuse_over)
 from .measures import (MASS_TOL, DiscreteMeasure, _cdf_levels, _merge_atoms, _require_same_dim,
                        diff, require_mass_zero)
 
@@ -41,8 +42,7 @@ class KernelSpec:
     sigma_sq: float = 1.0 / (2.0 * math.pi)
 
     def __post_init__(self):
-        if not 0 < self.sigma_sq < math.inf:
-            raise PreconditionViolated(f"sigma_sq must be finite and positive: {self.sigma_sq}")
+        need_positive(self.sigma_sq, "sigma_sq", PreconditionViolated)
 
     @staticmethod
     def critical() -> "KernelSpec":

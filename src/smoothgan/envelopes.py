@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, EmptyDomain, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
-                     PreconditionViolated, refuse_over)
+                     PreconditionViolated, need_positive, refuse_over)
 from .measures import BoxDomain, table_from_csv, table_to_csv
 
 _CELL_PAIR_CAP = 10 ** 9
@@ -48,8 +48,7 @@ def grid_axes(domain: BoxDomain, step: float) -> list[np.ndarray]:
 
     A grid of more than CELL_CAP cells raises ProblemTooLarge before any axis exists.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise GridMismatch(f"grid step must be finite and positive, got {step}")
+    need_positive(step, "grid step", GridMismatch)
     steps = (domain.hi - domain.lo) / step
     refuse_over(np.prod(steps + 1), "grid cells")
     axes = []
@@ -311,8 +310,7 @@ def pasch_hausdorff(f: GridFn, alpha: float) -> GridFn:
     over the cells that `_l1_prune` keeps: all N of them, O(N^2), when f is
     alpha-Lipschitz already, and a few when f is much steeper than alpha.
     """
-    if not 0 < alpha < math.inf:
-        raise NonPositiveAlpha(f"alpha must be finite and positive, got {alpha}")
+    need_positive(alpha, "alpha", NonPositiveAlpha)
     fv, gv = f.values, alpha * _difference_norm(f)[1]
     if f.dim == 1:
         r = alpha * f.step * np.arange(len(fv))
@@ -331,8 +329,7 @@ def moreau(f: GridFn, beta: float) -> GridFn:
     search (the scan, when f has few finite cells), with the scan's bits
     either way.  In 2-D it is separable: two min-plus passes.
     """
-    if not 0 < beta < math.inf:
-        raise NonPositiveBeta(f"beta must be finite and positive, got {beta}")
+    need_positive(beta, "beta", NonPositiveBeta)
     dd, norm = _difference_norm(f)
     return _infconv_kernel(f, GridFn(dd, f.step, norm ** 2 / (2.0 * beta)))
 

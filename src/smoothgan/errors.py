@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one guard on problem size."""
+"""Exception types shared across the package, and the guards on size and scalar arguments."""
+
+import math
+import numbers
 
 CELL_CAP = 10 ** 7      # 80 MB of float64: the most cells an outside size may ask for
 
@@ -32,6 +35,18 @@ def refuse_over(count, what: str, cap: int = CELL_CAP) -> None:
     if count > cap:
         shown = f"{count:.3g}" if isinstance(count, float) else count    # ints exactly
         raise ProblemTooLarge(f"{shown} {what} exceed the cap of {cap}")
+
+
+def need_count(value, name: str, least: int, error: type[SmoothganError]) -> None:
+    """Raise error unless value is an integer (not a bool) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def need_positive(value, name: str, error: type[SmoothganError]) -> None:
+    """Raise error unless value is a finite real above 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise error(f"{name} must be finite and positive, got {value!r}")
 
 
 class SolverFailed(SmoothganError):

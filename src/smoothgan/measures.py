@@ -11,24 +11,18 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
-                     PreconditionViolated, SmoothganError, UnknownKind, refuse_over)
+                     PreconditionViolated, SmoothganError, UnknownKind, need_count, refuse_over)
 
 MERGE_TOL = 1e-12   # sup-norm distance below which atoms are considered equal
 MASS_TOL = 1e-12
 # largest atom coordinate: past ~1.3e154 the kernel Gram's ||x||^2 + ||y||^2 - 2 x.y
 # overflows to inf - inf
 COORD_MAX = 1e150
-
-
-def _is_int(v, least: int) -> bool:
-    """An integer (not a bool) of at least least."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
 
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -213,8 +207,8 @@ def sample_target(kind: str, n: int, seed: int) -> DiscreteMeasure:
     regular lattice.  More than CELL_CAP coordinates raise ProblemTooLarge
     before any point is drawn.
     """
-    if not (_is_int(n, 1) and _is_int(seed, 0)):
-        raise ConfigError(f"target n must be an int >= 1 and seed an int >= 0, got {n!r}, {seed!r}")
+    need_count(n, "target n", 1, ConfigError)
+    need_count(seed, "target seed", 0, ConfigError)
     refuse_over(2 * n, "target coordinates")
     rng = np.random.default_rng(seed)
     if kind == "ring":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonSmoothActivation, PreconditionViolated, refuse_over
+from .errors import ConfigError, NonSmoothActivation, PreconditionViolated, need_count, refuse_over
 from .measures import BoxDomain, _as_batch
 from .rng import child_rng
 
@@ -100,8 +100,8 @@ def random_mlp(input_dim: int, width: int, depth: int, activation: str, seed: in
 
     More than CELL_CAP parameters raise ProblemTooLarge before any layer is drawn.
     """
-    if min(input_dim, width, depth) < 1:
-        raise PreconditionViolated("input_dim, width and depth must be at least 1")
+    for name, size in (("input_dim", input_dim), ("width", width), ("depth", depth)):
+        need_count(size, name, 1, PreconditionViolated)
     # weights and biases of the first layer, the depth - 2 hidden ones and the output one
     n_params = (input_dim + 1 if depth == 1 else
                 (input_dim + 1) * width + (depth - 2) * (width + 1) * width + width + 1)
@@ -121,8 +121,7 @@ def random_mlp(input_dim: int, width: int, depth: int, activation: str, seed: in
 def power_iteration(w: np.ndarray, iters: int = 200, seed: int = 0) -> float:
     """Power iteration on W^T W; the estimate ||W u_k|| is a nondecreasing
     lower bound on the top singular value."""
-    if iters < 1:
-        raise ConfigError("iters must be >= 1")
+    need_count(iters, "iters", 1, ConfigError)
     u = child_rng(seed, 99).standard_normal(w.shape[1])
     u /= np.linalg.norm(u)
     est = 0.0

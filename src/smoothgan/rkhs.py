@@ -16,7 +16,7 @@ import numpy as np
 
 from .divergences import KernelSpec, _is_critical
 from .errors import (LengthMismatch, OrderTooLarge, PreconditionViolated,
-                     QuadratureDomainTooSmall, refuse_over)
+                     QuadratureDomainTooSmall, need_count, need_positive, refuse_over)
 
 MAX_ORDER = 30
 
@@ -55,11 +55,12 @@ def truncated_series_norm(f: EmbeddingFn, order: int, quad_lo: float, quad_hi: f
     Hermite factor reaches out to roughly sqrt(2k+1) scaled widths), so give
     generous domains for order > 10.
     """
+    need_count(order, "order", 0, PreconditionViolated)
     if order > MAX_ORDER:
         raise OrderTooLarge(f"series order capped at {MAX_ORDER}")
-    if order < 0 or not 0 < quad_step < math.inf or not np.isfinite([quad_lo, quad_hi]).all():
-        raise PreconditionViolated(f"need order >= 0, a finite quad_step > 0 and finite bounds, "
-                                   f"got {order}, {quad_step}, [{quad_lo}, {quad_hi}]")
+    need_positive(quad_step, "quad_step", PreconditionViolated)
+    if not np.isfinite([quad_lo, quad_hi]).all():
+        raise PreconditionViolated(f"need finite quadrature bounds, got [{quad_lo}, {quad_hi}]")
     if not _is_critical(f.kernel):
         raise PreconditionViolated("series coefficients hold for the critical kernel only")
     sigma = math.sqrt(f.kernel.sigma_sq)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, need_count
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -29,8 +29,7 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 def child_seed(seed: int, *indices: int) -> int:
     """Fold integer indices into a nonnegative master seed, one splitmix64 step each."""
-    if int(seed) < 0:
-        raise PreconditionViolated(f"seed must be >= 0, got {seed}")
+    need_count(seed, "seed", 0, PreconditionViolated)
     state = int(seed) & _MASK64
     out, state = splitmix64(state)
     for ix in indices:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .divergences import LOSSES, KernelSpec, LossKind
-from .errors import GradientUnsupported, PreconditionViolated, UnknownKind, refuse_over
+from .errors import GradientUnsupported, PreconditionViolated, UnknownKind, need_count, refuse_over
 from .measures import BoxDomain, DiscreteMeasure, random_measure
 from .rng import child_rng
 
@@ -73,15 +73,13 @@ class OracleFamily:
 
 
 def _eval_points(domain: BoxDomain, grid_pts: int, rng: np.random.Generator,
-                 extra: np.ndarray | None = None) -> np.ndarray:
-    """Evaluation points: a grid (1-D) or uniform cloud (d > 1), plus atoms."""
+                 extra: np.ndarray) -> np.ndarray:
+    """Evaluation points: a grid (1-D) or uniform cloud (d > 1), then the atoms extra."""
     if domain.dim == 1:
         pts = np.linspace(domain.lo[0], domain.hi[0], grid_pts)[:, None]
     else:
         pts = rng.uniform(domain.lo, domain.hi, size=(grid_pts, domain.dim))
-    if extra is not None and len(extra):
-        pts = np.vstack([pts, extra])
-    return pts
+    return np.vstack([pts, extra])
 
 
 def estimate_alpha(family: OracleFamily, domain: BoxDomain, n_measures: int,
@@ -167,10 +165,10 @@ def build_report(family: OracleFamily, domain: BoxDomain, n_trials: int,
     An evaluation cloud of more than CELL_CAP coordinates, or more than
     CELL_CAP trials, raises ProblemTooLarge before the first trial.
     """
+    need_count(n_trials, "n_trials", 1, PreconditionViolated)
+    need_count(grid_pts, "grid_pts", 2, PreconditionViolated)
     refuse_over(grid_pts * domain.dim, "evaluation-cloud coordinates")
     refuse_over(n_trials, "trials")
-    if n_trials < 1 or grid_pts < 2:
-        raise PreconditionViolated("need n_trials >= 1 and grid_pts >= 2")
     raw = (
         estimate_alpha(family, domain, n_trials, grid_pts, seed),
         estimate_beta1(family, domain, n_trials, max(grid_pts // 4, 8), seed),

@@ -15,7 +15,6 @@ along the discriminator's input gradient.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -23,8 +22,8 @@ import numpy as np
 
 from .divergences import KernelSpec, _is_critical, mmd_sq
 from .errors import (ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace,
-                     PreconditionViolated, refuse_over)
-from .measures import DiscreteMeasure, _is_int, table_from_csv, table_to_csv
+                     PreconditionViolated, need_count, need_positive, refuse_over)
+from .measures import DiscreteMeasure, table_from_csv, table_to_csv
 from .nnsmooth import (MlpNet, mlp_forward, mlp_input_grad, mlp_param_grad, random_mlp,
                        spectral_normalize)
 from .rkhs import gp_penalty
@@ -47,8 +46,9 @@ class TrainConfig:
     init: np.ndarray | None = None     # default: particles uniform in [-1, 1]^d
 
     def __post_init__(self):
-        if not 0 < self.lr_ratio < math.inf or self.n_steps < 1 or self.n_particles < 1:
-            raise ConfigError("need finite lr_ratio > 0, n_steps >= 1, n_particles >= 1")
+        need_positive(self.lr_ratio, "lr_ratio", ConfigError)
+        for name, least in (("n_particles", 1), ("n_steps", 1), ("seed", 0)):
+            need_count(getattr(self, name), name, least, ConfigError)
         # the step 1/L is built from the critical kernel's beta1 and beta2 bounds
         if not _is_critical(self.kernel):
             raise PreconditionViolated(f"particle descent takes the critical kernel, "
@@ -200,10 +200,6 @@ def check_descent_inequality(trace: TrainTrace, big_l: float, tol: float = 1e-9)
 
 # --- regularized adversarial loop ---
 
-def _is_positive(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
-
-
 @dataclass(frozen=True)
 class GanLoopConfig:
     """The adversarial loop's settings; the gan2d JSON config holds these fields."""
@@ -223,13 +219,13 @@ class GanLoopConfig:
 
     def __post_init__(self):
         ints = {"depth": 1, "width": 1, "n_steps": 1, "disc_steps_per_gen": 1, "seed": 0}
+        for name, least in ints.items():
+            need_count(getattr(self, name), name, least, ConfigError)
         rates = ("final_scale", "beta2", "lr_disc") + (() if self.lr_gen is None else ("lr_gen",))
-        bad = [f"{k} must be an int >= {least}" for k, least in ints.items()
-               if not _is_int(getattr(self, k), least)]
-        bad += [f"{k} must be finite and > 0" for k in rates if not _is_positive(getattr(self, k))]
-        bad += [] if isinstance(self.interpolation, bool) else ["interpolation must be a bool"]
-        if bad:
-            raise ConfigError("; ".join(bad))
+        for name in rates:
+            need_positive(getattr(self, name), name, ConfigError)
+        if not isinstance(self.interpolation, bool):
+            raise ConfigError(f"interpolation must be a bool, got {self.interpolation!r}")
 
 
 def _disc_objective(net: MlpNet, theta: np.ndarray, target: DiscreteMeasure,

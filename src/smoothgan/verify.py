@@ -99,9 +99,10 @@ def check_w1_oracle_equivalence() -> list[CheckResult]:
 
     worst, dt = _timed(body)
     x = 1e-3
-    ratio = js(make_discrete([x], [1.0]), make_discrete([0.0], [1.0])) / x
+    ratio, js_dt = _timed(lambda: js(make_discrete([x], [1.0]), make_discrete([0.0], [1.0])) / x)
     return [CheckResult("w1 closed form vs transport LP (100 pairs)", worst, hi=1e-9, seconds=dt),
-            CheckResult("JS/W1 ratio at x=1e-3 (no finite Lipschitz constant)", ratio, lo=690.0)]
+            CheckResult("JS/W1 ratio at x=1e-3 (no finite Lipschitz constant)", ratio, lo=690.0,
+                        seconds=js_dt)]
 
 
 def check_w1_lp_assignment() -> list[CheckResult]:
@@ -135,7 +136,7 @@ def check_beta2_certificate() -> list[CheckResult]:
     est, dt = _timed(lambda: estimate_beta2(fam, BoxDomain.unit(1), 500, 201, MASTER_SEED))
     return [CheckResult("beta2 estimate for critical-kernel MMD (500 pairs)", est,
                         lo=0.6 * 2 * math.pi, hi=1.01 * 2 * math.pi, seconds=dt),
-            CheckResult("beta2 estimate runtime in seconds", dt, hi=30.0)]
+            CheckResult("beta2 estimate runtime in seconds", dt, hi=30.0, seconds=dt)]
 
 
 def check_bregman_identity() -> list[CheckResult]:
@@ -161,12 +162,13 @@ def check_cross_hessian() -> list[CheckResult]:
     results = []
     grid = np.linspace(-1.0, 1.0, 41)
     for k, label in ((KernelSpec.critical(), "critical"), (KernelSpec(1.0), "sigma_sq=1")):
-        vals = np.array([[kernel_cross_hessian_norm(k, x, y) for y in grid] for x in grid])
+        vals, dt = _timed(lambda: np.array([[kernel_cross_hessian_norm(k, x, y) for y in grid]
+                                            for x in grid]))
         arg = np.unravel_index(np.argmax(vals), vals.shape)
         results.append(CheckResult(f"|cross-Hessian sup - 1/sigma^2| ({label})",
-                                   abs(np.max(vals) - 1.0 / k.sigma_sq), hi=1e-12))
+                                   abs(np.max(vals) - 1.0 / k.sigma_sq), hi=1e-12, seconds=dt))
         results.append(CheckResult(f"cross-Hessian argmax distance from the diagonal ({label})",
-                                   abs(int(arg[0]) - int(arg[1])), hi=0))
+                                   abs(int(arg[0]) - int(arg[1])), hi=0, seconds=dt))
 
         def body():
             gaps = []
@@ -249,8 +251,8 @@ def check_rkhs_series() -> list[CheckResult]:
     return [
         CheckResult("least increment of the series partial sums", np.min(np.diff(sums)),
                     lo=-1e-15, seconds=dt),
-        CheckResult("|S_0 - 1/sqrt(2)|", abs(sums[0] - 1 / math.sqrt(2)), hi=1e-6),
-        CheckResult("|S_20 - 1|, the reproducing norm", abs(sums[20] - 1.0), hi=0.01),
+        CheckResult("|S_0 - 1/sqrt(2)|", abs(sums[0] - 1 / math.sqrt(2)), hi=1e-6, seconds=dt),
+        CheckResult("|S_20 - 1|, the reproducing norm", abs(sums[20] - 1.0), hi=0.01, seconds=dt),
     ]
 
 
@@ -273,8 +275,9 @@ def check_network_bounds() -> list[CheckResult]:
     (worst_smooth, worst_lip), dt = _timed(body)
     return [CheckResult("k-layer smoothness ratio, k in 1..7 (2000 pairs)", worst_smooth,
                         hi=1.0 + 1e-3, seconds=dt),
-            CheckResult("k-layer smoothness runtime in seconds", dt, hi=60.0),
-            CheckResult("normalized-net Lipschitz ratio (2000 pairs)", worst_lip, hi=1.0 + 1e-3)]
+            CheckResult("k-layer smoothness runtime in seconds", dt, hi=60.0, seconds=dt),
+            CheckResult("normalized-net Lipschitz ratio (2000 pairs)", worst_lip, hi=1.0 + 1e-3,
+                        seconds=dt)]
 
 
 def check_gradient_oracles() -> list[CheckResult]:
@@ -342,12 +345,13 @@ def check_stationarity_and_descent() -> list[CheckResult]:
                                                     rel_tol=1e-9)
         descent_broken += not check_descent_inequality(trace, big_l, tol=1e-9)
         seconds.append(dt)
+    total = float(np.sum(seconds))
     return [
         CheckResult(f"runs breaking min grad^2 <= 2LJ0/n, of 12 x {ACCEPTANCE_STEPS} steps", stat_broken,
-                    hi=0, seconds=float(np.sum(seconds))),
-        CheckResult("slowest of those runs in seconds", np.max(seconds), hi=60.0),
+                    hi=0, seconds=total),
+        CheckResult("slowest of those runs in seconds", np.max(seconds), hi=60.0, seconds=total),
         CheckResult("runs breaking J(k+1) <= J(k) - g^2/(2L) + 1e-9, of the same 12",
-                    descent_broken, hi=0),
+                    descent_broken, hi=0, seconds=total),
     ]
 
 
@@ -369,9 +373,9 @@ def check_gan2d_equilibrium() -> list[CheckResult]:
         np.linalg.norm(w, 2) for w, _ in net.layers)))
     return [CheckResult("equilibrium run's max generator gradient / initial",
                         np.max(trace.grad_norm) / trace.grad_norm[0], hi=10.0, seconds=dt),
-            CheckResult("equilibrium run length in steps", len(trace), lo=100, hi=100),
+            CheckResult("equilibrium run length in steps", len(trace), lo=100, hi=100, seconds=dt),
             CheckResult("largest discriminator operator norm after any update", np.max(norms),
-                        hi=1.0 + 1e-6)]
+                        hi=1.0 + 1e-6, seconds=dt)]
 
 
 SUITES = {

@@ -24,6 +24,8 @@ def _assert_all(results):
         print(r.line())
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"failed checks: {failed}"
+    untimed = [r.name for r in results if not r.seconds > 0]
+    assert not untimed, f"records without a measured time: {untimed}"
 
 
 def test_criterion_stationarity_and_descent():

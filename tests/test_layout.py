@@ -73,6 +73,24 @@ def test_one_size_guard():
     assert sites == []
 
 
+def test_one_argument_guard():
+    # every count and positive real is checked by errors.need_count or errors.need_positive:
+    # no other module imports numbers or writes the chained test 0 < x < math.inf
+    def is_chained_positive(node):
+        return (isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.Lt] * 2
+                and isinstance(node.left, ast.Constant) and node.left.value == 0
+                and ast.unparse(node.comparators[-1]) == "math.inf")
+
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "smoothgan").glob("*.py"))
+             if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+             or is_chained_positive(node)]
+    assert sites == []
+
+
 def test_one_measure_type():
     # weighted atoms, probability or signed, are one type: no other class declares
     # both points and weights
