@@ -7,6 +7,10 @@ envelope (inf-convolution with alpha * Euclidean norm) produces an
 alpha-Lipschitz function; the Moreau envelope (with a quadratic) produces one
 with Lipschitz gradient.
 
+One test, `_whole_steps` (within 1e-6 of a step of a whole number of steps),
+decides what lies on a grid: a domain's width, `inf_conv`'s g (of f's step, on
+any box) against the origin, and each grid CSV point against its box's corner.
+
 Every inf-convolution is a minimum of sums f(x) + g(y), each the same single
 addition however it is reached.  The general kernel `_minplus` forms them
 all, looping over the finite cells of whichever operand has fewer and
@@ -43,21 +47,25 @@ from .measures import BoxDomain, table_from_csv, table_to_csv
 _CELL_PAIR_CAP = 10 ** 9
 
 
+def _whole_steps(x: np.ndarray, step: float, what: str) -> np.ndarray:
+    """x / step in whole steps; GridMismatch naming what if any is NaN or over 1e-6 steps off."""
+    k = np.round(x / step)
+    off = ~(np.abs(x / step - k) <= 1e-6)
+    if off.any():
+        raise GridMismatch(f"{what} is not a whole number of steps {step:.15g}: {x[off][0]:.15g}")
+    return k.astype(np.intp)
+
+
 def grid_axes(domain: BoxDomain, step: float) -> list[np.ndarray]:
     """Per-axis coordinate arrays; endpoints must be whole numbers of steps apart.
 
     A grid of more than CELL_CAP cells raises ProblemTooLarge before any axis exists.
     """
     need_positive(step, "grid step", GridMismatch)
-    steps = (domain.hi - domain.lo) / step
-    refuse_over(np.prod(steps + 1), "grid cells")
-    axes = []
-    for lo, hi, n_float in zip(domain.lo, domain.hi, steps):
-        n = int(round(n_float))
-        if abs(n_float - n) > 1e-6:
-            raise GridMismatch(f"domain [{lo}, {hi}] is not a whole number of steps {step}")
-        axes.append(lo + step * np.arange(n + 1))
-    return axes
+    width = domain.hi - domain.lo
+    refuse_over(np.prod(width / step + 1), "grid cells")
+    n = _whole_steps(width, step, "the domain's width")
+    return [lo + step * np.arange(k + 1) for lo, k in zip(domain.lo, n.tolist())]
 
 
 @dataclass(frozen=True)
@@ -89,19 +97,10 @@ class GridFn:
     def axes(self) -> list[np.ndarray]:
         return grid_axes(self.domain, self.step)
 
-    def same_grid(self, other: "GridFn") -> bool:
-        return (self.dim == other.dim
-                and abs(self.step - other.step) < 1e-12
-                and np.allclose(self.domain.lo, other.domain.lo, atol=1e-12)
-                and np.allclose(self.domain.hi, other.domain.hi, atol=1e-12))
-
 
 def _origin_offsets(g: GridFn) -> list[int]:
     """Integer index of coordinate 0 relative to g's lower corner, per axis."""
-    m = -g.domain.lo / g.step
-    if np.any(np.abs(m - np.round(m)) > 1e-6):
-        raise GridMismatch("shift grid must be aligned with the origin")
-    return np.round(m).astype(int).tolist()
+    return _whole_steps(-g.domain.lo, g.step, "g's offset from the origin").tolist()
 
 
 def _minplus(fv: np.ndarray, gv: np.ndarray, zero) -> np.ndarray:
@@ -221,8 +220,9 @@ def _monotone_minplus(hv: np.ndarray, cv: np.ndarray, zero: int, n: int) -> np.n
     return out
 
 
-def _infconv_kernel(f: GridFn, g: GridFn) -> GridFn:
-    """Exact discrete inf-convolution; g may live on a different origin-aligned grid."""
+def inf_conv(f: GridFn, g: GridFn) -> GridFn:
+    """Exact inf-convolution on f's grid, for any g of f's step and dimension on a box
+    a whole number of steps from the origin (a grid function is +inf off its grid)."""
     if abs(f.step - g.step) > 1e-12 or f.dim != g.dim:
         raise GridMismatch("inf-convolution needs equal steps and dimensions")
     zero = _origin_offsets(g)
@@ -238,13 +238,6 @@ def _infconv_kernel(f: GridFn, g: GridFn) -> GridFn:
             fv = _minplus(fv, gv[:, b, None] - gv[a, b], (zero[0], 0))
             gv, zero = gv[None, a, :], [0, zero[1]]
     return GridFn(f.domain, f.step, _minplus(fv, gv, zero))
-
-
-def inf_conv(f: GridFn, g: GridFn) -> GridFn:
-    """Inf-convolution of two functions on the same grid."""
-    if not f.same_grid(g):
-        raise GridMismatch("inf_conv requires identical grids")
-    return _infconv_kernel(f, g)
 
 
 def _difference_norm(f: GridFn) -> tuple[BoxDomain, np.ndarray]:
@@ -324,14 +317,15 @@ def pasch_hausdorff(f: GridFn, alpha: float) -> GridFn:
 def moreau(f: GridFn, beta: float) -> GridFn:
     """Quadratic regularization: inf-convolution with ||.||^2 / (2 beta).
 
-    The quadratic is sampled on the full difference domain.  In 1-D it is
-    convex in exact arithmetic, so `_infconv_kernel` takes the monotone
-    search (the scan, when f has few finite cells), with the scan's bits
-    either way.  In 2-D it is separable: two min-plus passes.
+    The quadratic is sampled on the full difference domain, of f's step and
+    through the origin, as `inf_conv`'s grid rule asks.  In 1-D it is convex
+    in exact arithmetic, so `inf_conv` takes the monotone search (the scan,
+    when f has few finite cells), with the scan's bits either way.  In 2-D it
+    is separable: two min-plus passes.
     """
     need_positive(beta, "beta", NonPositiveBeta)
     dd, norm = _difference_norm(f)
-    return _infconv_kernel(f, GridFn(dd, f.step, norm ** 2 / (2.0 * beta)))
+    return inf_conv(f, GridFn(dd, f.step, norm ** 2 / (2.0 * beta)))
 
 
 def _lower_hull(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -405,8 +399,6 @@ def legendre(f: GridFn, dual_domain: BoxDomain | None = None,
 def _slope_range_1d(f: GridFn) -> tuple[float, float]:
     """Range of adjacent-difference slopes over the finite part of f."""
     idx = np.flatnonzero(np.isfinite(f.values))
-    if len(idx) < 2:
-        return 0.0, 0.0
     block = f.values[idx[0]:idx[-1] + 1]
     d = np.diff(block) / f.step          # +-inf where the finite region has holes
     d = d[np.isfinite(d)]
@@ -447,10 +439,11 @@ def minimizer_invariance_check(f: GridFn, g: GridFn) -> bool:
     Requires g(0) = 0 with g >= 0 (so g has min 0 at the origin).
     """
     tol = 1e-9
-    zero = _origin_offsets(g)
-    if abs(float(g.values[tuple(zero)])) > tol or np.min(g.values) < -tol:
+    zero = _origin_offsets(g)                  # g is +inf at 0 when its grid does not hold 0
+    held = all(0 <= z < n for z, n in zip(zero, g.values.shape))
+    if not held or abs(float(g.values[tuple(zero)])) > tol or np.min(g.values) < -tol:
         raise PreconditionViolated("need g(0) = 0 and g >= 0")
-    conv = _infconv_kernel(f, g)
+    conv = inf_conv(f, g)
     fmin, cmin = float(np.min(f.values)), float(np.min(conv.values))
     if abs(fmin - cmin) > tol:
         return False
@@ -468,25 +461,23 @@ def gridfn_to_csv(f: GridFn) -> str:
 
 
 def gridfn_from_csv(text: str) -> GridFn:
+    """A x[,y],value CSV on the box its points span at their least gap; +inf where no row is."""
     header, table = table_from_csv(text)
     if [h.strip().lower() for h in header] not in (["x", "value"], ["x", "y", "value"]):
         raise GridMismatch("grid CSV header must be x,value or x,y,value")
     dim = len(header) - 1
     coords, vals = table[:, :dim], table[:, dim]
-    points, counts = np.unique(coords, axis=0, return_counts=True)
-    if np.any(counts > 1):
-        raise ConfigError(f"grid CSV repeats the point {points[np.argmax(counts > 1)].tolist()}")
     axes = [np.unique(c) for c in coords.T]
     if min(len(a) for a in axes) < 2:
         raise ConfigError("grid CSV needs two distinct coordinates along each axis")
-    step = float(np.min(np.diff(axes[0])))
+    step = float(min(np.min(np.diff(a)) for a in axes))
     dom = BoxDomain(np.array([a[0] for a in axes]), np.array([a[-1] for a in axes]))
-    if dim == 1:
-        return GridFn(dom, step, vals[np.argsort(coords[:, 0])])
-    xs, ys = axes
-    refuse_over(len(xs) * len(ys), "grid cells")
-    grid = np.full((len(xs), len(ys)), np.inf)
-    ix = np.searchsorted(xs, coords[:, 0])
-    iy = np.searchsorted(ys, coords[:, 1])
-    grid[ix, iy] = vals
+    shape = tuple(len(a) for a in grid_axes(dom, step))
+    cells = np.ravel_multi_index(_whole_steps(coords - dom.lo, step, "a grid CSV point's "
+                                              "offset from the grid's corner").T, shape)
+    _, first, counts = np.unique(cells, return_index=True, return_counts=True)
+    if np.any(counts > 1):
+        raise ConfigError(f"grid CSV repeats the point {coords[first[counts > 1][0]].tolist()}")
+    grid = np.full(shape, np.inf)
+    grid.flat[cells] = vals
     return GridFn(dom, step, grid)

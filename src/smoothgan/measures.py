@@ -101,7 +101,8 @@ class BoxDomain:
     @staticmethod
     def unit(dim: int) -> "BoxDomain":
         """The default domain [-1, 1]^d."""
-        return BoxDomain(-np.ones(max(dim, 0)), np.ones(max(dim, 0)))   # dim < 1: empty box
+        need_count(dim, "dim", 1, DimensionMismatch)
+        return BoxDomain(-np.ones(dim), np.ones(dim))
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,8 @@ def random_measure(rng: np.random.Generator, dim: int,
                    domain: BoxDomain | None = None) -> DiscreteMeasure:
     """Random test measure: k ~ U{2..8} atoms uniform in the box, Dirichlet weights."""
     box = domain if domain is not None else BoxDomain.unit(dim)
+    if box.dim != dim:
+        raise DimensionMismatch(f"a {dim}-D measure cannot be drawn in a {box.dim}-D domain")
     k = int(rng.integers(2, 9))
     pts = rng.uniform(box.lo, box.hi, size=(k, dim))
     w = rng.dirichlet(np.ones(k))

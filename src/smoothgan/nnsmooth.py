@@ -236,6 +236,7 @@ def mlp_param_grad(net: MlpNet, x, out_grad, in_grad) -> np.ndarray:
 
 def empirical_lipschitz(net: MlpNet, domain: BoxDomain, n_pairs: int, seed: int) -> float:
     """Sampled lower bound on sup |f(x) - f(y)| / ||x - y||."""
+    need_count(n_pairs, "n_pairs", 1, PreconditionViolated)
     rng = child_rng(seed, 4)
     x = rng.uniform(domain.lo, domain.hi, size=(n_pairs, domain.dim))
     y = rng.uniform(domain.lo, domain.hi, size=(n_pairs, domain.dim))
@@ -247,6 +248,7 @@ def empirical_lipschitz(net: MlpNet, domain: BoxDomain, n_pairs: int, seed: int)
 
 def empirical_smoothness(net: MlpNet, domain: BoxDomain, n_pairs: int, seed: int) -> float:
     """Sampled lower bound on the gradient's Lipschitz constant."""
+    need_count(n_pairs, "n_pairs", 1, PreconditionViolated)
     if net.activation == "relu":
         raise NonSmoothActivation("relu gradient is discontinuous; smoothness undefined")
     rng = child_rng(seed, 5)

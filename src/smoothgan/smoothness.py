@@ -57,6 +57,7 @@ class OracleFamily:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
+        need_count(self.dim, "dim", 1, PreconditionViolated)
         if self.kind not in LOSSES:
             raise UnknownKind(f"unknown loss {self.kind!r}")
         LOSSES[self.kind].check_kernel(self.kernel)

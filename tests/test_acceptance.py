@@ -1,9 +1,10 @@
 """Acceptance suite: every stated guarantee at its stated tolerance.
 
 Runs the same checks as `smoothgan verify --suite all`, one test per check
-group, printing the PASS/FAIL line for each record.  The trainer checks run
-the full 12-configuration grid at 10^4 steps twice and are the slow part of
-the suite, most of the whole tier-1 run of about 80 s on two cores.
+of `verify.SUITES`, printing the PASS/FAIL line for each record.  The
+trainer checks run the full 12-configuration grid at 10^4 steps twice and
+are the slow part of the suite, most of the whole tier-1 run of about 80 s
+on two cores.
 """
 
 import math
@@ -11,11 +12,7 @@ import math
 import pytest
 
 import smoothgan.verify as verify_mod
-from smoothgan.verify import (CheckResult, check_beta2_certificate, check_bregman_identity,
-                              check_cross_hessian, check_envelopes, check_gan2d_equilibrium,
-                              check_gradient_oracles, check_instability_contrast,
-                              check_network_bounds, check_rkhs_series,
-                              check_stationarity_and_descent, check_w1_lp_assignment,
+from smoothgan.verify import (CheckResult, check_cross_hessian, check_w1_lp_assignment,
                               check_w1_oracle_equivalence)
 
 
@@ -28,53 +25,13 @@ def _assert_all(results):
     assert not untimed, f"records without a measured time: {untimed}"
 
 
-def test_criterion_stationarity_and_descent():
-    # stationarity bound and per-step descent at the prescribed step size
-    _assert_all(check_stationarity_and_descent())
+_CHECKS = [check for checks in verify_mod.SUITES.values() for check in checks]
 
 
-def test_criterion_instability_contrast():
-    _assert_all(check_instability_contrast())
-
-
-def test_criterion_beta2_certificate():
-    _assert_all(check_beta2_certificate())
-
-
-def test_criterion_bregman_identity():
-    _assert_all(check_bregman_identity())
-
-
-def test_criterion_cross_hessian():
-    _assert_all(check_cross_hessian())
-
-
-def test_criterion_w1_oracle_and_ratio():
-    _assert_all(check_w1_oracle_equivalence())
-
-
-def test_criterion_w1_lp_assignment():
-    _assert_all(check_w1_lp_assignment())
-
-
-def test_criterion_envelopes():
-    _assert_all(check_envelopes())
-
-
-def test_criterion_network_bounds():
-    _assert_all(check_network_bounds())
-
-
-def test_criterion_rkhs_series():
-    _assert_all(check_rkhs_series())
-
-
-def test_criterion_gradient_oracles():
-    _assert_all(check_gradient_oracles())
-
-
-def test_criterion_gan2d_equilibrium():
-    _assert_all(check_gan2d_equilibrium())
+@pytest.mark.parametrize("check", _CHECKS, ids=[c.__name__ for c in _CHECKS])
+def test_criterion(check):
+    # every check of every verify suite, so a check added to a suite runs here too
+    _assert_all(check())
 
 
 @pytest.mark.parametrize("observed, lo, hi, passed", [

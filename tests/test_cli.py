@@ -404,10 +404,16 @@ def test_grid_all_plus_inf_exit_2(workdir, capsys):
     ("x,value\n0,1\n0.5,2\n0.5,3\n1,4\n", "repeats the point [0.5]"),
     ("x,value\n0,1\n0.5,2,3\n1,4\n", "row 2 has 3 cells but the header has 2"),
     ("x,y,value\n0,0,1\n0,1,2\n1,0,3,9\n1,1,4\n", "row 3 has 4 cells but the header has 3"),
-], ids=["one-point-2d", "repeated-2d-point", "repeated-1d-x", "wide-1d-row", "wide-2d-row"])
+    ("x,y,value\n" + "".join(f"{x},{y},1\n" for x in (0, 0.1, 0.2, 0.3)
+                             for y in (0, 0.1, 0.27, 0.3)),
+     "offset from the grid's corner is not a whole number of steps 0.03"),
+    ("x,value\n0,1\n0.3,2\n0.5,3\n1,4\n", "is not a whole number of steps 0.2"),
+], ids=["one-point-2d", "repeated-2d-point", "repeated-1d-x", "wide-1d-row", "wide-2d-row",
+        "off-grid-2d-y", "off-grid-1d-x"])
 def test_grid_csv_degenerate_points_exit_2(workdir, capsys, text, message):
-    # a repeated point used to be kept silently (last row winning) and a
-    # one-point 2-D grid ended in a ValueError traceback
+    # a repeated point used to be kept silently (last row winning), a one-point 2-D
+    # grid ended in a ValueError traceback, and a y off the grid was read at a grid
+    # point of the x step (0.27 as 0.2)
     (workdir / "f.csv").write_text(text)
     assert main(["env", "moreau", "--f", "f.csv", "--beta", "1", "--out", "o.csv"]) == 2
     err = capsys.readouterr().err

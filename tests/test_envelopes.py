@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothgan.envelopes import (GridFn, _infconv_kernel, _is_convex, _l1_prune, _minplus,
+from smoothgan.envelopes import (GridFn, _is_convex, _l1_prune, _minplus,
                                  _monotone_minplus, _monotone_operands, _origin_offsets,
                                  conjugate_sum_identity_check, grid_axes, gridfn_from_csv,
                                  gridfn_to_csv, inf_conv, legendre, minimizer_invariance_check,
@@ -58,13 +58,6 @@ def test_infconv_huber_values():
 def test_infconv_identity_element():
     conv = inf_conv(F_ABS, _chi_zero())
     assert np.array_equal(conv.values, F_ABS.values)
-
-
-def test_infconv_requires_same_grid():
-    other = GridFn(BoxDomain(np.array([-1.0]), np.array([1.0])), STEP,
-                   np.abs(grid_axes(BoxDomain(np.array([-1.0]), np.array([1.0])), STEP)[0]))
-    with pytest.raises(GridMismatch):
-        inf_conv(F_ABS, other)
 
 
 def test_infconv_commutative_associative():
@@ -231,6 +224,16 @@ def test_minimizer_invariance_precondition():
         minimizer_invariance_check(F_QUAD, bad)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (-4.0, -0.25)])
+def test_minimizer_invariance_needs_g_to_hold_the_origin(lo, hi):
+    # g is +inf at 0 off its grid: its origin index, -500 or 4000, names no cell of g (a
+    # negative one used to wrap round to a cell where g is 0, a large one to IndexError)
+    dom = _dom1(lo, hi)
+    xs = grid_axes(dom, STEP)[0]
+    with pytest.raises(PreconditionViolated):
+        minimizer_invariance_check(F_QUAD, GridFn(dom, STEP, np.abs(xs - xs[-500 % len(xs)])))
+
+
 def test_minimizer_invariance_random_convex():
     rng = np.random.default_rng(8)
     for t in range(10):
@@ -247,6 +250,29 @@ def test_gridfn_csv_roundtrip_with_inf():
     assert np.array_equal(np.isinf(f.values), np.isinf(f2.values))
     finite = np.isfinite(f.values)
     assert np.allclose(f.values[finite], f2.values[finite], atol=1e-12)
+
+
+@pytest.mark.parametrize("text, full", [
+    ("x,value\n0,1\n0.5,2\n1.5,4\n", "x,value\n0,1\n0.5,2\n1,inf\n1.5,4\n"),
+    ("x,y,value\n0,0,1\n0,0.5,2\n1,0,5\n1,0.5,6\n",
+     "x,y,value\n0,0,1\n0,0.5,2\n0.5,0,inf\n0.5,0.5,inf\n1,0,5\n1,0.5,6\n"),
+], ids=["1-D missing point", "2-D missing row"])
+def test_grid_csv_cell_no_row_names_is_inf(text, full):
+    # one reader for both dimensions: the step is the least gap along any axis, and a
+    # hole reads as the same grid with inf written in
+    f, g = gridfn_from_csv(text), gridfn_from_csv(full)
+    assert f.step == g.step and np.array_equal(f.domain.lo, g.domain.lo)
+    assert np.array_equal(f.domain.hi, g.domain.hi) and np.array_equal(f.values, g.values)
+
+
+def test_grid_csv_reads_each_point_at_its_own_cell():
+    # y = 0.25 among coordinates 0.1 apart: the least gap, 0.05, is the step, and each
+    # value lands at its own point (the x step alone read it at y = 0.2)
+    rows = [(x, y) for x in (0, 0.1, 0.2, 0.3) for y in (0, 0.1, 0.25, 0.3)]
+    f = gridfn_from_csv("x,y,value\n" + "".join(f"{x},{y},{i}\n" for i, (x, y) in enumerate(rows)))
+    assert f.step == pytest.approx(0.05) and f.values.shape == (7, 7)
+    assert [f.values[round(x / 0.05), round(y / 0.05)] for x, y in rows] == list(range(len(rows)))
+    assert np.count_nonzero(np.isfinite(f.values)) == len(rows)
 
 
 def test_gridfn_csv_golden_bytes():
@@ -639,6 +665,35 @@ def test_infconv_matches_brute_force(label):
             assert np.abs(out.values[finite] - brute[finite]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-5.0, 5.0), (-1.0, 2.0), (0.5, 2.5),
+                                    (-4.0, -0.25)])
+def test_infconv_takes_g_on_any_origin_aligned_grid(lo, hi):
+    # g's box need not be f's, nor hold the origin: a grid function is +inf off its grid,
+    # so the minimum over the pairs that land on f's grid is exact.  At step 1/16 holey
+    # values take the scan; at 1/128 convex ones take the monotone search
+    rng = np.random.default_rng(int(16 * (hi - lo)))
+    for step, convex in ((1 / 16, False), (1 / 128, True)):
+        doms = (_dom1(-3.0, 3.0), _dom1(lo, hi))
+        if convex:
+            f, g = (GridFn(d, step, np.abs(grid_axes(d, step)[0] - c) ** 1.5)
+                    for d, c in zip(doms, rng.uniform(-1, 1, 2)))
+            assert _monotone_operands(f.values, g.values) is not None
+        else:
+            f, g = (GridFn(d, step, _holey(rng, (len(grid_axes(d, step)[0]),), 0.3))
+                    for d in doms)
+        assert np.array_equal(inf_conv(f, g).values, _infconv_brute(f, g))
+
+
+@pytest.mark.parametrize("g_dom, g_step", [(_dom1(-1.0, 1.0), 1 / 8),
+                                           (_dom1(-1.0 + 1 / 32, 1.0 + 1 / 32), 1 / 16)],
+                         ids=["other step", "corner half a step off the origin"])
+def test_infconv_refuses_g_off_the_grid_rule(g_dom, g_step):
+    f = GridFn(_dom1(-3.0, 3.0), 1 / 16, np.zeros(97))
+    g = GridFn(g_dom, g_step, np.zeros(len(grid_axes(g_dom, g_step)[0])))
+    with pytest.raises(GridMismatch):
+        inf_conv(f, g)
+
+
 def test_1d_scan_cell_cap():
     # 40001^2 cell pairs, past the pair budget: refused before the scan starts.  Neither
     # operand is convex, so the monotone search cannot take them
@@ -850,7 +905,7 @@ _GX, _GY = np.meshgrid(_X101, _X101, indexing="ij")
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_pasch_hausdorff_2d_equals_full_scan(alpha):
     f = GridFn(_DOM2, 0.02, _bumpy2(np.random.default_rng(int(10 * alpha)), _X101))
-    scan = _infconv_kernel(f, _cone(f, alpha))
+    scan = inf_conv(f, _cone(f, alpha))
     assert np.array_equal(pasch_hausdorff(f, alpha).values, scan.values)
 
 
@@ -864,7 +919,7 @@ def test_pasch_hausdorff_2d_pruning_extremes(values, alpha, kept):
     n_kept = np.count_nonzero(np.isfinite(_l1_prune(f.values, alpha * f.step,
                                                     np.max(cone.values))))
     assert kept[0] <= n_kept <= kept[1]
-    assert np.array_equal(pasch_hausdorff(f, alpha).values, _infconv_kernel(f, cone).values)
+    assert np.array_equal(pasch_hausdorff(f, alpha).values, inf_conv(f, cone).values)
 
 
 @pytest.mark.parametrize("family", ["cone", "linear, slope -alpha along x", "l1 cone",
@@ -883,7 +938,7 @@ def test_pasch_hausdorff_2d_ties_equal_full_scan(family, dom, step):
             "ridge along y": alpha * np.abs(gx - cx)}[family]
     f = GridFn(dom, step, vals)
     assert np.array_equal(pasch_hausdorff(f, alpha).values,
-                          _infconv_kernel(f, _cone(f, alpha)).values)
+                          inf_conv(f, _cone(f, alpha)).values)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -898,7 +953,7 @@ def test_1d_envelopes_equal_full_scan(seed, holes):
     f = GridFn(dom, STEP, _holes(rng, _bumpy(rng, grid_axes(dom, STEP)[0]), holes))
     alpha = rng.uniform(0.5, 2.0)
     assert np.array_equal(pasch_hausdorff(f, alpha).values,
-                          _infconv_kernel(f, _cone(f, alpha)).values)
+                          inf_conv(f, _cone(f, alpha)).values)
 
 
 def test_moreau_of_huge_values_equals_the_scan():

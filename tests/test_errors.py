@@ -13,10 +13,12 @@ from smoothgan.cli import cmd_sweep
 from smoothgan.discriminators import phi_minimax, phi_ns
 from smoothgan.divergences import KernelSpec
 from smoothgan.envelopes import GridFn, grid_axes, moreau, pasch_hausdorff
-from smoothgan.errors import (ConfigError, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
-                              PreconditionViolated, ProblemTooLarge, need_count, need_positive)
+from smoothgan.errors import (ConfigError, DimensionMismatch, GridMismatch, NonPositiveAlpha,
+                              NonPositiveBeta, PreconditionViolated, ProblemTooLarge, need_count,
+                              need_positive)
 from smoothgan.measures import BoxDomain, make_discrete, sample_target
-from smoothgan.nnsmooth import power_iteration, random_mlp
+from smoothgan.nnsmooth import (empirical_lipschitz, empirical_smoothness, power_iteration,
+                                random_mlp)
 from smoothgan.rkhs import EmbeddingFn, truncated_series_norm
 from smoothgan.rng import child_seed
 from smoothgan.smoothness import OracleFamily, build_report
@@ -28,6 +30,7 @@ F = GridFn(DOM, 0.5, np.abs(np.linspace(-1.0, 1.0, 5)))
 TARGET = sample_target("ring", 8, 1)
 EMB = EmbeddingFn(np.array([0.0]), np.array([1.0]), KC)
 FAMILY = OracleFamily("mmd", dim=1, kernel=KC)
+NET = random_mlp(1, 4, 2, "elu", 0)
 
 
 def _train(**kw):
@@ -78,6 +81,12 @@ SITES = [
     ("sample_target n", lambda v: sample_target("ring", v, 0), ConfigError, 1),
     ("sample_target seed", lambda v: sample_target("ring", 8, v), ConfigError, 0),
     ("sweep --seeds", _sweep, ConfigError, 1),
+    ("empirical_lipschitz n_pairs", lambda v: empirical_lipschitz(NET, DOM, v, 0),
+     PreconditionViolated, 1),
+    ("empirical_smoothness n_pairs", lambda v: empirical_smoothness(NET, DOM, v, 0),
+     PreconditionViolated, 1),
+    ("OracleFamily dim", lambda v: OracleFamily("w1", dim=v), PreconditionViolated, 1),
+    ("BoxDomain.unit dim", BoxDomain.unit, DimensionMismatch, 1),
 ]
 
 

@@ -51,7 +51,7 @@ def test_one_transport_solver():
 
 def test_one_convex_search():
     # every 1-D inf-convolution with a convex operand goes through the monotone search
-    # in envelopes._infconv_kernel; the lower convex hull serves only the Legendre transform
+    # in envelopes.inf_conv; the lower convex hull serves only the Legendre transform
     callers = [f"{path.name}:{fn.name}"
                for path in sorted((ROOT / "src" / "smoothgan").glob("*.py"))
                for fn in ast.walk(ast.parse(path.read_text()))
@@ -71,6 +71,20 @@ def test_one_size_guard():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProblemTooLarge"]
     assert sites == []
+
+
+def test_one_grid_rule():
+    # whether a value lies a whole number of steps away is decided by envelopes._whole_steps
+    # alone: nothing else there rounds, and the old same-grid test and kernel are gone
+    def rounds(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("round", "rint", "around")]
+
+    tree = ast.parse((ROOT / "src" / "smoothgan" / "envelopes.py").read_text())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert rounds(tree) == rounds(defs["_whole_steps"]) != []
+    assert not defs.keys() & {"same_grid", "_infconv_kernel"}
 
 
 def test_one_argument_guard():

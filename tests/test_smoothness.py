@@ -13,7 +13,7 @@ import pytest
 
 from smoothgan import smoothness
 from smoothgan.divergences import KernelSpec, LossKind, kr_norm_1d, mmd_sq
-from smoothgan.errors import GradientUnsupported, PointOffSupport
+from smoothgan.errors import DimensionMismatch, GradientUnsupported, PointOffSupport
 from smoothgan.measures import BoxDomain, diff, make_discrete, random_measure
 from smoothgan.smoothness import (OracleFamily, SATURATION_THRESHOLD, bregman, build_report,
                                   estimate_alpha, estimate_beta1, estimate_beta2,
@@ -24,6 +24,15 @@ KC = KernelSpec.critical()
 BOX = BoxDomain.unit(1)
 ALPHA_BOUND = 2.0 * math.sqrt(2.0 * math.pi) * math.exp(-0.5)
 MMD_FAM = OracleFamily("mmd", dim=1, kernel=KC)
+
+
+@pytest.mark.parametrize("estimate", [estimate_alpha, estimate_beta1, estimate_beta2])
+@pytest.mark.parametrize("fam_dim, box_dim", [(1, 2), (2, 1)])
+def test_estimators_refuse_a_domain_of_another_dimension(estimate, fam_dim, box_dim):
+    # every trial draws through random_measure, which refuses the pair before numpy does
+    with pytest.raises(DimensionMismatch, match="cannot be drawn"):
+        estimate(OracleFamily("mmd", dim=fam_dim, kernel=KC), BoxDomain.unit(box_dim), 3, 11,
+                 seed=1)
 
 
 def test_alpha_estimate_bounds():
