@@ -79,25 +79,39 @@ def phi_ns(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarray:
     return float(val[0]) if single else val
 
 
-def _w1_segments(mu: DiscreteMeasure, mu0: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and per-gap slopes of the 1-D Kantorovich potential.
+def _w1_slopes(cdf: np.ndarray) -> np.ndarray:
+    """Per-gap slopes of the 1-D Kantorovich potential from the running CDF difference
+    F_mu - F_mu0 on each gap between pooled atoms.
 
-    The potential maximizing the dual pairing has derivative
-    sign(F_mu0 - F_mu) on each gap between pooled atoms (and 0 outside their
-    convex hull, where the CDFs agree).
+    The potential maximizing the dual pairing has derivative sign(F_mu0 - F_mu) on each
+    gap (and 0 outside the atoms' convex hull, where the CDFs agree).
     """
-    breaks, cdf = _cdf_levels(diff(mu, mu0))     # F_mu - F_mu0
     # zero out fp noise so the potential is flat wherever the CDFs agree,
     # in particular right of the last atom (mass-zero cancellation)
-    slopes = np.where(np.abs(cdf) <= 1e-12, 0.0, np.sign(-cdf))
-    return breaks, slopes
+    return np.where(np.abs(cdf) <= 1e-12, 0.0, np.sign(-cdf))
+
+
+def w1_slope_at(breaks: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The one slope rule of the 1-D potential: at each x, the slope of the gap that starts
+    at the last break <= x, and 0 left of the first break.
+
+    breaks (..., B) are sorted pooled atoms, cdf (..., B) the running CDF difference after
+    each, x (..., P) the queries; leading axes are batch axes.  The count of breaks <= x is
+    searchsorted(breaks, x, side="right").  More than CELL_CAP query-break comparisons raise
+    ProblemTooLarge before any exists.
+    """
+    refuse_over(x.size * breaks.shape[-1], "query-break comparisons")
+    count = np.count_nonzero(breaks[..., None, :] <= x[..., None], axis=-1)
+    slopes = np.take_along_axis(_w1_slopes(cdf), np.maximum(count - 1, 0), axis=-1)
+    return np.where(count > 0, slopes, 0.0)
 
 
 def phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarray:
     """1-D Kantorovich potential, 1-Lipschitz by construction, gauged psi(0) = 0."""
     if mu.dim != 1 or mu0.dim != 1:
         raise DimensionMismatch("phi_w1_1d requires 1-D measures")
-    breaks, slopes = _w1_segments(mu, mu0)
+    breaks, cdf = _cdf_levels(diff(mu, mu0))     # F_mu - F_mu0
+    slopes = _w1_slopes(cdf)
     pts, single = _query(x, mu, mu0)
     # the integral of the slope field from breaks[0] (slope 0 left of it) at each
     # query and then at the gauge point 0; diff(mu, mu0) holds at least one atom
@@ -114,10 +128,7 @@ def grad_phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> np.ndarray:
     """Almost-everywhere derivative of the 1-D potential (piecewise -1/0/+1)."""
     if mu.dim != 1 or mu0.dim != 1:
         raise DimensionMismatch("grad_phi_w1_1d requires 1-D measures")
-    breaks, slopes = _w1_segments(mu, mu0)
+    breaks, cdf = _cdf_levels(diff(mu, mu0))
     pts, single = _query(x, mu, mu0)
-    idx = np.searchsorted(breaks, pts[:, 0], side="right") - 1
-    out = np.zeros_like(pts)
-    valid = idx >= 0
-    out[valid, 0] = slopes[idx[valid]]
+    out = w1_slope_at(breaks, cdf, pts[:, 0])[:, None]
     return out[0] if single else out

@@ -49,7 +49,8 @@ class KernelSpec:
         return KernelSpec(sigma_sq=1.0 / (2.0 * math.pi))
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Kernel matrix K[i, j] = K(x_i, y_j) for (n, d) and (m, d) inputs.
+        """Kernel matrix K[..., i, j] = K(x_i, y_j) for (..., n, d) and (..., m, d) inputs,
+        whose leading axes, if any, are batch axes of one shape.
 
         Squared distances in matmul form ||x||^2 + ||y||^2 - 2 x.y, clipped at 0
         against cancellation; every step after the product works in place.  An
@@ -59,11 +60,11 @@ class KernelSpec:
         exponent skips the check over its entries.
         More than CELL_CAP cells raise ProblemTooLarge before anything is allocated.
         """
-        refuse_over(len(x) * len(y), "kernel Gram cells")
+        refuse_over(x.size // x.shape[-1] * y.shape[-2], "kernel Gram cells")
         xx, yy = np.vecdot(x, x), np.vecdot(y, y)
-        g = (-2.0 * x) @ y.T       # a GEMM even when y is x: numpy sends x @ x.T to slower SYRK
-        g += xx[:, None]
-        g += yy
+        g = (-2.0 * x) @ y.mT      # a GEMM even when y is x: numpy sends x @ x.T to slower SYRK
+        g += xx[..., None]
+        g += yy if y.ndim == 2 else yy[..., None, :]     # a (1, m) operand slows the 2-D add
         np.maximum(g, 0.0, out=g)
         scale = -1.0 / (2.0 * self.sigma_sq)
         g *= scale
@@ -88,10 +89,10 @@ class KernelSpec:
 
     def grad_x_sum(self, x: np.ndarray, y: np.ndarray, w) -> np.ndarray:
         """sum_j w_j grad_x K(x_i, y_j) = ((K diag(w) y)_i - x_i (K w)_i) / sigma_sq,
-        shape (n, d), for weights w of shape (m,)."""
+        shape (..., n, d), for weights w of shape (m,), or (..., 1, m) with batch axes as in gram."""
         kw = self.gram(x, y)
         kw *= w
-        return (kw @ y - x * kw.sum(axis=1)[:, None]) / self.sigma_sq
+        return (kw @ y - x * kw.sum(axis=-1)[..., None]) / self.sigma_sq
 
 
 def _is_critical(k: KernelSpec) -> bool:

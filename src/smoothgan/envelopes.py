@@ -222,8 +222,13 @@ def _monotone_minplus(hv: np.ndarray, cv: np.ndarray, zero: int, n: int) -> np.n
 
 def inf_conv(f: GridFn, g: GridFn) -> GridFn:
     """Exact inf-convolution on f's grid, for any g of f's step and dimension on a box
-    a whole number of steps from the origin (a grid function is +inf off its grid)."""
-    if abs(f.step - g.step) > 1e-12 or f.dim != g.dim:
+    a whole number of steps from the origin (a grid function is +inf off its grid).
+
+    The steps are equal when g's farthest point from the origin, read in f's step,
+    drifts by at most 1e-6 of a step: the one grid rule's tolerance.
+    """
+    reach = np.abs(np.concatenate([g.domain.lo, g.domain.hi])).max() / g.step
+    if f.dim != g.dim or not abs(f.step - g.step) * reach <= 1e-6 * f.step:
         raise GridMismatch("inf-convolution needs equal steps and dimensions")
     zero = _origin_offsets(g)
     fv, gv = f.values, g.values

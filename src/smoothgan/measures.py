@@ -228,16 +228,59 @@ def sample_target(kind: str, n: int, seed: int) -> DiscreteMeasure:
     return make_discrete(pts, np.full(len(pts), 1.0 / len(pts)))
 
 
-def random_measure(rng: np.random.Generator, dim: int,
-                   domain: BoxDomain | None = None) -> DiscreteMeasure:
-    """Random test measure: k ~ U{2..8} atoms uniform in the box, Dirichlet weights."""
+def random_atoms(rng: np.random.Generator, dim: int,
+                 domain: BoxDomain | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The one random draw of a test measure: k ~ U{2..8} atoms uniform in the box
+    (the unit box by default), Dirichlet(1,..,1) weights, as raw (k, dim) and (k,) arrays."""
     box = domain if domain is not None else BoxDomain.unit(dim)
     if box.dim != dim:
         raise DimensionMismatch(f"a {dim}-D measure cannot be drawn in a {box.dim}-D domain")
     k = int(rng.integers(2, 9))
     pts = rng.uniform(box.lo, box.hi, size=(k, dim))
-    w = rng.dirichlet(np.ones(k))
-    return make_discrete(pts, w)
+    return pts, rng.dirichlet(np.ones(k))
+
+
+def random_measure(rng: np.random.Generator, dim: int,
+                   domain: BoxDomain | None = None) -> DiscreteMeasure:
+    """Random test measure: make_discrete of one random_atoms draw."""
+    return make_discrete(*random_atoms(rng, dim, domain))
+
+
+def pack_measures(points: np.ndarray, weights: np.ndarray, rows: np.ndarray, n_rows: int,
+                  signed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Many measures at once as plain arrays: row r is make_discrete (make_signed if signed)
+    of the atoms points[rows == r] with weights weights[rows == r], in the order given.
+
+    Returns atoms (n_rows, width, d), weights (n_rows, width) and atom counts (n_rows,).  Each
+    row's atoms come first, with make_discrete's (make_signed's) bits in its lexicographic
+    order, then padding of weight 0 placed at the largest coordinate of any atom.  Every row
+    needs an atom.  A row with a first-coordinate gap below MERGE_TOL, or a probability row
+    with a zero weight, is built by make_discrete (make_signed) itself.
+    """
+    _require_coords(points, "atom coordinates")
+    order = np.lexsort((*points.T[::-1], rows))
+    r, pts, w = rows[order], points[order], weights[order] + 0.0
+    n = np.bincount(r, minlength=n_rows)
+    start = np.cumsum(n) - n
+    col = np.arange(len(r)) - start[r]
+    close = (r[1:] == r[:-1]) & (pts[1:, 0] - pts[:-1, 0] < MERGE_TOL)
+    slow = set(r[1:][close].tolist())
+    if not signed:
+        slow.update(r[w == 0].tolist())
+        # each row by its own sum: numpy sums a zero-padded row in another order
+        w = w / np.repeat([w[s:s + k].sum() for s, k in zip(start.tolist(), n.tolist())], n)
+    pad = pts.max(axis=0)
+    out_p = np.empty((n_rows, n.max(), pts.shape[1]))
+    out_p[:] = pad
+    out_p[r, col] = pts
+    out_w = np.zeros(out_p.shape[:2])
+    out_w[r, col] = w
+    for i in slow:
+        m = (make_signed if signed else make_discrete)(points[rows == i], weights[rows == i])
+        n[i] = m.n_atoms
+        out_p[i], out_w[i] = pad, 0.0
+        out_p[i, :n[i]], out_w[i, :n[i]] = m.points, m.weights
+    return out_p, out_w, n
 
 
 # --- CSV: the one codec for every table the package reads or writes ---

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smoothgan.discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd,
-                                      phi_ns, phi_w1_1d)
+                                      phi_ns, phi_w1_1d, w1_slope_at)
 from smoothgan.divergences import LOSSES, KernelSpec, mmd_sq, w1_1d
 from smoothgan.errors import DimensionMismatch, GradientUnsupported, PointOffSupport
 from smoothgan.measures import diff, make_discrete, random_measure
@@ -205,3 +205,17 @@ def test_query_convention(name, d):
     for bad in [np.float64(pts[0, 0]), pts[0, 0]] + [np.zeros(k) for k in {1, 2, 3} - {d}]:
         with pytest.raises(DimensionMismatch):
             oracle(mu, mu0, net, bad)
+
+
+def test_w1_slope_rule_counts_breaks_as_searchsorted():
+    # the slope at x is read after the count of breaks <= x, searchsorted's side="right", in
+    # one row or stacked rows, with queries on, between and outside tied breaks
+    rng = np.random.default_rng(41)
+    breaks = np.sort(np.round(rng.uniform(-1, 1, (6, 9)), 1), axis=1)
+    cdf = rng.choice([-0.5, -1e-13, 0.0, 1e-13, 0.25], size=(6, 9))
+    x = np.concatenate([breaks, np.round(rng.uniform(-1.2, 1.2, (6, 30)), 1)], axis=1)
+    slopes = np.where(np.abs(cdf) <= 1e-12, 0.0, np.sign(-cdf))
+    for b, c, s, q, got in zip(breaks, cdf, slopes, x, w1_slope_at(breaks, cdf, x)):
+        idx = np.searchsorted(b, q, side="right") - 1
+        want = np.where(idx >= 0, s[np.maximum(idx, 0)], 0.0)
+        assert np.array_equal(got, want) and np.array_equal(w1_slope_at(b, c, q), want)

@@ -694,6 +694,20 @@ def test_infconv_refuses_g_off_the_grid_rule(g_dom, g_step):
         inf_conv(f, g)
 
 
+@pytest.mark.parametrize("g_step, accepted", [(1e-13, True), (5e-13, False),
+                                              (1e-13 * (1 + 1e-9), True)])
+def test_infconv_step_test_is_relative(g_step, accepted):
+    # steps below 1e-12 are told apart by their ratio: 5e-13 against 1e-13 is refused, and
+    # a drift far inside 1e-6 of a step over g's cells is read as the same step
+    f = GridFn(_dom1(-4e-13, 4e-13), 1e-13, np.abs(np.arange(-4.0, 5.0)))
+    g = GridFn(_dom1(-2 * g_step, 2 * g_step), g_step, np.zeros(5))
+    if accepted:
+        assert np.array_equal(inf_conv(f, g).values, _infconv_brute(f, g))
+    else:
+        with pytest.raises(GridMismatch, match="equal steps"):
+            inf_conv(f, g)
+
+
 def test_1d_scan_cell_cap():
     # 40001^2 cell pairs, past the pair budget: refused before the scan starts.  Neither
     # operand is convex, so the monotone search cannot take them

@@ -21,7 +21,8 @@ from smoothgan.nnsmooth import (empirical_lipschitz, empirical_smoothness, power
                                 random_mlp)
 from smoothgan.rkhs import EmbeddingFn, truncated_series_norm
 from smoothgan.rng import child_seed
-from smoothgan.smoothness import OracleFamily, build_report
+from smoothgan.smoothness import (OracleFamily, build_report, estimate_alpha, estimate_beta1,
+                                  estimate_beta2)
 from smoothgan.trainer import GanLoopConfig, TrainConfig
 
 KC = KernelSpec.critical()
@@ -65,6 +66,14 @@ SITES = [
      PreconditionViolated, 1),
     ("build_report grid_pts", lambda v: build_report(FAMILY, DOM, 2, v, 0),
      PreconditionViolated, 2),
+    ("estimate_alpha n_measures", lambda v: estimate_alpha(FAMILY, DOM, v, 11, 0),
+     PreconditionViolated, 1),
+    ("estimate_beta1 n_measures", lambda v: estimate_beta1(FAMILY, DOM, v, 8, 0),
+     PreconditionViolated, 1),
+    ("estimate_beta1 n_point_pairs", lambda v: estimate_beta1(FAMILY, DOM, 2, v, 0),
+     PreconditionViolated, 1),
+    ("estimate_beta2 n_measure_pairs", lambda v: estimate_beta2(FAMILY, DOM, v, 11, 0),
+     PreconditionViolated, 1),
     ("TrainConfig lr_ratio", lambda v: _train(lr_ratio=v), ConfigError, None),
     ("TrainConfig n_particles", lambda v: _train(n_particles=v), ConfigError, 1),
     ("TrainConfig n_steps", lambda v: _train(n_steps=v), ConfigError, 1),

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 from smoothgan import smoothness
-from smoothgan.divergences import KernelSpec, LossKind, kr_norm_1d, mmd_sq
+from smoothgan.divergences import LOSSES, KernelSpec, LossKind, kr_norm_1d, mmd_sq
 from smoothgan.errors import DimensionMismatch, GradientUnsupported, PointOffSupport
-from smoothgan.measures import BoxDomain, diff, make_discrete, random_measure
+from smoothgan.measures import (BoxDomain, diff, make_discrete, make_signed, pack_measures,
+                                random_atoms, random_measure)
+from smoothgan.rng import child_rng
 from smoothgan.smoothness import (OracleFamily, SATURATION_THRESHOLD, bregman, build_report,
                                   estimate_alpha, estimate_beta1, estimate_beta2,
                                   kernel_cross_hessian_norm)
 from smoothgan.measures import DiscreteMeasure
+from smoothgan.verify import MASTER_SEED
 
 KC = KernelSpec.critical()
 BOX = BoxDomain.unit(1)
@@ -49,8 +52,8 @@ def test_alpha_w1_family():
 
 def test_alpha_trivial_family(monkeypatch):
     # every draw the same measure: mu = mu0, so the witness and its gradient vanish
-    mu0 = make_discrete([0.25], [1.0])
-    monkeypatch.setattr(smoothness, "random_measure", lambda rng, dim, domain: mu0)
+    monkeypatch.setattr(smoothness, "random_atoms",
+                        lambda rng, dim, domain: (np.array([[0.25]]), np.array([1.0])))
     assert estimate_alpha(MMD_FAM, BOX, 10, 51, seed=1) == 0.0
 
 
@@ -112,6 +115,12 @@ def test_gradient_unsupported():
         estimate_alpha(fam, BOX, 5, 11, seed=0)
 
 
+@pytest.mark.parametrize("estimate", [estimate_alpha, estimate_beta1, estimate_beta2])
+def test_w1_gradients_need_one_dimension(estimate):
+    with pytest.raises(DimensionMismatch, match="1-D"):
+        estimate(OracleFamily("w1", dim=2), BoxDomain.unit(2), 3, 11, seed=1)
+
+
 def test_build_report_caps_saturation():
     rep = build_report(OracleFamily("w1", dim=1), BOX, 50, 101, seed=3)
     assert rep.beta1_saturated
@@ -119,6 +128,194 @@ def test_build_report_caps_saturation():
     assert rep.alpha_hat <= 1.0 + 1e-9
     d = rep.to_dict()
     assert d["n_trials"] == 50 and d["beta1_saturated"] is True
+
+
+# --- the batched estimators against the per-trial loops they replaced ---
+
+def _ref_eval_points(domain, grid_pts, rng, extra):
+    if domain.dim == 1:
+        pts = np.linspace(domain.lo[0], domain.hi[0], grid_pts)[:, None]
+    else:
+        pts = rng.uniform(domain.lo, domain.hi, size=(grid_pts, domain.dim))
+    return np.vstack([pts, extra])
+
+
+def _ref_grad(family, mu, mu0, x):
+    return LOSSES[family.kind].grad(mu, mu0, family.kernel, x)
+
+
+def ref_alpha(family, domain, n_measures, grid_pts, seed):
+    """The per-trial loop: one oracle call on one measure pair per trial."""
+    best = 0.0
+    for t in range(n_measures):
+        rng = child_rng(seed, 0, t)
+        mu = random_measure(rng, family.dim, domain)
+        mu0 = random_measure(rng, family.dim, domain)
+        pts = _ref_eval_points(domain, grid_pts, rng, np.vstack([mu.points, mu0.points]))
+        best = max(best, float(np.linalg.norm(_ref_grad(family, mu, mu0, pts), axis=1).max()))
+    return best
+
+
+def ref_beta1(family, domain, n_measures, n_point_pairs, seed):
+    best = 0.0
+    for t in range(n_measures):
+        rng = child_rng(seed, 1, t)
+        mu = random_measure(rng, family.dim, domain)
+        mu0 = random_measure(rng, family.dim, domain)
+        atoms = np.vstack([mu.points, mu0.points])
+        use_atom = rng.random(n_point_pairs) < 0.5
+        anchors = rng.uniform(domain.lo, domain.hi, size=(n_point_pairs, domain.dim))
+        atom_ix = rng.integers(0, len(atoms), size=n_point_pairs)
+        anchors[use_atom] = atoms[atom_ix[use_atom]]
+        h = 10.0 ** rng.uniform(-7, 0, size=n_point_pairs)
+        direc = rng.standard_normal((n_point_pairs, domain.dim))
+        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+        others = np.clip(anchors + h[:, None] * direc, domain.lo, domain.hi)
+        sep = np.linalg.norm(anchors - others, axis=1)
+        ok = sep > 0
+        grads = _ref_grad(family, mu, mu0, np.concatenate([anchors, others]))
+        gap = grads[:n_point_pairs] - grads[n_point_pairs:]
+        ratios = np.linalg.norm(gap, axis=1)[ok] / sep[ok]
+        if ratios.size:
+            best = max(best, float(ratios.max()))
+    return best
+
+
+def _ref_beta2_pair(family, domain, rng, t):
+    mu = random_measure(rng, family.dim, domain)
+    if t % 2 == 0:
+        return mu, random_measure(rng, family.dim, domain)
+    h = 10.0 ** rng.uniform(-3, math.log10(0.5))
+    direc = rng.standard_normal(domain.dim)
+    direc /= np.linalg.norm(direc)
+    nu_pts = np.clip(mu.points + h * direc, domain.lo, domain.hi)
+    return mu, DiscreteMeasure(nu_pts, mu.weights.copy())
+
+
+def ref_beta2(family, domain, n_measure_pairs, grid_pts, seed):
+    best = 0.0
+    for t in range(n_measure_pairs):
+        rng = child_rng(seed, 2, t)
+        mu, nu = _ref_beta2_pair(family, domain, rng, t)
+        dist = LOSSES["w1"].value(mu, nu, None)
+        if dist < 1e-12:
+            continue
+        mu0 = random_measure(rng, family.dim, domain)
+        pts = _ref_eval_points(domain, grid_pts, rng, np.vstack([mu.points, nu.points]))
+        gap = _ref_grad(family, mu, mu0, pts) - _ref_grad(family, nu, mu0, pts)
+        sup = float(np.linalg.norm(gap, axis=1).max())
+        best = max(best, sup / dist)
+    return best
+
+
+ESTIMATORS = {"alpha": (estimate_alpha, ref_alpha), "beta1": (estimate_beta1, ref_beta1),
+              "beta2": (estimate_beta2, ref_beta2)}
+# largest relative change of an MMD estimate against the per-trial loop: the batched kernel
+# sums add zero-weight padding and so sum in another order, a few ulps per gradient.  beta2
+# divides gradient gaps of jitters down to 1e-3 and beta1 of separations down to 1e-7, which
+# magnify those ulps about 1e3 and 1e7 times
+MMD_REL = {"alpha": 1e-13, "beta1": 1e-8, "beta2": 1e-12}
+# the benchmark's nine estimator ops: family, dimension, trials, grid points
+WORKBENCH = [("mmd", 1, 60, 201), ("mmd", 2, 15, 200), ("w1", 1, 60, 201)]
+
+
+def _family(kind, dim):
+    return OracleFamily(kind, dim=dim, kernel=None if kind == "w1" else KC)
+
+
+def _assert_matches_loop(name, fam, box, trials, size, seed):
+    batched, loop = (f(fam, box, trials, size, seed) for f in ESTIMATORS[name])
+    if fam.kind == "w1":
+        assert repr(batched) == repr(loop)
+    else:
+        assert batched == pytest.approx(loop, rel=MMD_REL[name], abs=0.0)
+        assert batched > 0.0
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+@pytest.mark.parametrize("kind, dim, trials, grid_pts", WORKBENCH)
+@pytest.mark.parametrize("seed", [1, 2, 29])
+def test_batched_estimates_match_the_per_trial_loop(name, kind, dim, trials, grid_pts, seed):
+    # W1 equal by repr, MMD within MMD_REL; the sizes are the benchmark's
+    size = max(grid_pts // 4, 8) if name == "beta1" else grid_pts
+    _assert_matches_loop(name, _family(kind, dim), BoxDomain.unit(dim), trials, size, seed)
+
+
+def test_verify_beta2_call_matches_the_per_trial_loop():
+    _assert_matches_loop("beta2", MMD_FAM, BOX, 500, 201, MASTER_SEED)
+
+
+@pytest.mark.parametrize("kind", ["mmd", "w1"])
+def test_beta2_jitter_atoms_clipped_onto_one_boundary_point(kind):
+    # seed 1's trial 1 jitters two atoms past the box: its nu holds one point twice,
+    # so both of its pooled supports merge atoms, as diff does
+    mu, nu = _ref_beta2_pair(MMD_FAM, BOX, child_rng(1, 2, 1), 1)
+    assert len(np.unique(nu.points)) < nu.n_atoms
+    _assert_matches_loop("beta2", _family(kind, 1), BOX, 2, 101, 1)
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+@pytest.mark.parametrize("kind, dim", [("mmd", 1), ("mmd", 2), ("w1", 1)])
+def test_chunks_cross_trial_boundaries_with_one_gram_each(monkeypatch, name, kind, dim):
+    # a cap of 7 trials' cells splits 23 trials into chunks of 7, 7, 7 and 2; each
+    # chunk makes one Gram call (MMD) over all its rows, and the estimate matches the loop
+    size = 10 if name == "beta1" else 41
+    rows = 2 if name == "beta2" else 1
+    monkeypatch.setattr(smoothness, "_CHUNK_CELLS",
+                        7 * rows * (2 * size if name == "beta1" else size + 16) * 16)
+    calls = []
+    gram = KernelSpec.gram
+
+    def counted(self, x, y):
+        calls.append(x.shape[:-2])
+        return gram(self, x, y)
+
+    batched, loop = ESTIMATORS[name]
+    fam, box = _family(kind, dim), BoxDomain.unit(dim)
+    monkeypatch.setattr(KernelSpec, "gram", counted)
+    est = batched(fam, box, 23, size, 4)
+    monkeypatch.setattr(KernelSpec, "gram", gram)
+    assert calls == ([(7 * rows,)] * 3 + [(2 * rows,)] if kind == "mmd" else [])
+    if kind == "w1":
+        assert repr(est) == repr(loop(fam, box, 23, size, 4))
+    else:
+        assert est == pytest.approx(loop(fam, box, 23, size, 4), rel=MMD_REL[name], abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_packed_measures_are_random_measure_bytes(dim):
+    # every row of one pack equals make_discrete of its own draw, byte for byte
+    box = BoxDomain.unit(dim)
+    draws = [random_atoms(child_rng(5, dim, t), dim, box) for t in range(400)]
+    rows = np.repeat(np.arange(400), [len(w) for _, w in draws])
+    pts, w, n = pack_measures(np.concatenate([p for p, _ in draws]),
+                              np.concatenate([w for _, w in draws]), rows, 400)
+    assert np.count_nonzero(n == 8) > 20 and pts.shape == (400, 8, dim)
+    for t in range(400):
+        m = random_measure(child_rng(5, dim, t), dim, box)
+        assert n[t] == m.n_atoms
+        assert pts[t, :n[t]].tobytes() == m.points.tobytes()
+        assert w[t, :n[t]].tobytes() == m.weights.tobytes()
+        assert not w[t, n[t]:].any()
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_packed_rows_that_merge_take_the_one_merge_kernel(signed):
+    # atoms closer than MERGE_TOL, a zero weight and negative weights, against make_*
+    make = make_signed if signed else make_discrete
+    rows_in = [([[0.5], [0.1], [0.5 + 1e-13], [-0.3]], [0.2, 0.3, 0.1, 0.4]),
+               ([[0.2], [0.7]], [0.0, 1.0]),
+               ([[0.9], [0.2], [0.4]], [0.5, 0.25, 0.25] if not signed else [0.5, -0.25, -0.25])]
+    pts = np.concatenate([np.array(p, dtype=float) for p, _ in rows_in])
+    wts = np.concatenate([np.array(w, dtype=float) for _, w in rows_in])
+    rows = np.repeat(np.arange(3), [len(w) for _, w in rows_in])
+    out_p, out_w, n = pack_measures(pts, wts, rows, 3, signed)
+    for r, (p, w) in enumerate(rows_in):
+        m = make(p, w)
+        assert n[r] == m.n_atoms
+        assert out_p[r, :n[r]].tobytes() == m.points.tobytes()
+        assert out_w[r, :n[r]].tobytes() == m.weights.tobytes()
+    assert n.tolist() == [3, 2 if signed else 1, 3]
 
 
 # --- Bregman ---
