@@ -114,7 +114,8 @@ def cmd_disc(args) -> int:
     loss, kernel = LOSSES[args.loss], _kernel_for(args)
     print("phi:", fmt_number(loss.witness(mu, mu0, kernel, x)))
     if loss.grad is not None:
-        print("grad:", ",".join(fmt_number(v) for v in loss.grad(mu, mu0, kernel, x).tolist()))
+        grad = loss.grad(mu.as_row(), mu0.as_row(), kernel, x[None, None])[0, 0]
+        print("grad:", ",".join(fmt_number(v) for v in grad.tolist()))
     return 0
 
 

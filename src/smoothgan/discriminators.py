@@ -4,7 +4,9 @@ For the MMD loss the optimal discriminator is the witness function
 Phi(x) = E_mu[K(x, .)] - E_mu0[K(x, .)], defined and differentiable on the
 whole box.  The minimax / non-saturating discriminators are density-ratio
 functions, defined only on the union support.  The 1-D Wasserstein potential
-is built from the sign of the CDF difference.
+is built from the sign of the CDF difference.  Each witness gradient has one
+rule on pack_measures rows, LOSSES' grad, which grad_phi_* call; the
+potential keeps the sweep of one measure, faster there (see _cdf_sweep).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, PointOffSupport, refuse_over
-from .measures import (MERGE_TOL, DiscreteMeasure, _as_batch, _cdf_levels, _require_coords,
-                       _require_same_dim, diff)
+from .measures import (MERGE_TOL, DiscreteMeasure, Packed, _as_batch, _cdf_levels, _real,
+                       _require_coords, _require_same_dim, diff, pack_measures)
 
 if TYPE_CHECKING:
     from .divergences import KernelSpec
@@ -42,12 +44,18 @@ def phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> floa
     return float(val[0]) if single else val
 
 
+def witness_grad_mmd(mu: Packed, mu0: Packed, k: KernelSpec, x: np.ndarray) -> np.ndarray:
+    """The MMD witness gradient at x (..., P, d) for pack_measures rows with any leading axes
+    or none: one kernel-gradient sum over the pooled support [mu; mu0], weighted [w; -w0]."""
+    return k.grad_x_sum(x, np.concatenate([mu[0], mu0[0]], axis=-2),
+                        np.concatenate([mu[1], -mu0[1]], axis=-1)[..., None, :])
+
+
 def grad_phi_mmd(mu: DiscreteMeasure, mu0: DiscreteMeasure, k: KernelSpec, x) -> np.ndarray:
-    """Spatial gradient of the MMD witness via the analytic kernel gradient, one
-    weighted kernel-gradient sum over the pooled support [mu; mu0], weighted [w; -w0]."""
+    """Spatial gradient of the MMD witness via the analytic kernel gradient."""
     pts, single = _query(x, mu, mu0)
-    g = k.grad_x_sum(pts, np.vstack([mu.points, mu0.points]),
-                     np.concatenate([mu.weights, -mu0.weights]))
+    g = witness_grad_mmd((mu.points, mu.weights, mu.n_atoms),
+                         (mu0.points, mu0.weights, mu0.n_atoms), k, pts)
     return g[0] if single else g
 
 
@@ -124,11 +132,32 @@ def phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> float | np.ndarra
     return float(vals[0]) if single else vals
 
 
+def _cdf_sweep(mu: Packed, mu0: Packed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 1-D CDF sweep of diff(mu_t, mu0_t) for every packed row t: its sorted atoms
+    (breaks), the running sum F_mu - F_mu0 after each, and the atom counts.  Padding sits at
+    the largest break of any row, so no row's slopes change, with the running sum unchanged.
+    _cdf_levels stays the sweep of one measure (phi_w1_1d, kr_norm_1d): this one matches its
+    bits on one row but took 24.3 against 17.5 us a small pair, 745 against 575 us at 10^4 atoms.
+    """
+    real, real0 = _real(mu), _real(mu0)
+    rows = np.concatenate([np.nonzero(real)[0], np.nonzero(real0)[0]])
+    pts = np.concatenate([mu[0][real], mu0[0][real0]])
+    w = np.concatenate([mu[1][real], -mu0[1][real0]])
+    breaks, w, n = pack_measures(pts, w, rows, len(mu[2]), signed=True)
+    return breaks[..., 0], np.cumsum(w, axis=-1), n
+
+
+def witness_grad_w1(mu: Packed, mu0: Packed, x: np.ndarray) -> np.ndarray:
+    """The slopes (T, P, 1) of the 1-D Kantorovich potentials of T packed measure pairs at
+    their (T, P, 1) queries: w1_slope_at after one CDF sweep of all the rows."""
+    if x.shape[-1] != 1:
+        raise DimensionMismatch("the W1 potential's gradient requires 1-D measures")
+    breaks, cdf, _ = _cdf_sweep(mu, mu0)
+    return w1_slope_at(breaks, cdf, x[..., 0])[..., None]
+
+
 def grad_phi_w1_1d(mu: DiscreteMeasure, mu0: DiscreteMeasure, x) -> np.ndarray:
     """Almost-everywhere derivative of the 1-D potential (piecewise -1/0/+1)."""
-    if mu.dim != 1 or mu0.dim != 1:
-        raise DimensionMismatch("grad_phi_w1_1d requires 1-D measures")
-    breaks, cdf = _cdf_levels(diff(mu, mu0))
     pts, single = _query(x, mu, mu0)
-    out = w1_slope_at(breaks, cdf, pts[:, 0])[:, None]
-    return out[0] if single else out
+    g = witness_grad_w1(mu.as_row(), mu0.as_row(), pts[None])[0]
+    return g[0] if single else g

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd, phi_ns,
-                             phi_w1_1d)
+from .discriminators import (phi_minimax, phi_mmd, phi_ns, phi_w1_1d, witness_grad_mmd,
+                             witness_grad_w1)
 from .errors import (DimensionMismatch, NegativeWeight, NonZeroMass, PointOffSupport,
                      PreconditionViolated, SolverFailed, UnknownKind, need_positive,
                      refuse_over)
@@ -103,9 +103,12 @@ def _is_critical(k: KernelSpec) -> bool:
 class Loss:
     """One GAN loss: short name (CLI --loss, OracleFamily kind), LossKind tag, whether
     it takes a kernel k, J(mu) = value(mu, mu0, k), the optimal discriminator
-    witness(mu, mu0, k, x), bregman(kind, nu, mu) and the witness gradient (None for
-    density ratios on atoms).  Entries call package functions by name inside lambdas,
-    never hold them, so that a wrapper installed on a module attribute sees every call."""
+    witness(mu, mu0, k, x), bregman(kind, nu, mu) and grad(mu, mu0, k, x), the loss's one
+    rule for the witness gradient on pack_measures rows (None for density ratios on atoms).
+    That is the witness's gradient in x: MMD's particle gradient is it divided by N, while
+    W1's differs at atoms (mu = delta_0.5, mu0 = delta_0: 0 at 0.5, but dW1/dtheta = 1).
+    Entries call package functions by name inside lambdas, never hold them, so that a
+    wrapper installed on a module attribute sees every call."""
 
     name: str
     tag: str
@@ -496,10 +499,10 @@ LOSSES = {loss.name: loss for loss in (
          value=lambda mu, mu0, k: w1_1d(mu, mu0) if mu.dim == 1 else w1_lp(mu, mu0),
          witness=lambda mu, mu0, k, x: phi_w1_1d(mu, mu0, x),
          bregman=lambda kind, nu, mu: _pairing_bregman(kind, nu, mu),
-         grad=lambda mu, mu0, k, x: grad_phi_w1_1d(mu, mu0, x)),
+         grad=lambda mu, mu0, k, x: witness_grad_w1(mu, mu0, x)),
     Loss("mmd", "mmd_sq_half", True,
          value=lambda mu, mu0, k: 0.5 * mmd_sq(mu, mu0, k),
          witness=lambda mu, mu0, k, x: phi_mmd(mu, mu0, k, x),
          bregman=lambda kind, nu, mu: _pairing_bregman(kind, nu, mu),
-         grad=lambda mu, mu0, k, x: grad_phi_mmd(mu, mu0, k, x)),
+         grad=lambda mu, mu0, k, x: witness_grad_mmd(mu, mu0, k, x)),
 )}

@@ -3,7 +3,8 @@
 Measures are finitely supported: a continuous target only ever enters as a
 large equal-weight sample.  One type, DiscreteMeasure, holds every weighted
 set of atoms; make_discrete builds a probability measure, make_signed and diff
-a signed one.  All types are immutable after construction and every
+a signed one, and pack_measures many of either as padded arrays, all through
+one merge kernel.  All types are immutable after construction and every
 operation is pure.
 """
 
@@ -23,6 +24,7 @@ MASS_TOL = 1e-12
 # largest atom coordinate: past ~1.3e154 the kernel Gram's ||x||^2 + ||y||^2 - 2 x.y
 # overflows to inf - inf
 COORD_MAX = 1e150
+Packed = tuple[np.ndarray, np.ndarray, np.ndarray]      # atoms, weights, counts: pack_measures
 
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -37,7 +39,7 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     return (pts[None, :], True) if pts.ndim == 1 else (pts, False)
 
 
-def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge_atoms(points: np.ndarray, weights: np.ndarray, rows: np.ndarray | None = None):
     """Combine atoms closer than MERGE_TOL in sup-norm, adding their weights.
 
     weights is (n,) or (n, k), k weight vectors on the same atoms.  Each
@@ -46,33 +48,38 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     group, and output atoms are at least MERGE_TOL apart; a chain of sub-MERGE_TOL
     gaps can also join atoms a few MERGE_TOL apart.  Output atoms are in
     lexicographic order, each the lexicographically first atom of its group,
-    and each group's weights are summed one by one in that order.
+    and each group's weights are summed one by one in that order.  Row labels (n,), if given,
+    lead the sort and split groups, so each row merges alone; the output's rows come third.
 
     The first coordinate is already sorted by the lexicographic order, so it
     splits without a second sort.  When that leaves every atom alone in its
     group, the sorted atoms return at once with weights + 0.0: the same bits
     as summing one-atom groups from zero, which also turns -0.0 into +0.0.
     """
-    order = np.lexsort(points.T[::-1])
-    pts, w = points[order], weights[order]
+    order = np.lexsort(points.T[::-1] if rows is None else (*points.T[::-1], rows))
+    pts, w, r = points[order], weights[order], None if rows is None else rows[order]
     x = pts[:, 0]
     new = np.empty(len(pts), dtype=bool)
     new[:1] = True
     np.greater_equal(x[1:] - x[:-1], MERGE_TOL, out=new[1:])
+    if r is not None:
+        new[1:] |= r[1:] != r[:-1]
     if new.all():
-        return pts, w + 0.0
-    label = np.cumsum(new)
-    o = np.arange(len(pts))
-    for x in pts.T[1:]:
-        o = np.lexsort((x, label))
-        lab, xs = label[o], x[o]
-        new[1:] = (lab[1:] != lab[:-1]) | (xs[1:] - xs[:-1] >= MERGE_TOL)
-        label[o] = np.cumsum(new)
-    head = np.minimum.reduceat(o, np.flatnonzero(new))    # each group's first atom
-    merged = np.zeros((len(head),) + w.shape[1:])
-    np.add.at(merged, label - 1, w)                         # sums in lexicographic order
-    g = np.argsort(head)
-    return pts[head[g]], merged[g]
+        head, w = slice(None), w + 0.0
+    else:
+        label = np.cumsum(new)
+        o = np.arange(len(pts))
+        for x in pts.T[1:]:
+            o = np.lexsort((x, label))
+            lab, xs = label[o], x[o]
+            new[1:] = (lab[1:] != lab[:-1]) | (xs[1:] - xs[:-1] >= MERGE_TOL)
+            label[o] = np.cumsum(new)
+        head = np.minimum.reduceat(o, np.flatnonzero(new))    # each group's first atom
+        merged = np.zeros((len(head),) + w.shape[1:])
+        np.add.at(merged, label - 1, w)                         # sums in lexicographic order
+        g = np.argsort(head)
+        head, w = head[g], merged[g]
+    return (pts[head], w) if r is None else (pts[head], w, r[head])
 
 
 @dataclass(frozen=True)
@@ -128,6 +135,10 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return self.points.shape[0]
 
+    def as_row(self) -> Packed:
+        """The measure as one row packed as pack_measures packs rows, with no padding."""
+        return self.points[None], self.weights[None], np.array([self.n_atoms])
+
 
 def _require_coords(pts: np.ndarray, what: str) -> None:
     """Every coordinate of pts at most COORD_MAX in magnitude (NaN fails the test too)."""
@@ -170,10 +181,8 @@ def make_discrete(points, weights) -> DiscreteMeasure:
     if w.sum() <= 0:
         raise NegativeWeight("weights must have positive total mass")
     pts, w = _merge_atoms(pts, w)
-    # drop atoms whose merged weight is exactly zero; the positive total keeps one
-    keep = w > 0
-    if not keep.all():
-        pts, w = pts[keep], w[keep]
+    if not w.all():             # drop atoms of merged weight 0; the positive total keeps one
+        pts, w = pts[w > 0], w[w > 0]
     # normalize after merging: weights normalized first can merge to 1 - 1 ulp,
     # which turns KL(mu, mu) negative
     return DiscreteMeasure(pts, w / w.sum())
@@ -247,40 +256,40 @@ def random_measure(rng: np.random.Generator, dim: int,
 
 
 def pack_measures(points: np.ndarray, weights: np.ndarray, rows: np.ndarray, n_rows: int,
-                  signed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  signed: bool = False) -> Packed:
     """Many measures at once as plain arrays: row r is make_discrete (make_signed if signed)
-    of the atoms points[rows == r] with weights weights[rows == r], in the order given.
+    of the atoms points[rows == r] with weights weights[rows == r], in the order given, and
+    refuses what they refuse.
 
     Returns atoms (n_rows, width, d), weights (n_rows, width) and atom counts (n_rows,).  Each
     row's atoms come first, with make_discrete's (make_signed's) bits in its lexicographic
-    order, then padding of weight 0 placed at the largest coordinate of any atom.  Every row
-    needs an atom.  A row with a first-coordinate gap below MERGE_TOL, or a probability row
-    with a zero weight, is built by make_discrete (make_signed) itself.
+    order, then padding of weight 0 placed at the largest coordinate of any input atom.
     """
-    _require_coords(points, "atom coordinates")
-    order = np.lexsort((*points.T[::-1], rows))
-    r, pts, w = rows[order], points[order], weights[order] + 0.0
+    points, weights = _atoms(points, weights)
+    if not np.bincount(rows, minlength=n_rows).all():
+        raise EmptySupport("every measure needs at least one atom")
+    if not signed and ((weights < 0).any() or not np.bincount(rows, weights, n_rows).all()):
+        raise NegativeWeight("probability weights must be nonnegative with positive total mass")
+    pts, w, r = _merge_atoms(points, weights, rows)
+    if not signed and not w.all():                      # drop atoms of merged weight 0
+        pts, w, r = pts[w > 0], w[w > 0], r[w > 0]
     n = np.bincount(r, minlength=n_rows)
     start = np.cumsum(n) - n
-    col = np.arange(len(r)) - start[r]
-    close = (r[1:] == r[:-1]) & (pts[1:, 0] - pts[:-1, 0] < MERGE_TOL)
-    slow = set(r[1:][close].tolist())
     if not signed:
-        slow.update(r[w == 0].tolist())
         # each row by its own sum: numpy sums a zero-padded row in another order
         w = w / np.repeat([w[s:s + k].sum() for s, k in zip(start.tolist(), n.tolist())], n)
-    pad = pts.max(axis=0)
-    out_p = np.empty((n_rows, n.max(), pts.shape[1]))
-    out_p[:] = pad
+    col = np.arange(len(r)) - start[r]
+    out_p = np.empty((n_rows, n.max(), points.shape[1]))
+    out_p[:] = points.max(axis=0)
     out_p[r, col] = pts
     out_w = np.zeros(out_p.shape[:2])
     out_w[r, col] = w
-    for i in slow:
-        m = (make_signed if signed else make_discrete)(points[rows == i], weights[rows == i])
-        n[i] = m.n_atoms
-        out_p[i], out_w[i] = pad, 0.0
-        out_p[i, :n[i]], out_w[i, :n[i]] = m.points, m.weights
     return out_p, out_w, n
+
+
+def _real(m: Packed) -> np.ndarray:
+    """Which atom slots of each packed row are atoms, not padding."""
+    return np.arange(m[1].shape[1]) < m[2][:, None]
 
 
 # --- CSV: the one codec for every table the package reads or writes ---

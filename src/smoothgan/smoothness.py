@@ -12,8 +12,8 @@ whose operator norm is available in closed form from its two eigenvalues.
 Each trial draws from its own stream, child_rng(seed, k, t), in a fixed order;
 only the draws run trial by trial.  The trials' measures are then packed as
 plain padded arrays (pack_measures, byte-equal to make_discrete per trial) and
-evaluated in batches of at most 2^20 kernel or comparison cells: one
-kernel sum (MMD) or one 1-D CDF sweep (W1) per batch, with masks in place of
+evaluated in batches of at most 2^20 kernel or comparison cells: one call of
+the loss's gradient rule, LOSSES[kind].grad, per batch, with masks in place of
 the per-trial skips.  W1 estimates equal the per-trial loop's by repr.  MMD
 kernel sums over zero-weight padding add in another order: over the
 benchmark's estimator calls on seeds 1-20 that moved alpha by at most 4e-16
@@ -28,11 +28,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discriminators import w1_slope_at
+from .discriminators import _cdf_sweep
 from .divergences import LOSSES, KernelSpec, LossKind, w1_lp
-from .errors import (DimensionMismatch, GradientUnsupported, PreconditionViolated, UnknownKind,
-                     need_count, refuse_over)
-from .measures import BoxDomain, DiscreteMeasure, pack_measures, random_atoms
+from .errors import GradientUnsupported, PreconditionViolated, UnknownKind, need_count, refuse_over
+from .measures import BoxDomain, DiscreteMeasure, Packed, _real, pack_measures, random_atoms
 from .rng import child_rng
 
 SATURATION_THRESHOLD = 1e6
@@ -40,8 +39,6 @@ SATURATION_THRESHOLD = 1e6
 # for at most 2^20 cells, 8 MB a float array: at CELL_CAP one chunk's Gram alone would take 80 MB
 _POOLED_ATOMS = 16
 _CHUNK_CELLS = 2 ** 20
-
-Packed = tuple[np.ndarray, np.ndarray, np.ndarray]      # atoms, weights, counts: pack_measures
 
 
 @dataclass(frozen=True)
@@ -85,19 +82,12 @@ class OracleFamily:
         return LOSSES[self.kind].grad is not None
 
     def grad(self, mu: Packed, mu0: Packed, x: np.ndarray) -> np.ndarray:
-        """Spatial gradients (T, P, d) of the optimal discriminators of T measure pairs
-        (mu_t, mu0_t), packed as pack_measures packs them, at their (T, P, d) queries x:
-        grad_phi_mmd's kernel sum, or grad_phi_w1_1d's slope rule after one CDF sweep."""
+        """Spatial gradients (T, P, d) of the optimal discriminators of T pack_measures row
+        pairs (mu_t, mu0_t) at their (T, P, d) queries x, by the loss's one gradient rule."""
         if not self.supports_gradients():
             raise GradientUnsupported(
                 f"{self.kind} oracles are density ratios on atoms; gradient queries unsupported")
-        if self.kind == "mmd":
-            return self.kernel.grad_x_sum(x, np.concatenate([mu[0], mu0[0]], axis=1),
-                                          np.concatenate([mu[1], -mu0[1]], axis=1)[:, None])
-        if x.shape[-1] != 1:
-            raise DimensionMismatch("the W1 potential's gradient requires 1-D measures")
-        breaks, cdf, _ = _cdf_sweep(mu, mu0)
-        return w1_slope_at(breaks, cdf, x[..., 0])[..., None]
+        return LOSSES[self.kind].grad(mu, mu0, self.kernel, x)
 
 
 def _chunks(n_trials: int, cells: int) -> list[range]:
@@ -126,26 +116,9 @@ def _rows(m: Packed, sel) -> Packed:
     return m[0][sel], m[1][sel], m[2][sel]
 
 
-def _real(m: Packed) -> np.ndarray:
-    """Which atom slots of each row are atoms, not padding."""
-    return np.arange(m[1].shape[1]) < m[2][:, None]
-
-
 def _cat(a: Packed, b: Packed) -> Packed:
     """The rows of a, then those of b (of one width)."""
     return tuple(np.concatenate(z) for z in zip(a, b))
-
-
-def _cdf_sweep(mu: Packed, mu0: Packed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 1-D CDF sweep of diff(mu_t, mu0_t) for every row t: its sorted atoms (breaks),
-    the running sum F_mu - F_mu0 after each, and the atom counts.  Padding sits at the
-    largest break of any row, so no row's slopes change, with the running sum unchanged."""
-    real, real0 = _real(mu), _real(mu0)
-    rows = np.concatenate([np.nonzero(real)[0], np.nonzero(real0)[0]])
-    pts = np.concatenate([mu[0][real], mu0[0][real0]])
-    w = np.concatenate([mu[1][real], -mu0[1][real0]])
-    breaks, w, n = pack_measures(pts, w, rows, len(mu[2]), signed=True)
-    return breaks[..., 0], np.cumsum(w, axis=-1), n
 
 
 def _eval_points(domain: BoxDomain, grid_pts: int, rngs: list[np.random.Generator],

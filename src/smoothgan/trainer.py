@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discriminators import witness_grad_mmd
 from .divergences import KernelSpec, _is_critical, mmd_sq
 from .errors import (ConfigError, DegenerateConstants, DimensionMismatch, MalformedTrace,
                      PreconditionViolated, need_count, need_positive, refuse_over)
@@ -98,13 +99,13 @@ class TrainTrace:
 def mmd_particle_grad(theta: np.ndarray, mu0: DiscreteMeasure, k: KernelSpec) -> np.ndarray:
     """Gradient of theta -> (1/2) MMD^2(mu_theta, mu0) for the N x d particle
     matrix theta, whose measure weights each row 1/N: row i is the witness
-    gradient at particle i scaled by 1/N, one weighted kernel-gradient sum over
-    the pooled support [theta; mu0], weighted [1/N; -w0]."""
+    gradient at particle i scaled by 1/N.  Coordinates are not bounded: an escaped
+    run's last row is recorded, inf or nan."""
     if theta.ndim != 2 or theta.shape[1] != mu0.dim:
         raise DimensionMismatch(f"particles of shape {theta.shape} vs target dim {mu0.dim}")
     n = len(theta)
-    w = np.concatenate([np.full(n, 1.0 / n), -mu0.weights])
-    return k.grad_x_sum(theta, np.vstack([theta, mu0.points]), w) / n
+    return witness_grad_mmd((theta, np.full(n, 1.0 / n), n),
+                            (mu0.points, mu0.weights, mu0.n_atoms), k, theta) / n
 
 
 def theoretical_lr(a: float, b: float, alpha: float, beta1: float, beta2: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminators import grad_phi_mmd, phi_mmd
+from .discriminators import grad_phi_mmd, grad_phi_w1_1d, phi_mmd, phi_w1_1d
 from .divergences import KernelSpec, LossKind, js, kr_norm_1d, mmd_sq, w1_1d, w1_lp
 from .envelopes import (BoxDomain, GridFn, conjugate_sum_identity_check,
                         minimizer_invariance_check, moreau, pasch_hausdorff)
@@ -312,10 +312,20 @@ def check_gradient_oracles() -> list[CheckResult]:
         fd = _central_diff(lambda y: phi_mmd(mu, mu0, kc, y), x, 1e-4)
         return np.max(np.abs(grad_phi_mmd(mu, mu0, kc, x) - fd))
 
+    def w1_err(rng, t):
+        mu, mu0 = random_measure(rng, 1), random_measure(rng, 1)
+        x = rng.uniform(-1, 1, size=1)
+        # the potential is linear within 1e-3 of x, so the differences see one slope
+        while np.abs(np.concatenate([mu.points, mu0.points]) - x).min() < 1e-3:
+            x = rng.uniform(-1, 1, size=1)
+        fd = _central_diff(lambda y: phi_w1_1d(mu, mu0, y), x, 1e-4)
+        return np.max(np.abs(grad_phi_w1_1d(mu, mu0, x) - fd))
+
     res = []
     for label, stream, err, tol in (("particle gradient", 500, particle_err, 1e-6),
                                     ("network input gradient", 600, net_err, 1e-5),
-                                    ("MMD witness gradient", 650, witness_err, 1e-6)):
+                                    ("MMD witness gradient", 650, witness_err, 1e-6),
+                                    ("W1 witness gradient off the atoms", 660, w1_err, 1e-6)):
         errs, dt = _timed(lambda: [err(child_rng(MASTER_SEED, stream, t), t) for t in range(20)])
         res.append(CheckResult(f"{label} vs finite differences (20 configs)", np.max(errs),
                                hi=tol, seconds=dt))

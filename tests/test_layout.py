@@ -116,3 +116,46 @@ def test_one_measure_type():
                                             if isinstance(stmt, ast.AnnAssign)
                                             and isinstance(stmt.target, ast.Name)}]
     assert owners == ["measures.py:DiscreteMeasure"]
+
+
+def _callers(name: str) -> list[str]:
+    """file:function (file:<module> outside any) of each call of name in the package, called
+    by bare name or as an attribute; a call inside a nested function names the inner one."""
+    sites = []
+
+    def visit(node, path, fn):
+        if isinstance(node, ast.Call) and getattr(node.func, "id",
+                                                   getattr(node.func, "attr", None)) == name:
+            sites.append(f"{path.name}:{fn}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    for path in sorted((ROOT / "src" / "smoothgan").glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "<module>")
+    return sites
+
+
+def test_one_gradient_rule_per_loss():
+    # a loss's witness gradient is LOSSES[name].grad alone: the kernel-gradient sum and the
+    # W1 slope rule each have one caller, the rules, and OracleFamily.grad compares no kind
+    assert _callers("grad_x_sum") == ["discriminators.py:witness_grad_mmd"]
+    assert _callers("w1_slope_at") == ["discriminators.py:witness_grad_w1"]
+    tree = ast.parse((ROOT / "src" / "smoothgan" / "smoothness.py").read_text())
+    family = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "OracleFamily")
+    grad = next(node for node in family.body
+                if isinstance(node, ast.FunctionDef) and node.name == "grad")
+    compared = [ast.unparse(node) for node in ast.walk(grad)
+                if isinstance(node, (ast.Compare, ast.Match))
+                and any(isinstance(sub, ast.Attribute) and sub.attr == "kind"
+                        for sub in ast.walk(node))]
+    assert compared == []
+
+
+def test_one_merge_kernel():
+    # in measures.py only _merge_atoms sorts atoms, and pack_measures merges its rows through
+    # it, not through the one-measure constructors
+    assert {site for site in _callers("lexsort")
+            if site.startswith("measures.py:")} == {"measures.py:_merge_atoms"}
+    assert "measures.py:pack_measures" not in _callers("make_discrete") + _callers("make_signed")
+    assert "measures.py:pack_measures" in _callers("_merge_atoms")

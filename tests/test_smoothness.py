@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from smoothgan import smoothness
+from smoothgan.discriminators import grad_phi_mmd, grad_phi_w1_1d
 from smoothgan.divergences import LOSSES, KernelSpec, LossKind, kr_norm_1d, mmd_sq
-from smoothgan.errors import DimensionMismatch, GradientUnsupported, PointOffSupport
+from smoothgan.errors import (DimensionMismatch, EmptySupport, GradientUnsupported, NegativeWeight,
+                             PointOffSupport, PreconditionViolated)
 from smoothgan.measures import (BoxDomain, diff, make_discrete, make_signed, pack_measures,
                                 random_atoms, random_measure)
 from smoothgan.rng import child_rng
@@ -141,7 +143,9 @@ def _ref_eval_points(domain, grid_pts, rng, extra):
 
 
 def _ref_grad(family, mu, mu0, x):
-    return LOSSES[family.kind].grad(mu, mu0, family.kernel, x)
+    if family.kind == "mmd":
+        return grad_phi_mmd(mu, mu0, family.kernel, x)
+    return grad_phi_w1_1d(mu, mu0, x)
 
 
 def ref_alpha(family, domain, n_measures, grid_pts, seed):
@@ -299,23 +303,70 @@ def test_packed_measures_are_random_measure_bytes(dim):
         assert not w[t, n[t]:].any()
 
 
-@pytest.mark.parametrize("signed", [False, True])
-def test_packed_rows_that_merge_take_the_one_merge_kernel(signed):
-    # atoms closer than MERGE_TOL, a zero weight and negative weights, against make_*
+def _assert_packed_rows_are_make_bytes(rows_in, signed):
+    """pack_measures of rows_in, (points, weights) per row, against make_* of each row alone;
+    returns the counts."""
     make = make_signed if signed else make_discrete
-    rows_in = [([[0.5], [0.1], [0.5 + 1e-13], [-0.3]], [0.2, 0.3, 0.1, 0.4]),
-               ([[0.2], [0.7]], [0.0, 1.0]),
-               ([[0.9], [0.2], [0.4]], [0.5, 0.25, 0.25] if not signed else [0.5, -0.25, -0.25])]
     pts = np.concatenate([np.array(p, dtype=float) for p, _ in rows_in])
     wts = np.concatenate([np.array(w, dtype=float) for _, w in rows_in])
-    rows = np.repeat(np.arange(3), [len(w) for _, w in rows_in])
-    out_p, out_w, n = pack_measures(pts, wts, rows, 3, signed)
+    rows = np.repeat(np.arange(len(rows_in)), [len(w) for _, w in rows_in])
+    out_p, out_w, n = pack_measures(pts, wts, rows, len(rows_in), signed)
     for r, (p, w) in enumerate(rows_in):
         m = make(p, w)
         assert n[r] == m.n_atoms
         assert out_p[r, :n[r]].tobytes() == m.points.tobytes()
         assert out_w[r, :n[r]].tobytes() == m.weights.tobytes()
-    assert n.tolist() == [3, 2 if signed else 1, 3]
+        assert not out_w[r, n[r]:].any()
+    return n.tolist()
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_packed_rows_that_merge_take_the_one_merge_kernel(signed):
+    # atoms closer than MERGE_TOL, a zero weight and negative weights, against make_*; the
+    # last row's first atom lies within MERGE_TOL of the row before's last, and stays apart
+    rows_in = [([[0.5], [0.1], [0.5 + 1e-13], [-0.3]], [0.2, 0.3, 0.1, 0.4]),
+               ([[0.2], [0.7]], [0.0, 1.0]),
+               ([[0.9], [0.2], [0.4]], [0.5, 0.25, 0.25] if not signed else [0.5, -0.25, -0.25]),
+               ([[0.95], [0.9 + 1e-13]], [0.5, 0.5])]
+    assert _assert_packed_rows_are_make_bytes(rows_in, signed) == [3, 2 if signed else 1, 3, 2]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_packed_2d_rows_merge_by_the_second_coordinate_never_across_rows(signed):
+    # row 0 merges two atoms whose first coordinates are equal and second ones within
+    # MERGE_TOL; row 1's first atom lies within MERGE_TOL of row 0's last, and its two atoms
+    # share a first coordinate to within MERGE_TOL but not the second
+    rows_in = [([[0.3, 0.2], [0.3, 0.7], [0.3, 0.2 + 1e-13], [-0.1, 0.0]],
+                [0.1, 0.3, 0.2, 0.4] if not signed else [0.1, -0.3, 0.2, -0.4]),
+               ([[0.3 + 1e-13, -0.5], [0.3, 0.7 + 1e-13]], [0.5, 0.5])]
+    assert _assert_packed_rows_are_make_bytes(rows_in, signed) == [3, 2]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_pack_refuses_weights_that_are_not_finite(signed):
+    pts, rows = np.array([[0.1], [0.2], [0.3]]), np.array([0, 0, 1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionViolated):
+            pack_measures(pts, np.array([0.5, bad, 1.0]), rows, 2, signed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_pack_refuses_an_empty_row(signed):
+    with pytest.raises(EmptySupport):
+        pack_measures(np.array([[0.1], [0.2]]), np.array([0.5, 0.5]), np.array([0, 2]), 3, signed)
+
+
+@pytest.mark.parametrize("weights", [[-0.5, 1.5], [0.0, 0.0]])
+def test_pack_refuses_what_make_discrete_refuses(weights):
+    # a negative probability weight, or a row of total mass 0, raised without a warning;
+    # as signed rows both pack
+    pts, w = np.array([[0.1], [0.2], [0.3]]), np.array([*weights, 1.0])
+    with pytest.raises(NegativeWeight):
+        make_discrete(pts[:2], w[:2])
+    with pytest.raises(NegativeWeight):
+        pack_measures(pts, w, np.array([0, 0, 1]), 2)
+    assert _assert_packed_rows_are_make_bytes([(pts[:2], w[:2]), (pts[2:], w[2:])], True) == [
+        2, 1]
 
 
 # --- Bregman ---
