@@ -40,12 +40,11 @@ from .verify import SUITES, run_suite
 _GAN2D_TARGET_KEYS = {"kind", "n", "seed"}
 
 
-def _write_with_manifest(out_path: str, content: str, args: argparse.Namespace,
-                         t_start: float) -> None:
+def _write_with_manifest(out_path: str, content: str, args: argparse.Namespace) -> None:
     """Write the finished output plus its manifest; nothing is written on error paths."""
     path = Path(out_path)
     path.write_text(content)
-    payload = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+    payload = {k: v for k, v in vars(args).items() if k not in ("func", "argv", "t_start")}
     manifest = {
         "command": shlex.join(["smoothgan", *args.argv]),
         "args": payload,
@@ -55,7 +54,7 @@ def _write_with_manifest(out_path: str, content: str, args: argparse.Namespace,
             json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest(),
         "version": __version__,
         "outputs": [str(path)],
-        "wall_time_s": round(time.perf_counter() - t_start, 3),
+        "wall_time_s": round(time.perf_counter() - args.t_start, 3),
     }
     Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -120,7 +119,6 @@ def cmd_disc(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    t0 = time.perf_counter()
     fam = OracleFamily(args.loss, dim=args.d, kernel=_kernel_for(args))
     # before the domain's 2 d coordinates exist
     refuse_over(args.grid_pts * args.d, "evaluation-cloud coordinates")
@@ -132,13 +130,12 @@ def cmd_smooth(args) -> int:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _write_with_manifest(args.out, text, args, t0)
+        _write_with_manifest(args.out, text, args)
     print(text, end="")
     return 0
 
 
 def cmd_env(args) -> int:
-    t0 = time.perf_counter()
     f = gridfn_from_csv(_read(args.f))
     if args.op == "infconv":
         g = gridfn_from_csv(_read(_need(args.g, "--g")))
@@ -156,12 +153,11 @@ def cmd_env(args) -> int:
         out = legendre(f, dual, args.dual_step)
     else:
         raise UnknownKind(args.op)
-    _write_with_manifest(args.out, gridfn_to_csv(out), args, t0)
+    _write_with_manifest(args.out, gridfn_to_csv(out), args)
     return 0
 
 
 def cmd_rkhs(args) -> int:
-    t0 = time.perf_counter()
     m = _load_measure(args.centers, signed=True)
     if m.dim != 1:
         raise DimensionMismatch(f"rkhs series takes 1-D centers, got {m.dim}-D ones")
@@ -171,26 +167,25 @@ def cmd_rkhs(args) -> int:
     sums = truncated_series_norm(f, args.order, lo, hi, args.quad_step)
     text = table_to_csv(["order", "partial_sum"], enumerate(sums))
     if args.out:
-        _write_with_manifest(args.out, text, args, t0)
+        _write_with_manifest(args.out, text, args)
     print(text, end="")
     return 0
 
 
 def cmd_nn(args) -> int:
-    t0 = time.perf_counter()
     if args.op == "init":
         net = random_mlp(args.input_dim, args.width, args.depth, args.activation, args.seed,
                          args.final_scale)
         if args.normalize:
             net = spectral_normalize(net)
-        _write_with_manifest(_need(args.out, "--out"), net_to_json(net) + "\n", args, t0)
+        _write_with_manifest(_need(args.out, "--out"), net_to_json(net) + "\n", args)
         return 0
     net = net_from_json(_read(_need(args.net, "--net")))
     for i, (w, _b) in enumerate(net.layers):
         print(f"layer {i}: specnorm {fmt_number(power_iteration(w, seed=args.seed))}")
     if args.normalize:
         out = spectral_normalize(net)
-        _write_with_manifest(_need(args.out, "--out"), net_to_json(out) + "\n", args, t0)
+        _write_with_manifest(_need(args.out, "--out"), net_to_json(out) + "\n", args)
     return 0
 
 
@@ -218,7 +213,6 @@ def _particle_trace(args, seed: int, lr_ratio: float):
 
 
 def cmd_train(args) -> int:
-    t0 = time.perf_counter()
     if args.mode == "particles":
         trace = _particle_trace(args, args.seed, args.lr_ratio)
     else:
@@ -238,14 +232,13 @@ def cmd_train(args) -> int:
                            "diverged": trace.diverged}) + "\n"
     else:
         body = trace_to_csv(trace)
-    _write_with_manifest(args.out, body, args, t0)
+    _write_with_manifest(args.out, body, args)
     print(f"steps {len(trace)}  final_loss {fmt_number(trace.final_loss)}  "
           f"min_grad_norm {fmt_number(trace.min_grad_norm)}  diverged {trace.diverged}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
     ratios = _floats(args.ratios, "--ratios")
     need_count(args.seeds, "--seeds", 1, ConfigError)
     rows = []
@@ -254,7 +247,7 @@ def cmd_sweep(args) -> int:
             trace = _particle_trace(args, args.seed + seed, ratio)
             rows.append([ratio, seed, trace.min_grad_norm, trace.final_loss, int(trace.diverged)])
     text = table_to_csv(["ratio", "seed", "min_grad_norm", "final_loss", "diverged"], rows)
-    _write_with_manifest(args.out, text, args, t0)
+    _write_with_manifest(args.out, text, args)
     return 0
 
 
@@ -271,7 +264,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    t0 = time.perf_counter()
     text = _read(args.trace)
     if text.startswith("step,loss,"):                    # a trace: step grad_norm
         trace = trace_from_csv(text)
@@ -283,7 +275,7 @@ def cmd_plotdata(args) -> int:
         # within one ratio, rows sort by the text of min_grad_norm
         rows = sorted((ratio, fmt_number(g)) for ratio, g in table[:, [0, 2]].tolist())
         lines = [f"{fmt_number(ratio)} {g}\n" for ratio, g in rows]
-    _write_with_manifest(args.out, "".join(lines), args, t0)
+    _write_with_manifest(args.out, "".join(lines), args)
     return 0
 
 
@@ -400,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    t_start = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv                     # the manifest's command, not one of its args
+    args.argv, args.t_start = argv, t_start      # the manifest's command and clock, not args
     try:
         return args.func(args)
     except (SmoothganError, OSError) as exc:   # OSError: unreadable paths

@@ -22,8 +22,8 @@ from .discriminators import (phi_minimax, phi_mmd, phi_ns, phi_w1_1d, witness_gr
 from .errors import (DimensionMismatch, NegativeWeight, NonZeroMass, PointOffSupport,
                      PreconditionViolated, SolverFailed, UnknownKind, need_positive,
                      refuse_over)
-from .measures import (MASS_TOL, DiscreteMeasure, _cdf_levels, _merge_atoms, _require_same_dim,
-                       diff, require_mass_zero)
+from .measures import (MASS_TOL, DiscreteMeasure, _cdf_sweep, _merge_atoms, _require_same_dim,
+                       require_mass_zero)
 
 _LP_MAX_CELLS = 10 ** 6
 _LP_TOL = 1e-12                  # optimal once every reduced cost is >= -_LP_TOL * max C
@@ -165,7 +165,9 @@ def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     _require_same_dim(mu, nu)
     if mu.dim != 1:
         raise DimensionMismatch("w1_1d requires 1-D measures")
-    return kr_norm_1d(diff(mu, nu))
+    # mu - nu unmerged: the sweep merges its atoms as diff would
+    return kr_norm_1d(DiscreteMeasure(np.concatenate([mu.points, nu.points]),
+                                      np.concatenate([mu.weights, -nu.weights])))
 
 
 def kr_norm_1d(xi: DiscreteMeasure) -> float:
@@ -178,9 +180,14 @@ def kr_norm_1d(xi: DiscreteMeasure) -> float:
     if xi.dim != 1:
         raise DimensionMismatch("kr_norm_1d requires a 1-D measure")
     require_mass_zero(xi)
-    # F_xi is constant between sorted atoms, so the integral is a finite sum
-    x, cdf = _cdf_levels(xi)
-    return float(np.sum(np.abs(cdf[:-1]) * np.diff(x)))
+    return float(_w1_rows(*_cdf_sweep(xi.points, xi.weights))[0])
+
+
+def _w1_rows(breaks: np.ndarray, cdf: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The one 1-D distance rule on a CDF sweep: per row, the integral of |F|, a finite sum
+    since F is constant between breaks, each row by its own sum."""
+    terms = np.abs(cdf[:, :-1]) * np.diff(breaks, axis=-1)
+    return np.array([row[:k - 1].sum() for row, k in zip(terms, n.tolist())])
 
 
 def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

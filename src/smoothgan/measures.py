@@ -3,9 +3,9 @@
 Measures are finitely supported: a continuous target only ever enters as a
 large equal-weight sample.  One type, DiscreteMeasure, holds every weighted
 set of atoms; make_discrete builds a probability measure, make_signed and diff
-a signed one, and pack_measures many of either as padded arrays, all through
-one merge kernel.  All types are immutable after construction and every
-operation is pure.
+a signed one, pack_measures many of either as padded arrays and _cdf_sweep the
+running CDF of 1-D signed atoms, all through one merge kernel.  All types are
+immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -201,13 +201,6 @@ def diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     return make_signed(pts, w)
 
 
-def _cdf_levels(xi: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted 1-D atom positions and the running CDF value on each gap."""
-    x = xi.points[:, 0]
-    order = np.argsort(x)
-    return x[order], np.cumsum(xi.weights[order])
-
-
 def sample_target(kind: str, n: int, seed: int) -> DiscreteMeasure:
     """Deterministic synthetic 2-D target measures inside the unit box.
 
@@ -285,6 +278,19 @@ def pack_measures(points: np.ndarray, weights: np.ndarray, rows: np.ndarray, n_r
     out_w = np.zeros(out_p.shape[:2])
     out_w[r, col] = w
     return out_p, out_w, n
+
+
+def _cdf_sweep(points: np.ndarray, weights: np.ndarray, rows: np.ndarray | None = None,
+               n_rows: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one CDF sweep of 1-D signed atoms, merged: breaks (R, B) in order, the running
+    sum of the weights after each (the CDF on the gap right of it) and break counts (R,).
+    Row labels (n,), if given, sweep n_rows measures at once, padded as pack_measures pads
+    them, which moves no running sum; without them the atoms are one unpadded row."""
+    if rows is None:
+        x, w = _merge_atoms(points, weights)
+        return x.T, np.cumsum(w)[None], np.array([len(w)])
+    x, w, n = pack_measures(points, weights, rows, n_rows, signed=True)
+    return x[..., 0], np.cumsum(w, axis=-1), n
 
 
 def _real(m: Packed) -> np.ndarray:

@@ -12,7 +12,7 @@ whose operator norm is available in closed form from its two eigenvalues.
 Each trial draws from its own stream, child_rng(seed, k, t), in a fixed order;
 only the draws run trial by trial.  The trials' measures are then packed as
 plain padded arrays (pack_measures, byte-equal to make_discrete per trial) and
-evaluated in batches of at most 2^20 kernel or comparison cells: one call of
+evaluated in batches of at most 2^20 query-atom cells: one call of
 the loss's gradient rule, LOSSES[kind].grad, per batch, with masks in place of
 the per-trial skips.  W1 estimates equal the per-trial loop's by repr.  MMD
 kernel sums over zero-weight padding add in another order: over the
@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discriminators import _cdf_sweep
-from .divergences import LOSSES, KernelSpec, LossKind, w1_lp
+from .discriminators import _w1_sweep
+from .divergences import LOSSES, KernelSpec, LossKind, _w1_rows, w1_lp
 from .errors import GradientUnsupported, PreconditionViolated, UnknownKind, need_count, refuse_over
 from .measures import BoxDomain, DiscreteMeasure, Packed, _real, pack_measures, random_atoms
 from .rng import child_rng
@@ -92,7 +92,7 @@ class OracleFamily:
 
 def _chunks(n_trials: int, cells: int) -> list[range]:
     """Consecutive trial ranges of at most _CHUNK_CELLS / cells trials each, at least one;
-    a trial over CELL_CAP cells is refused by the kernel or the slope rule."""
+    a trial over CELL_CAP cells is refused by the kernel."""
     size = max(1, _CHUNK_CELLS // cells)
     return [range(s, min(s + size, n_trials)) for s in range(0, n_trials, size)]
 
@@ -216,10 +216,7 @@ def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int
         nu[0][~even] = np.clip(nu[0][~even] + np.reshape(shifts, (-1, 1, domain.dim)),
                                domain.lo, domain.hi)
         if domain.dim == 1:
-            breaks, cdf, n = _cdf_sweep(mu, nu)
-            terms = np.abs(cdf[:, :-1]) * np.diff(breaks, axis=-1)
-            # each row by its own sum, as w1_1d forms it
-            dist = np.array([row[:k - 1].sum() for row, k in zip(terms, n.tolist())])
+            dist = _w1_rows(*_w1_sweep(mu, nu))
         else:
             dist = np.array([w1_lp(DiscreteMeasure(mu[0][t, :mu[2][t]], mu[1][t, :mu[2][t]]),
                                    DiscreteMeasure(nu[0][t, :nu[2][t]], nu[1][t, :nu[2][t]]))

@@ -214,7 +214,6 @@ class GanLoopConfig:
     n_steps: int = 100
     seed: int = 0
     disc_steps_per_gen: int = 2
-    interpolation: bool = True
     lr_disc: float = 0.05
     lr_gen: float | None = None         # default: N / (depth * alpha + beta2)
 
@@ -225,8 +224,6 @@ class GanLoopConfig:
         rates = ("final_scale", "beta2", "lr_disc") + (() if self.lr_gen is None else ("lr_gen",))
         for name in rates:
             need_positive(getattr(self, name), name, ConfigError)
-        if not isinstance(self.interpolation, bool):
-            raise ConfigError(f"interpolation must be a bool, got {self.interpolation!r}")
 
 
 def _disc_objective(net: MlpNet, theta: np.ndarray, target: DiscreteMeasure,
@@ -284,11 +281,8 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
             u = theta[rng.integers(0, n, size=n)]
             v = cfg.target.points[rng.choice(len(cfg.target.points), size=n,
                                              p=cfg.target.weights)]
-            if cfg.interpolation:
-                t = rng.uniform(0.0, 1.0, size=(n, 1))
-                interp = t * u + (1.0 - t) * v
-            else:
-                interp = np.vstack([u[:n // 2], v[:n - n // 2]])
+            t = rng.uniform(0.0, 1.0, size=(n, 1))
+            interp = t * u + (1.0 - t) * v
             params = net.flatten_params() + cfg.lr_disc * _disc_grad(net, theta, cfg.target,
                                                                      interp, penalty_coef)
             if not np.all(np.isfinite(params)):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from smoothgan.discriminators import (grad_phi_mmd, grad_phi_w1_1d, phi_minimax, phi_mmd,
-                                      phi_ns, phi_w1_1d, w1_slope_at)
+from smoothgan.discriminators import (_w1_sweep, grad_phi_mmd, grad_phi_w1_1d, phi_minimax,
+                                      phi_mmd, phi_ns, phi_w1_1d, w1_slope_at)
 from smoothgan.divergences import LOSSES, KernelSpec, mmd_sq, w1_1d
 from smoothgan.errors import DimensionMismatch, GradientUnsupported, PointOffSupport
-from smoothgan.measures import diff, make_discrete, random_measure
+from smoothgan.measures import (DiscreteMeasure, diff, make_discrete, pack_measures,
+                                random_measure)
 from smoothgan.nnsmooth import mlp_forward, mlp_input_grad, random_mlp
 from smoothgan.smoothness import OracleFamily
 
@@ -219,3 +220,56 @@ def test_w1_slope_rule_counts_breaks_as_searchsorted():
         idx = np.searchsorted(b, q, side="right") - 1
         want = np.where(idx >= 0, s[np.maximum(idx, 0)], 0.0)
         assert np.array_equal(got, want) and np.array_equal(w1_slope_at(b, c, q), want)
+
+
+def _ref_cdf_levels(xi):
+    """The reference sweep: sorted 1-D atom positions and the running CDF value on each gap."""
+    x = xi.points[:, 0]
+    order = np.argsort(x)
+    return x[order], np.cumsum(xi.weights[order])
+
+
+def test_w1_sweep_rows_are_the_reference_sweep():
+    # packed rows, merging or not, and one row alone: each row's breaks and running sums are
+    # the reference sweep's bits, then padding that moves no running sum
+    rng = np.random.default_rng(47)
+    atoms = [rng.uniform(-1, 1, int(rng.integers(1, 12))) for _ in range(40)]
+    atoms = [np.round(a, 1) if i % 3 == 0 else a for i, a in enumerate(atoms)]
+    weights = [rng.dirichlet(np.ones(len(a))) for a in atoms]
+    rows = np.repeat(np.arange(40), [len(a) for a in atoms])
+    packed = pack_measures(np.concatenate(atoms)[:, None], np.concatenate(weights), rows, 40)
+    mu, mu0 = tuple(a[0::2] for a in packed), tuple(a[1::2] for a in packed)
+    breaks, cdf, n = _w1_sweep(mu, mu0)
+    for t, k in enumerate(n):
+        a, b = (DiscreteMeasure(m[0][t, :m[2][t]].copy(), m[1][t, :m[2][t]].copy())
+                for m in (mu, mu0))
+        ref_x, ref_cdf = _ref_cdf_levels(diff(a, b))
+        assert np.array_equal(breaks[t, :k], ref_x) and np.array_equal(cdf[t, :k], ref_cdf)
+        assert np.all(breaks[t, k:] >= breaks.max()) and np.all(cdf[t, k:] == cdf[t, k - 1])
+        one = _w1_sweep(a.as_row(), b.as_row())
+        assert np.array_equal(one[0], ref_x[None]) and np.array_equal(one[1], ref_cdf[None])
+
+
+@pytest.mark.parametrize("oracle", [phi_w1_1d, grad_phi_w1_1d])
+def test_w1_potential_and_slope_at_scale_are_one_searchsorted_per_query(oracle):
+    # 10^4 queries on two 10^4-atom measures, past the old dense count's size cap: each value
+    # is one searchsorted on the reference sweep, then the slope or the integral of the slopes
+    rng = np.random.default_rng(53)
+    lattice = np.linspace(-1.0, 1.0, 20001)[:, None]
+    mu, mu0 = (make_discrete(lattice[rng.choice(20001, 10000)], rng.uniform(0.1, 1.0, 10000))
+               for _ in range(2))
+    x = np.concatenate([rng.uniform(-1.2, 1.2, 9000), mu.points[:500, 0], mu0.points[:500, 0]])
+    breaks, cdf = _ref_cdf_levels(diff(mu, mu0))
+    slopes = np.where(np.abs(cdf) <= 1e-12, 0.0, np.sign(-cdf))
+    nodes = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(breaks))])
+
+    def at(q):
+        """The slope at q and the integral of the slopes from breaks[0] to q."""
+        i = int(np.searchsorted(breaks, q, side="right")) - 1
+        return (0.0, 0.0) if i < 0 else (slopes[i], nodes[i] + slopes[i] * (q - breaks[i]))
+
+    if oracle is grad_phi_w1_1d:
+        want = np.array([[at(q)[0]] for q in x])
+    else:
+        want = np.array([at(q)[1] for q in x]) - at(0.0)[1]
+    assert np.array_equal(oracle(mu, mu0, x[:, None]), want)

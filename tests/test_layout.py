@@ -159,3 +159,22 @@ def test_one_merge_kernel():
             if site.startswith("measures.py:")} == {"measures.py:_merge_atoms"}
     assert "measures.py:pack_measures" not in _callers("make_discrete") + _callers("make_signed")
     assert "measures.py:pack_measures" in _callers("_merge_atoms")
+
+
+def test_one_cdf_sweep():
+    # the 1-D CDF is measures._cdf_sweep alone: the other cumsums in these modules run over
+    # merge labels, row counts and the potential's slopes, not over signed weights; and one
+    # gap lookup, one searchsorted per row, serves the potential and its slope
+    w1_modules = ("measures.py", "discriminators.py", "divergences.py")
+    text = {path.name: path.read_text()
+            for path in sorted((ROOT / "src" / "smoothgan").glob("*.py"))}
+    assert not any("_cdf_levels" in t or "query-break comparisons" in t for t in text.values())
+    assert {site for site in _callers("cumsum") if site.split(":")[0] in w1_modules} == {
+        "measures.py:_merge_atoms", "measures.py:pack_measures", "measures.py:_cdf_sweep",
+        "discriminators.py:phi_w1_1d"}
+    assert [site for site in _callers("searchsorted")
+            if site.split(":")[0] in w1_modules] == ["discriminators.py:_gap_at"]
+    assert sorted(_callers("_gap_at")) == ["discriminators.py:phi_w1_1d",
+                                           "discriminators.py:w1_slope_at"]
+    assert sorted(_callers("_cdf_sweep")) == ["discriminators.py:_w1_sweep"] * 2 + [
+        "divergences.py:kr_norm_1d"]

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from smoothgan.errors import (DimensionMismatch, EmptySupport, NegativeWeight, NonZeroMass,
                               PreconditionViolated, UnknownKind)
 from smoothgan import measures
-from smoothgan.measures import (BoxDomain, _cdf_levels, diff, make_discrete, make_signed,
+from smoothgan.measures import (BoxDomain, _cdf_sweep, diff, make_discrete, make_signed,
                                 measure_from_csv, measure_to_csv, random_measure,
                                 require_mass_zero, sample_target)
 from smoothgan.divergences import align_many
@@ -116,16 +116,23 @@ def cdf_1d(m, x: float) -> float:
     return float(m.weights[m.points[:, 0] <= x].sum())
 
 
+def _sweep(m):
+    """The one CDF sweep of a measure's atoms: the sorted atoms, and the CDF on the gap right
+    of each."""
+    breaks, levels, n = _cdf_sweep(m.points, m.weights)
+    assert breaks.shape == levels.shape == (1, n[0])
+    return breaks[0], levels[0]
+
+
 def test_cdf_examples():
-    # _cdf_levels: the sorted atoms, and the CDF on the gap right of each
-    x, levels = _cdf_levels(make_discrete([0.0], [1.0]))
+    x, levels = _sweep(make_discrete([0.0], [1.0]))
     assert x.tolist() == [0.0] and levels.tolist() == [1.0]
-    x, levels = _cdf_levels(make_discrete([1.0, 0.0], [0.5, 0.5]))
+    x, levels = _sweep(make_discrete([1.0, 0.0], [0.5, 0.5]))
     assert x.tolist() == [0.0, 1.0] and levels.tolist() == [0.5, 1.0]
 
 
 def test_cdf_signed_measure():
-    x, levels = _cdf_levels(diff(make_discrete([1.0], [1.0]), make_discrete([0.0], [1.0])))
+    x, levels = _sweep(diff(make_discrete([1.0], [1.0]), make_discrete([0.0], [1.0])))
     assert x.tolist() == [0.0, 1.0]
     assert levels[0] == -1.0
     assert levels[1] == pytest.approx(0.0, abs=1e-15)
@@ -134,7 +141,7 @@ def test_cdf_signed_measure():
 def test_cdf_nondecreasing_reaches_one():
     rng = np.random.default_rng(2)
     m = random_measure(rng, 1)
-    x, levels = _cdf_levels(m)
+    x, levels = _sweep(m)
     assert np.all(np.diff(x) > 0) and np.all(np.diff(levels) >= 0)
     assert levels[-1] == pytest.approx(1.0, abs=1e-12)
     assert levels == pytest.approx([cdf_1d(m, v) for v in x], abs=1e-15)

@@ -324,7 +324,7 @@ def test_gan2d_config_defaults():
 @pytest.mark.parametrize("field, value", [
     ("depth", 0), ("width", 2.5), ("n_steps", True), ("n_steps", "3"), ("seed", -1),
     ("disc_steps_per_gen", -1), ("beta2", 0.0), ("lr_disc", math.nan), ("final_scale", math.inf),
-    ("lr_gen", -0.5), ("lr_gen", "0.5"), ("interpolation", 1), ("interpolation", "no"),
+    ("lr_gen", -0.5), ("lr_gen", "0.5"),
 ])
 def test_gan2d_config_rejects_bad_field(field, value):
     with pytest.raises(ConfigError, match=field):
