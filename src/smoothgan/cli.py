@@ -59,6 +59,12 @@ def _write_with_manifest(out_path: str, content: str, args: argparse.Namespace) 
     Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _json(payload, indent: int | None = None) -> str:
+    """payload as strict JSON: a number that is not finite (NaN, Infinity) reads back as null."""
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=indent, allow_nan=False)
+
+
 def _read(path: str) -> str:
     """The text of an input file; one that is not UTF-8 raises ConfigError naming the file."""
     try:
@@ -128,7 +134,7 @@ def cmd_smooth(args) -> int:
         text = table_to_csv(list(payload), [[fmt_number(v) if isinstance(v, float) else str(v)
                                              for v in payload.values()]])
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload, indent=2) + "\n"
     if args.out:
         _write_with_manifest(args.out, text, args)
     print(text, end="")
@@ -227,9 +233,8 @@ def cmd_train(args) -> int:
             raise ConfigError(f"generator_init must be 'atoms' or an N x d matrix: {exc}") from exc
         trace = train_gan2d(GanLoopConfig(**{**blob, "generator_init": theta0, "target": target}))
     if args.format == "json":
-        body = json.dumps({"loss": trace.loss.tolist(), "grad_norm": trace.grad_norm.tolist(),
-                           "step_size": trace.step_size.tolist(),
-                           "diverged": trace.diverged}) + "\n"
+        body = _json({"loss": trace.loss.tolist(), "grad_norm": trace.grad_norm.tolist(),
+                      "step_size": trace.step_size.tolist(), "diverged": trace.diverged}) + "\n"
     else:
         body = trace_to_csv(trace)
     _write_with_manifest(args.out, body, args)
@@ -255,7 +260,7 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite)
     n_fail = sum(not r.passed for r in results)
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in results], indent=2, allow_nan=False))
+        print(_json([r.to_dict() for r in results], indent=2))
     else:
         for r in results:
             print(r.line())

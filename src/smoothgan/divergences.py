@@ -36,13 +36,16 @@ class KernelSpec:
     """Gaussian kernel K(x,y) = exp(-||x-y||^2 / (2 sigma_sq)), of peak value 1.
 
     The critical bandwidth sigma_sq = 1/(2 pi) gives the dimension-free kernel
-    K(x,y) = exp(-pi ||x-y||^2).
+    K(x,y) = exp(-pi ||x-y||^2).  A bandwidth whose reciprocal overflows is refused.
     """
 
     sigma_sq: float = 1.0 / (2.0 * math.pi)
 
     def __post_init__(self):
         need_positive(self.sigma_sq, "sigma_sq", PreconditionViolated)
+        if not math.isfinite(1.0 / self.sigma_sq):
+            raise PreconditionViolated(f"sigma_sq must be finite and positive with a finite "
+                                       f"reciprocal, got {self.sigma_sq!r}")
 
     @staticmethod
     def critical() -> "KernelSpec":

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyDomain, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
-                     PreconditionViolated, need_positive, refuse_over)
+from .errors import (ConfigError, DimensionMismatch, GridMismatch, NonPositiveAlpha,
+                     NonPositiveBeta, PreconditionViolated, need_positive, refuse_over)
 from .measures import BoxDomain, table_from_csv, table_to_csv
 
 _CELL_PAIR_CAP = 10 ** 9
@@ -382,7 +382,7 @@ def legendre(f: GridFn, dual_domain: BoxDomain | None = None,
     dom = dual_domain if dual_domain is not None else f.domain
     step = dual_step if dual_step is not None else f.step
     if dom.dim != f.dim:
-        raise EmptyDomain("dual domain dimension mismatch")
+        raise DimensionMismatch("dual domain dimension mismatch")
     axes = grid_axes(dom, step)
     if f.dim == 1:
         finite = np.isfinite(f.values)
@@ -422,7 +422,7 @@ def conjugate_sum_identity_check(f: GridFn, g: GridFn) -> float:
     are excluded against discretization of the sup.
     """
     if f.dim != 1:
-        raise EmptyDomain("the conjugate-sum identity check is 1-D only")
+        raise DimensionMismatch("the conjugate-sum identity check is 1-D only")
     conv = inf_conv(f, g)
     ranges = [_slope_range_1d(h) for h in (f, g, conv)]
     lo = max(r[0] for r in ranges)

@@ -77,10 +77,6 @@ class NonPositiveBeta(SmoothganError):
     pass
 
 
-class EmptyDomain(SmoothganError):
-    pass
-
-
 class OrderTooLarge(SmoothganError):
     pass
 

@@ -178,14 +178,18 @@ def make_discrete(points, weights) -> DiscreteMeasure:
         raise EmptySupport("a measure needs at least one atom")
     if (w < 0).any():
         raise NegativeWeight("probability weights must be nonnegative")
-    if w.sum() <= 0:
+    if not w.any():
         raise NegativeWeight("weights must have positive total mass")
-    pts, w = _merge_atoms(pts, w)
-    if not w.all():             # drop atoms of merged weight 0; the positive total keeps one
-        pts, w = pts[w > 0], w[w > 0]
+    with np.errstate(over="ignore"):        # a total that overflows is refused below
+        pts, w = _merge_atoms(pts, w)
+        if not w.all():         # drop atoms of merged weight 0; the positive total keeps one
+            pts, w = pts[w > 0], w[w > 0]
+        total = w.sum()
+    if not np.isfinite(total):
+        raise PreconditionViolated("atom weights must have a finite total")
     # normalize after merging: weights normalized first can merge to 1 - 1 ulp,
     # which turns KL(mu, mu) negative
-    return DiscreteMeasure(pts, w / w.sum())
+    return DiscreteMeasure(pts, w / total)
 
 
 def make_signed(points, weights) -> DiscreteMeasure:
@@ -263,14 +267,19 @@ def pack_measures(points: np.ndarray, weights: np.ndarray, rows: np.ndarray, n_r
         raise EmptySupport("every measure needs at least one atom")
     if not signed and ((weights < 0).any() or not np.bincount(rows, weights, n_rows).all()):
         raise NegativeWeight("probability weights must be nonnegative with positive total mass")
-    pts, w, r = _merge_atoms(points, weights, rows)
-    if not signed and not w.all():                      # drop atoms of merged weight 0
-        pts, w, r = pts[w > 0], w[w > 0], r[w > 0]
-    n = np.bincount(r, minlength=n_rows)
-    start = np.cumsum(n) - n
-    if not signed:
-        # each row by its own sum: numpy sums a zero-padded row in another order
-        w = w / np.repeat([w[s:s + k].sum() for s, k in zip(start.tolist(), n.tolist())], n)
+    # a probability row whose total overflows is refused below, without a warning
+    with np.errstate(over=None if signed else "ignore"):
+        pts, w, r = _merge_atoms(points, weights, rows)
+        if not signed and not w.all():                  # drop atoms of merged weight 0
+            pts, w, r = pts[w > 0], w[w > 0], r[w > 0]
+        n = np.bincount(r, minlength=n_rows)
+        start = np.cumsum(n) - n
+        if not signed:
+            # each row by its own sum: numpy sums a zero-padded row in another order
+            totals = np.array([w[s:s + k].sum() for s, k in zip(start.tolist(), n.tolist())])
+            if not np.isfinite(totals).all():
+                raise PreconditionViolated("atom weights must have a finite total")
+            w = w / np.repeat(totals, n)
     col = np.arange(len(r)) - start[r]
     out_p = np.empty((n_rows, n.max(), points.shape[1]))
     out_p[:] = points.max(axis=0)

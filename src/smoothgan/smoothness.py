@@ -145,8 +145,8 @@ def estimate_alpha(family: OracleFamily, domain: BoxDomain, n_measures: int,
         rngs, mu, mu0 = _draw_pairs(family, domain, seed, 0, trials)
         pts, real = _eval_points(domain, grid_pts, rngs, mu, mu0)
         norms = np.linalg.norm(family.grad(mu, mu0, pts), axis=-1)
-        best = max(best, float(np.max(norms, where=real, initial=0.0)))
-    return best
+        best = np.maximum(best, np.max(norms, where=real, initial=0.0))  # NaN propagates
+    return float(best)
 
 
 def estimate_beta1(family: OracleFamily, domain: BoxDomain, n_measures: int,
@@ -180,8 +180,8 @@ def estimate_beta1(family: OracleFamily, domain: BoxDomain, n_measures: int,
         grads = family.grad(mu, mu0, np.concatenate([anchors, others], axis=1))
         gap = np.linalg.norm(grads[:, :n] - grads[:, n:], axis=-1)
         ratios = np.divide(gap, sep, out=np.zeros_like(gap), where=sep > 0)
-        best = max(best, float(ratios.max()))
-    return best
+        best = np.maximum(best, ratios.max())  # NaN propagates
+    return float(best)
 
 
 def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int,
@@ -227,13 +227,14 @@ def estimate_beta2(family: OracleFamily, domain: BoxDomain, n_measure_pairs: int
         sup = np.max(gap, axis=-1, where=real, initial=0.0)
         keep = dist >= 1e-12
         if keep.any():
-            best = max(best, float(np.max(sup[keep] / dist[keep])))
-    return best
+            best = np.maximum(best, np.max(sup[keep] / dist[keep]))  # NaN propagates
+    return float(best)
 
 
 def build_report(family: OracleFamily, domain: BoxDomain, n_trials: int,
                  grid_pts: int, seed: int) -> SmoothnessReport:
     """Run all three estimators; cap divergent values at the saturation threshold.
+    An estimate over a NaN oracle value is NaN, not capped.
 
     An evaluation cloud of more than CELL_CAP coordinates, or more than
     CELL_CAP trials, raises ProblemTooLarge before the first trial.

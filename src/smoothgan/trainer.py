@@ -9,13 +9,12 @@ gradient norm below sqrt(2 L J_0 / n) after n steps.  The regularized
 adversarial loop alternates discriminator ascent (ELU net, exactly
 spectrally normalized after every step; output-plus-gradient penalty on
 random interpolates; reverse-mode parameter gradient) with particle descent
-along the discriminator's input gradient.
+along the discriminator's input gradient.  Both run through _descend, which ends runs.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +116,14 @@ def theoretical_lr(a: float, b: float, alpha: float, beta1: float, beta2: float)
 
 
 def _descend(step, theta: np.ndarray, n_steps: int, lr: float) -> TrainTrace:
-    """Gradient descent theta <- theta - lr * grad, the one loop of both trainers.
+    """Gradient descent theta <- theta - lr * grad: the one loop of both trainers, and
+    the one place that ends a run.
 
-    step(k, theta) returns (loss, grad, bad) at the k-th iterate; the trace
-    records the loss and the gradient's Frobenius norm.  A bad step stops the
-    run as diverged, keeping its row.  More than CELL_CAP steps raise
+    step(k, theta) returns (loss, grad, bad) at the k-th iterate; the trace records
+    the loss and the gradient's Frobenius norm.  A bad step, an iterate past the
+    escape threshold, or a loss that is not finite or past the divergence threshold in
+    magnitude stops the run as diverged, keeping its row, which overflow (silent for
+    the whole loop) may leave inf or nan.  More than CELL_CAP steps raise
     ProblemTooLarge before the trace arrays exist; an initial iterate that is
     not finite or lies past the escape threshold is refused before the first step.
     """
@@ -131,26 +133,26 @@ def _descend(step, theta: np.ndarray, n_steps: int, lr: float) -> TrainTrace:
                           f"{ESCAPE_THRESHOLD:g}")
     losses = np.empty(n_steps)
     gnorms = np.empty(n_steps)
-    for kstep in range(n_steps):
-        loss, grad, bad = step(kstep, theta)
-        losses[kstep] = loss
-        gnorms[kstep] = np.linalg.norm(grad)
-        if bad:
-            n = kstep + 1
-            return TrainTrace(losses[:n], gnorms[:n], np.full(n, lr), diverged=True)
-        theta = theta - lr * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kstep in range(n_steps):
+            loss, grad, bad = step(kstep, theta)
+            losses[kstep] = loss
+            gnorms[kstep] = np.linalg.norm(grad)
+            # NaN fails both comparisons: it propagates through max and is never <=
+            if bad or not (np.abs(theta).max() <= ESCAPE_THRESHOLD
+                           and abs(loss) <= DIVERGENCE_THRESHOLD):
+                n = kstep + 1
+                return TrainTrace(losses[:n], gnorms[:n], np.full(n, lr), diverged=True)
+            theta = theta - lr * grad
     return TrainTrace(losses, gnorms, np.full(n_steps, lr))
 
 
 def train_particles(cfg: TrainConfig) -> TrainTrace:
     """Plain gradient descent on half the squared MMD at gamma = lr_ratio / L.
 
-    Records loss and gradient Frobenius norm before each step.  A non-finite
-    loss, a loss above the divergence threshold, or particles escaping past
-    the escape threshold stops the run with the diverged flag; the trace
-    keeps the rows up to and including the bad step.  (The kernel loss
-    itself is bounded, so for this trainer the flag in practice fires on
-    escape or numeric overflow only.)
+    Records loss and gradient Frobenius norm before each step; _descend's stop
+    rule ends the run.  (The kernel loss itself is bounded, so for this trainer
+    the diverged flag in practice fires on escape or numeric overflow only.)
     """
     d = cfg.target.dim
     if cfg.init is not None:
@@ -165,14 +167,8 @@ def train_particles(cfg: TrainConfig) -> TrainTrace:
     gen_measure_w = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
 
     def step(_kstep, theta):
-        # NaN fails both comparisons: it propagates through max and is never <=
-        escaped = not np.abs(theta).max() <= ESCAPE_THRESHOLD
-        # an escaped iterate gives the run's last row; past about 1e154 the Gram's
-        # squared norms overflow, and that row holds inf or nan without a warning
-        with np.errstate(over="ignore", invalid="ignore") if escaped else nullcontext():
-            loss = 0.5 * mmd_sq(DiscreteMeasure(theta, gen_measure_w), cfg.target, cfg.kernel)
-            grad = mmd_particle_grad(theta, cfg.target, cfg.kernel)
-        return loss, grad, escaped or not loss <= DIVERGENCE_THRESHOLD
+        loss = 0.5 * mmd_sq(DiscreteMeasure(theta, gen_measure_w), cfg.target, cfg.kernel)
+        return loss, mmd_particle_grad(theta, cfg.target, cfg.kernel), False
 
     return _descend(step, theta, cfg.n_steps, gamma)
 
@@ -257,8 +253,7 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
     gradient.  The trace records the minimax surrogate value and the
     generator gradient norm.  disc_probe, when given, is called with the
     network after every discriminator update.  Non-finite discriminator
-    parameters or objective, or an objective past the divergence threshold,
-    stop the run as diverged, keeping the rows up to the bad step.
+    parameters make the step bad, and _descend's stop rule ends the run.
     """
     theta = np.array(cfg.generator_init, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != cfg.target.dim:
@@ -292,11 +287,9 @@ def train_gan2d(cfg: GanLoopConfig, disc_probe=None) -> TrainTrace:
             if disc_probe is not None:
                 disc_probe(net)
         obj = _disc_objective(net, theta, cfg.target, interp, penalty_coef)
-        bad = bad or not np.isfinite(obj) or abs(obj) > DIVERGENCE_THRESHOLD
         return obj, mlp_input_grad(net, theta) / n, bad
 
-    with np.errstate(over="ignore", invalid="ignore"):          # finiteness is checked per step
-        return _descend(step, theta, cfg.n_steps, lr_gen)
+    return _descend(step, theta, cfg.n_steps, lr_gen)
 
 
 # --- trace CSV: step,loss,grad_norm,step_size,flags ---

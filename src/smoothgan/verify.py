@@ -49,13 +49,13 @@ class CheckResult:
         return bool(self.lo <= self.observed <= self.hi)        # False for NaN
 
     def to_dict(self) -> dict:
-        """The record as strict JSON values, a number that is not finite as None.  The
-        margin is the distance to the nearer bound, negative outside [lo, hi]."""
+        """The record's name, verdict and numbers as floats.  The margin is the
+        distance to the nearer bound, negative outside [lo, hi]."""
         numbers = {"observed": self.observed, "lo": self.lo, "hi": self.hi,
                    "margin": min(self.observed - self.lo, self.hi - self.observed),
                    "seconds": self.seconds}
         return {"name": self.name, "passed": self.passed,
-                **{k: float(v) if math.isfinite(v) else None for k, v in numbers.items()}}
+                **{k: float(v) for k, v in numbers.items()}}
 
     def line(self) -> str:
         if self.lo == -math.inf:
@@ -75,6 +75,13 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def _worst(stream: int, n: int, err) -> tuple[float, float]:
+    """The largest of err(rng, t) over n seeded trials t, each on its own stream
+    child_rng(MASTER_SEED, stream, t), NaN if any is NaN; and the seconds taken."""
+    errs, dt = _timed(lambda: [err(child_rng(MASTER_SEED, stream, t), t) for t in range(n)])
+    return np.max(errs), dt
+
+
 def _central_diff(fn, x: np.ndarray, h: float) -> np.ndarray:
     """Central differences of the scalar fn at x, one coordinate of x at a time."""
     fd = np.zeros_like(x)
@@ -88,16 +95,11 @@ def _central_diff(fn, x: np.ndarray, h: float) -> np.ndarray:
 # --- divergences suite ---
 
 def check_w1_oracle_equivalence() -> list[CheckResult]:
-    def body():
-        errs = []
-        for t in range(100):
-            rng = child_rng(MASTER_SEED, 100, t)
-            mu = random_measure(rng, 1)
-            nu = random_measure(rng, 1)
-            errs.append(abs(w1_1d(mu, nu) - w1_lp(mu, nu)))
-        return np.max(errs)
+    def err(rng, _t):
+        mu, nu = random_measure(rng, 1), random_measure(rng, 1)
+        return abs(w1_1d(mu, nu) - w1_lp(mu, nu))
 
-    worst, dt = _timed(body)
+    worst, dt = _worst(100, 100, err)
     x = 1e-3
     ratio, js_dt = _timed(lambda: js(make_discrete([x], [1.0]), make_discrete([0.0], [1.0])) / x)
     return [CheckResult("w1 closed form vs transport LP (100 pairs)", worst, hi=1e-9, seconds=dt),
@@ -111,20 +113,16 @@ def check_w1_lp_assignment() -> list[CheckResult]:
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    def body():
-        errs = []
-        for t in range(20):
-            rng = child_rng(MASTER_SEED, 150, t)
-            n = int(rng.integers(1, 41))
-            x, y = rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, (n, 2))
-            cost = cdist(x, y)
-            rows, cols = linear_sum_assignment(cost)
-            lp = w1_lp(DiscreteMeasure(x, np.full(n, 1.0 / n)),
-                       DiscreteMeasure(y, np.full(n, 1.0 / n)))
-            errs.append(abs(lp - cost[rows, cols].sum() / n))
-        return np.max(errs)
+    def err(rng, _t):
+        n = int(rng.integers(1, 41))
+        x, y = rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, (n, 2))
+        cost = cdist(x, y)
+        rows, cols = linear_sum_assignment(cost)
+        w = np.full(n, 1.0 / n)
+        lp = w1_lp(DiscreteMeasure(x, w), DiscreteMeasure(y, w))
+        return abs(lp - cost[rows, cols].sum() / n)
 
-    worst, dt = _timed(body)
+    worst, dt = _worst(150, 20, err)
     return [CheckResult("w1_lp vs assignment, uniform 2-D pairs (20 pairs, n <= 40)", worst,
                         hi=1e-9, seconds=dt)]
 
@@ -142,18 +140,12 @@ def check_beta2_certificate() -> list[CheckResult]:
 def check_bregman_identity() -> list[CheckResult]:
     kc = KernelSpec.critical()
 
-    def body():
-        errs = []
-        for t in range(200):
-            rng = child_rng(MASTER_SEED, 200, t)
-            nu = random_measure(rng, 1)
-            mu = random_measure(rng, 1)
-            mu0 = random_measure(rng, 1)
-            kind = LossKind("mmd_sq_half", mu0, kc)
-            errs.append(abs(bregman(kind, nu, mu) - 0.5 * mmd_sq(nu, mu, kc)))
-        return np.max(errs)
+    def err(rng, _t):
+        nu, mu = random_measure(rng, 1), random_measure(rng, 1)
+        kind = LossKind("mmd_sq_half", random_measure(rng, 1), kc)
+        return abs(bregman(kind, nu, mu) - 0.5 * mmd_sq(nu, mu, kc))
 
-    worst, dt = _timed(body)
+    worst, dt = _worst(200, 200, err)
     return [CheckResult("Bregman(kernel loss) equals half squared MMD (200 pairs)", worst,
                         hi=1e-10, seconds=dt)]
 
@@ -170,16 +162,11 @@ def check_cross_hessian() -> list[CheckResult]:
         results.append(CheckResult(f"cross-Hessian argmax distance from the diagonal ({label})",
                                    abs(int(arg[0]) - int(arg[1])), hi=0, seconds=dt))
 
-        def body():
-            gaps = []
-            for t in range(200):
-                rng = child_rng(MASTER_SEED, 300, t)
-                mu = random_measure(rng, 1)
-                nu = random_measure(rng, 1)
-                gaps.append(mmd_sq(mu, nu, k) - kr_norm_1d(diff(mu, nu)) ** 2 / k.sigma_sq)
-            return np.max(gaps)
+        def gap(rng, _t):
+            mu, nu = random_measure(rng, 1), random_measure(rng, 1)
+            return mmd_sq(mu, nu, k) - kr_norm_1d(diff(mu, nu)) ** 2 / k.sigma_sq
 
-        worst, dt = _timed(body)
+        worst, dt = _worst(300, 200, gap)
         results.append(CheckResult(f"MMD^2 - KR^2 / sigma^2 on 200 random pairs ({label})",
                                    worst, hi=1e-12, seconds=dt))
     return results
@@ -221,7 +208,7 @@ def check_envelopes() -> list[CheckResult]:
         vals = np.concatenate([[0.0], np.cumsum(slopes * step)])
         return GridFn(dom, step, vals - vals.min())
 
-    def body():
+    def count_broken():
         broken = 0
         for t in range(20):
             rng = child_rng(MASTER_SEED, 400, t)
@@ -237,7 +224,7 @@ def check_envelopes() -> list[CheckResult]:
             broken += not minimizer_invariance_check(f, g)
         return broken
 
-    broken, dt = _timed(body)
+    broken, dt = _timed(count_broken)
     res.append(CheckResult("minimizer invariance broken, of 20 random convex instances", broken,
                            hi=0, seconds=dt))
     return res
@@ -326,9 +313,9 @@ def check_gradient_oracles() -> list[CheckResult]:
                                     ("network input gradient", 600, net_err, 1e-5),
                                     ("MMD witness gradient", 650, witness_err, 1e-6),
                                     ("W1 witness gradient off the atoms", 660, w1_err, 1e-6)):
-        errs, dt = _timed(lambda: [err(child_rng(MASTER_SEED, stream, t), t) for t in range(20)])
-        res.append(CheckResult(f"{label} vs finite differences (20 configs)", np.max(errs),
-                               hi=tol, seconds=dt))
+        worst, dt = _worst(stream, 20, err)
+        res.append(CheckResult(f"{label} vs finite differences (20 configs)", worst, hi=tol,
+                               seconds=dt))
     return res
 
 

@@ -251,13 +251,13 @@ def test_verify_failing_check_exits_1(workdir, monkeypatch):
     assert main(["verify", "--suite", "rkhs"]) == 1
 
 
+def _refuse_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
 def test_verify_format_json(workdir, capsys):
     assert main(["verify", "--suite", "divergences", "--format", "json"]) == 0
-
-    def refuse(token):
-        raise ValueError(f"not strict JSON: {token}")
-
-    records = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    records = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert len(records) >= 2
     for r in records:
         assert list(r) == ["name", "passed", "observed", "lo", "hi", "margin", "seconds"]
@@ -458,11 +458,19 @@ LOSS_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("sigma_sq", ["0", "-1", "nan", "inf"])
+# 1/1e-310 overflows: the Gram would put NaN on coincident points
+@pytest.mark.parametrize("sigma_sq", ["0", "-1", "nan", "inf", "1e-310"])
 @pytest.mark.parametrize("command", list(LOSS_COMMANDS))
 def test_bad_sigma_sq_exit_2(workdir, capsys, command, sigma_sq):
     assert main(LOSS_COMMANDS[command] + ["--sigma-sq", sigma_sq]) == 2
     assert "sigma_sq must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loss", ["js", "ns", "mmd", "w1"])
+def test_div_eval_refuses_a_weight_total_that_overflows(workdir, capsys, loss):
+    (workdir / "big.csv").write_text("x_1,w\n0,1e308\n1,1e308\n")
+    assert main(["div", "eval", "--loss", loss, "--mu", "big.csv", "--mu0", "mu0.csv"]) == 2
+    assert "finite total" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("at", ["abc", "0.1,x", "nan", "inf", "0.1,0.2"])
@@ -508,6 +516,24 @@ def test_nn_init_zero_size_exit_2(workdir, flag):
 def test_sweep_bad_ratios_exit_2(workdir, ratios):
     assert main(["sweep", "--ratios", ratios, "--seeds", "1", "--n", "4", "--steps", "3",
                  "--out", "s.csv"]) == 2
+
+
+def test_train_json_writes_non_finite_numbers_as_null(workdir):
+    assert main(["train", "particles", "--n", "4", "--steps", "50", "--lr-ratio", "1e200",
+                 "--format", "json", "--out", "t.json"]) == 0
+    body = json.loads((workdir / "t.json").read_text(), parse_constant=_refuse_constant)
+    assert body["loss"][0] == pytest.approx(0.2597, abs=1e-4)
+    assert body["loss"][1] is None and body["grad_norm"][1] is None and body["diverged"]
+
+
+def test_smooth_report_json_writes_nan_as_null(workdir, capsys, monkeypatch):
+    from smoothgan.smoothness import OracleFamily
+
+    monkeypatch.setattr(OracleFamily, "grad", lambda self, mu, mu0, x: np.full(x.shape, np.nan))
+    assert main(LOSS_COMMANDS["smooth"] + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert [report[k] for k in ("alpha_hat", "beta1_hat", "beta2_hat")] == [None] * 3
+    assert report["n_trials"] == 2 and report["beta1_saturated"] is False
 
 
 def test_train_particles_diverged_min_grad_norm_finite(workdir, capsys):

@@ -61,6 +61,15 @@ def test_critical_kernel():
     assert g[0, 0] == pytest.approx(math.exp(-math.pi), rel=1e-15)
 
 
+@pytest.mark.parametrize("sigma_sq", [5e-324, 1e-310, 5.5e-309])
+def test_kernel_refuses_a_bandwidth_whose_reciprocal_overflows(sigma_sq):
+    # the Gram's scale -1/(2 sigma_sq) would be -inf, and 0 * -inf NaN on coincident points
+    with pytest.raises(PreconditionViolated, match="finite reciprocal"):
+        KernelSpec(sigma_sq)
+    floor = KernelSpec(5.6e-309)
+    assert floor.gram(np.zeros((2, 1)), np.array([[0.0], [1.0]])).tolist() == [[1.0, 0.0]] * 2
+
+
 def test_loss_kind_kernel_consistency():
     with pytest.raises(ValueError):
         LossKind("minimax_js", D0, KC)

@@ -12,7 +12,7 @@ from smoothgan.envelopes import (GridFn, _is_convex, _l1_prune, _minplus,
                                  conjugate_sum_identity_check, grid_axes, gridfn_from_csv,
                                  gridfn_to_csv, inf_conv, legendre, minimizer_invariance_check,
                                  moreau, pasch_hausdorff)
-from smoothgan.errors import (GridMismatch, NonPositiveAlpha, NonPositiveBeta,
+from smoothgan.errors import (DimensionMismatch, GridMismatch, NonPositiveAlpha, NonPositiveBeta,
                               PreconditionViolated, ProblemTooLarge)
 from smoothgan.measures import BoxDomain
 
@@ -1035,3 +1035,16 @@ def test_1d_envelope_ties_match_brute_force(family, dom):
         g = shift(f, p)
         tol = 4 * np.finfo(float).eps * (np.abs(f.values).max() + g.values.max())
         assert np.abs(envelope(f, p).values - _infconv_brute(f, g)).max() <= tol
+
+
+def test_legendre_refuses_a_dual_domain_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="dual domain"):
+        legendre(F_QUAD, _DOM2, 0.5)
+    with pytest.raises(DimensionMismatch, match="dual domain"):
+        legendre(GridFn(_DOM2, 0.5, np.zeros((5, 5))), DOM, 0.5)
+
+
+def test_conjugate_sum_identity_check_is_one_dimensional():
+    f = GridFn(_DOM2, 0.5, np.zeros((5, 5)))
+    with pytest.raises(DimensionMismatch, match="1-D only"):
+        conjugate_sum_identity_check(f, f)

@@ -178,3 +178,27 @@ def test_one_cdf_sweep():
                                            "discriminators.py:w1_slope_at"]
     assert sorted(_callers("_cdf_sweep")) == ["discriminators.py:_w1_sweep"] * 2 + [
         "divergences.py:kr_norm_1d"]
+
+
+def test_one_stop_rule():
+    # trainer._descend alone ends a run: no other function of trainer.py compares against
+    # the divergence or escape threshold, and none other enters np.errstate
+    thresholds = {"DIVERGENCE_THRESHOLD", "ESCAPE_THRESHOLD"}
+    tree = ast.parse((ROOT / "src" / "smoothgan" / "trainer.py").read_text())
+    deciders = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+                if isinstance(node, ast.Compare)
+                and thresholds & {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}}
+    assert deciders == {"_descend"}
+    assert [site for site in _callers("errstate")
+            if site.startswith("trainer.py:")] == ["trainer.py:_descend"]
+
+
+def test_one_seeded_worst_case_rule():
+    # in verify.py each seeded trial stream is drawn by _worst, which takes the worst of the
+    # nine records' errors, or by check_envelopes' count of broken minimizer instances
+    assert [site for site in _callers("child_rng") if site.startswith("verify.py:")] == [
+        "verify.py:_worst", "verify.py:count_broken"]
+    assert sorted(_callers("_worst")) == [
+        "verify.py:check_bregman_identity", "verify.py:check_cross_hessian",
+        "verify.py:check_gradient_oracles", "verify.py:check_w1_lp_assignment",
+        "verify.py:check_w1_oracle_equivalence"]

@@ -33,6 +33,16 @@ def test_duplicates_merged():
     assert m.weights[0] == 1.0
 
 
+def test_make_discrete_refuses_a_weight_total_that_overflows():
+    # apart or merged, two weights of 1e308 total inf: w / inf would be all zero
+    for points in ([0.0, 1.0], [0.0, 0.0]):
+        with pytest.raises(PreconditionViolated, match="finite total"):
+            make_discrete(points, [1e308, 1e308])
+    m = make_discrete([0.0, 1.0], [1e308, 5e307])
+    total = np.float64(1e308) + np.float64(5e307)
+    assert m.weights.tolist() == [1e308 / total, 5e307 / total]
+
+
 def test_normalization():
     m = make_discrete([0.0, 1.0], [1.0, 3.0])
     assert np.allclose(m.weights, [0.25, 0.75])

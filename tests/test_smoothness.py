@@ -123,6 +123,24 @@ def test_w1_gradients_need_one_dimension(estimate):
         estimate(OracleFamily("w1", dim=2), BoxDomain.unit(2), 3, 11, seed=1)
 
 
+def test_estimates_over_a_nan_oracle_are_nan(monkeypatch):
+    # one trial's gradients NaN, the others finite: a fold by max() would drop the NaN
+    real_grad = OracleFamily.grad
+
+    def nan_first_row(self, mu, mu0, x):
+        g = real_grad(self, mu, mu0, x)
+        g[0] = np.nan
+        return g
+
+    monkeypatch.setattr(OracleFamily, "grad", nan_first_row)
+    fam = OracleFamily("mmd", dim=1, kernel=KC)
+    for estimate in (estimate_alpha, estimate_beta1, estimate_beta2):
+        assert math.isnan(estimate(fam, BOX, 6, 11, seed=1))
+    rep = build_report(fam, BOX, 6, 11, seed=1)
+    assert all(math.isnan(v) for v in (rep.alpha_hat, rep.beta1_hat, rep.beta2_hat))
+    assert not (rep.alpha_saturated or rep.beta1_saturated or rep.beta2_saturated)
+
+
 def test_build_report_caps_saturation():
     rep = build_report(OracleFamily("w1", dim=1), BOX, 50, 101, seed=3)
     assert rep.beta1_saturated
@@ -348,6 +366,15 @@ def test_pack_refuses_weights_that_are_not_finite(signed):
     for bad in (np.nan, np.inf):
         with pytest.raises(PreconditionViolated):
             pack_measures(pts, np.array([0.5, bad, 1.0]), rows, 2, signed)
+
+
+def test_pack_refuses_a_row_whose_weight_total_overflows():
+    # probability rows divide by their total; signed rows do not, and pack as make_signed
+    pts, w, rows = np.array([[0.1], [0.2], [0.3]]), np.array([1.0, 1e308, 1e308]), [0, 1, 1]
+    with pytest.raises(PreconditionViolated, match="finite total"):
+        pack_measures(pts, w, np.array(rows), 2)
+    assert _assert_packed_rows_are_make_bytes([(pts[:1], w[:1]), (pts[1:], w[1:])], True) == [
+        1, 2]
 
 
 @pytest.mark.parametrize("signed", [False, True])

@@ -129,6 +129,43 @@ def test_train_particle_escape_diverges():
         assert trace_to_csv(trace).rstrip("\n").endswith(",diverged")
 
 
+@pytest.mark.parametrize("loss, bad, lr", [
+    (math.nan, False, 1e-3), (math.inf, False, 1e-3), (2e6, False, 1e-3), (-2e6, False, 1e-3),
+    (0.5, True, 1e-3), (0.5, False, 1e6)])
+def test_descend_stop_rule(loss, bad, lr):
+    # the one rule that ends a run, keeping the row: a bad step, a loss that is not finite
+    # or past the divergence threshold in magnitude, or an iterate past the escape
+    # threshold (at lr 1e6 the third iterate is -2e6)
+    def step(kstep, th):
+        return (0.5, np.ones_like(th), False) if kstep < 2 else (loss, np.ones_like(th), bad)
+
+    trace = trainer._descend(step, np.zeros((2, 1)), 10, lr)
+    assert trace.diverged and len(trace) == 3
+    assert trace.loss[-1] == loss or math.isnan(loss)
+
+
+def test_descend_silences_overflow_for_the_whole_run():
+    # the first gradient overflows to inf inside the step; the iterate it gives is the
+    # last row, with a loss of -inf
+    def step(_kstep, th):
+        return float(np.sum(th)), th * 1e305, False
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = trainer._descend(step, np.full((2, 1), 1e5), 5, 1.0)
+    assert trace.diverged and trace.loss.tolist() == [2e5, -math.inf]
+
+
+def test_gan2d_escaped_generator_diverges():
+    # a generator step of 1e10 throws the particles to about 3e6, past the escape threshold
+    target = sample_target("ring", 16, 3)
+    cfg = GanLoopConfig(generator_init=target.points.copy(), target=target, n_steps=40,
+                        lr_gen=1e10)
+    trace = train_gan2d(cfg)
+    assert trace.diverged and len(trace) == 2
+    assert np.isfinite(trace.loss).all()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_train_rejects_bad_initial_iterate(bad):
     target = sample_target("ring", 8, 3)
