@@ -2,10 +2,12 @@
 
 Measures are finitely supported: a continuous target only ever enters as a
 large equal-weight sample.  One type, DiscreteMeasure, holds every weighted
-set of atoms; make_discrete builds a probability measure, make_signed and diff
-a signed one, pack_measures many of either as padded arrays and _cdf_sweep the
-running CDF of 1-D signed atoms, all through one merge kernel.  All types are
-immutable after construction and every operation is pure.
+set of atoms.  pack_measures is the one measure builder: it refuses and
+normalizes many measures of either kind at once, as padded arrays, and
+make_discrete (a probability measure) and make_signed (a signed one) are its
+one-row calls; diff builds a signed measure through make_signed.  The builder
+and _cdf_sweep, the running CDF of 1-D signed atoms, merge through one kernel.
+All types are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -169,32 +171,18 @@ def _require_same_dim(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
 
 
 def make_discrete(points, weights) -> DiscreteMeasure:
-    """Build a probability measure: merge duplicate atoms, renormalize weights.
+    """Build a probability measure: pack_measures of one row, as a DiscreteMeasure.
 
     Idempotent: applying it to the output's (points, weights) changes nothing.
     """
-    pts, w = _atoms(points, weights)
-    if pts.shape[0] == 0:
-        raise EmptySupport("a measure needs at least one atom")
-    if (w < 0).any():
-        raise NegativeWeight("probability weights must be nonnegative")
-    if not w.any():
-        raise NegativeWeight("weights must have positive total mass")
-    with np.errstate(over="ignore"):        # a total that overflows is refused below
-        pts, w = _merge_atoms(pts, w)
-        if not w.all():         # drop atoms of merged weight 0; the positive total keeps one
-            pts, w = pts[w > 0], w[w > 0]
-        total = w.sum()
-    if not np.isfinite(total):
-        raise PreconditionViolated("atom weights must have a finite total")
-    # normalize after merging: weights normalized first can merge to 1 - 1 ulp,
-    # which turns KL(mu, mu) negative
-    return DiscreteMeasure(pts, w / total)
+    pts, w, _ = pack_measures(points, weights, np.zeros(np.size(weights), dtype=int), 1)
+    return DiscreteMeasure(pts[0], w[0])
 
 
 def make_signed(points, weights) -> DiscreteMeasure:
-    """Build a signed measure (weights of any sign), merging coincident atoms."""
-    return DiscreteMeasure(*_merge_atoms(*_atoms(points, weights)))
+    """Build a signed measure (weights of any sign): pack_measures of one signed row."""
+    pts, w, _ = pack_measures(points, weights, np.zeros(np.size(weights), dtype=int), 1, True)
+    return DiscreteMeasure(pts[0], w[0])
 
 
 def diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -254,32 +242,41 @@ def random_measure(rng: np.random.Generator, dim: int,
 
 def pack_measures(points: np.ndarray, weights: np.ndarray, rows: np.ndarray, n_rows: int,
                   signed: bool = False) -> Packed:
-    """Many measures at once as plain arrays: row r is make_discrete (make_signed if signed)
-    of the atoms points[rows == r] with weights weights[rows == r], in the order given, and
-    refuses what they refuse.
+    """The one measure builder: many measures at once as plain arrays, row r of the atoms
+    points[rows == r] with weights weights[rows == r].  make_discrete and make_signed (signed
+    True) are its one-row calls.
+
+    Every measure has at least one atom, read by _atoms, and atoms closer than MERGE_TOL
+    merge by _merge_atoms into weights that must be finite.  A probability row also needs
+    nonnegative weights of positive total mass; it drops atoms of merged weight 0 and is
+    divided by its total after merging, which must be finite too.
 
     Returns atoms (n_rows, width, d), weights (n_rows, width) and atom counts (n_rows,).  Each
-    row's atoms come first, with make_discrete's (make_signed's) bits in its lexicographic
-    order, then padding of weight 0 placed at the largest coordinate of any input atom.
+    row's atoms come first, in lexicographic order, then padding of weight 0 placed at the
+    largest coordinate of any input atom.
     """
     points, weights = _atoms(points, weights)
     if not np.bincount(rows, minlength=n_rows).all():
         raise EmptySupport("every measure needs at least one atom")
     if not signed and ((weights < 0).any() or not np.bincount(rows, weights, n_rows).all()):
         raise NegativeWeight("probability weights must be nonnegative with positive total mass")
-    # a probability row whose total overflows is refused below, without a warning
-    with np.errstate(over=None if signed else "ignore"):
+    with np.errstate(over="ignore"):        # a sum that overflows is refused below, unwarned
         pts, w, r = _merge_atoms(points, weights, rows)
         if not signed and not w.all():                  # drop atoms of merged weight 0
             pts, w, r = pts[w > 0], w[w > 0], r[w > 0]
         n = np.bincount(r, minlength=n_rows)
         start = np.cumsum(n) - n
-        if not signed:
-            # each row by its own sum: numpy sums a zero-padded row in another order
-            totals = np.array([w[s:s + k].sum() for s, k in zip(start.tolist(), n.tolist())])
-            if not np.isfinite(totals).all():
-                raise PreconditionViolated("atom weights must have a finite total")
-            w = w / np.repeat(totals, n)
+        # a signed row's merged weights, or each probability row's total by its own sum:
+        # numpy sums a zero-padded row in another order
+        sums = w if signed else np.array([w[s:s + k].sum()
+                                          for s, k in zip(start.tolist(), n.tolist())])
+    if not np.isfinite(sums).all():
+        raise PreconditionViolated("atom weights must have a finite total, per merged atom "
+                                   "and per probability measure")
+    if not signed:
+        # normalize after merging: weights normalized first can merge to 1 - 1 ulp,
+        # which turns KL(mu, mu) negative
+        w = w / np.repeat(sums, n)
     col = np.arange(len(r)) - start[r]
     out_p = np.empty((n_rows, n.max(), points.shape[1]))
     out_p[:] = points.max(axis=0)

@@ -473,6 +473,14 @@ def test_div_eval_refuses_a_weight_total_that_overflows(workdir, capsys, loss):
     assert "finite total" in capsys.readouterr().err
 
 
+def test_rkhs_series_refuses_centers_whose_merged_weight_overflows(workdir, capsys):
+    # two coefficients of 1e308 on one center merge to inf: refused, not printed as inf sums
+    (workdir / "big.csv").write_text("x_1,w\n0,1e308\n0,1e308\n")
+    assert main(["rkhs", "series", "--centers", "big.csv", "--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "finite total" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("at", ["abc", "0.1,x", "nan", "inf", "0.1,0.2"])
 def test_disc_eval_bad_point_exit_2(workdir, at):
     assert main(LOSS_COMMANDS["disc"] + ["--at", at]) == 2

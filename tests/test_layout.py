@@ -161,6 +161,20 @@ def test_one_merge_kernel():
     assert "measures.py:pack_measures" in _callers("_merge_atoms")
 
 
+def test_one_measure_builder():
+    # pack_measures alone refuses and normalizes a measure: make_discrete and make_signed are
+    # its one-row calls, with no refusal, error state, merge or division of their own
+    assert {site for name in ("EmptySupport", "NegativeWeight") for site in _callers(name)
+            if site.startswith("measures.py:")} == {"measures.py:pack_measures"}
+    tree = ast.parse((ROOT / "src" / "smoothgan" / "measures.py").read_text())
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("make_discrete", "make_signed"):
+        assert f"measures.py:{name}" in _callers("pack_measures")
+        assert f"measures.py:{name}" not in _callers("_merge_atoms")
+        assert not [node for node in ast.walk(fns[name])
+                    if isinstance(node, (ast.Raise, ast.With, ast.Div))]
+
+
 def test_one_cdf_sweep():
     # the 1-D CDF is measures._cdf_sweep alone: the other cumsums in these modules run over
     # merge labels, row counts and the potential's slopes, not over signed weights; and one

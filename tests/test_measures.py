@@ -225,9 +225,8 @@ def test_signed_csv_roundtrip():
 def test_require_mass_zero():
     with pytest.raises(NonZeroMass):
         require_mass_zero(make_signed([0.0], [0.5]))
-    empty = make_signed(np.zeros((0, 3)), [])           # no atoms, still 3-D
-    require_mass_zero(empty)
-    assert empty.points.shape == (0, 3) and empty.weights.shape == (0,)
+    with pytest.raises(EmptySupport):                   # a signed measure needs an atom too
+        make_signed(np.zeros((0, 3)), [])
 
 
 def test_box_validation():
@@ -434,7 +433,7 @@ def test_merge_near_duplicates_bitwise_matches_loop(d):
 _NAN, _INF = float("nan"), float("inf")
 # points, weights, then the error of make_discrete and of make_signed (None: it builds)
 _BAD_INPUTS = {
-    "empty": ([], [], EmptySupport, None),
+    "empty": ([], [], EmptySupport, EmptySupport),
     "shape mismatch": ([0.0, 1.0], [1.0], DimensionMismatch, DimensionMismatch),
     "points of rank 3": (np.zeros((2, 1, 1)), [1.0, 1.0], DimensionMismatch, DimensionMismatch),
     "nan point": ([[_NAN], [0.0]], [1.0, 1.0], PreconditionViolated, PreconditionViolated),

@@ -25,7 +25,7 @@ def test_embedding_norm_reproducing():
 
 
 def test_embedding_norm_zero():
-    assert _gram_norm_sq(make_signed(np.zeros((0, 1)), np.zeros(0))) == 0.0
+    assert EmbeddingFn(np.zeros(0), np.zeros(0), KC).gram_norm_sq() == 0.0
 
 
 def test_embedding_norm_matches_mmd():

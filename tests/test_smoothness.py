@@ -16,8 +16,9 @@ from smoothgan.discriminators import grad_phi_mmd, grad_phi_w1_1d
 from smoothgan.divergences import LOSSES, KernelSpec, LossKind, kr_norm_1d, mmd_sq
 from smoothgan.errors import (DimensionMismatch, EmptySupport, GradientUnsupported, NegativeWeight,
                              PointOffSupport, PreconditionViolated)
-from smoothgan.measures import (BoxDomain, diff, make_discrete, make_signed, pack_measures,
-                                random_atoms, random_measure)
+from smoothgan.measures import (BoxDomain, _atoms, _merge_atoms, diff, make_discrete,
+                                make_signed, measure_from_csv, pack_measures, random_atoms,
+                                random_measure)
 from smoothgan.rng import child_rng
 from smoothgan.smoothness import (OracleFamily, SATURATION_THRESHOLD, bregman, build_report,
                                   estimate_alpha, estimate_beta1, estimate_beta2,
@@ -304,9 +305,84 @@ def test_chunks_cross_trial_boundaries_with_one_gram_each(monkeypatch, name, kin
         assert est == pytest.approx(loop(fam, box, 23, size, 4), rel=MMD_REL[name], abs=0.0)
 
 
+# --- the one measure builder against the one-measure constructors' former bodies ---
+
+def _ref_make_discrete(points, weights) -> DiscreteMeasure:
+    """The reference probability measure: make_discrete's body before it was one-row
+    pack_measures.  Merge duplicate atoms, drop merged weight 0, divide by the total."""
+    pts, w = _atoms(points, weights)
+    if pts.shape[0] == 0:
+        raise EmptySupport("a measure needs at least one atom")
+    if (w < 0).any():
+        raise NegativeWeight("probability weights must be nonnegative")
+    if not w.any():
+        raise NegativeWeight("weights must have positive total mass")
+    with np.errstate(over="ignore"):
+        pts, w = _merge_atoms(pts, w)
+        if not w.all():
+            pts, w = pts[w > 0], w[w > 0]
+        total = w.sum()
+    if not np.isfinite(total):
+        raise PreconditionViolated("atom weights must have a finite total")
+    return DiscreteMeasure(pts, w / total)
+
+
+def _ref_make_signed(points, weights) -> DiscreteMeasure:
+    """The reference signed measure: make_signed's body before it was one-row pack_measures."""
+    return DiscreteMeasure(*_merge_atoms(*_atoms(points, weights)))
+
+
+def _builder_case(rng, dim, signed):
+    """Seeded atoms for a builder: 1 to 39 of them, most rounded to a grid and some of those
+    moved by 1e-13 so that they merge, weights with zeros and -0.0 among them, and 1-D points
+    now and then as a flat list."""
+    k = int(rng.integers(1, 40))
+    pts = rng.uniform(-1, 1, (k, dim))
+    step = rng.choice([0.0, 0.1, 0.5])
+    if step:
+        pts = np.round(pts / step) * step + 1e-13 * (rng.random((k, dim)) < 0.3)
+    w = rng.standard_normal(k) if signed else rng.dirichlet(np.ones(k))
+    w[rng.random(k) < 0.2] = 0.0
+    w[rng.random(k) < 0.1] = -0.0
+    if not signed and not w.any():
+        w[0] = 1.0
+    if dim == 1 and rng.random() < 0.5:
+        return pts[:, 0].tolist(), w.tolist()
+    return pts, w
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_make_discrete_and_make_signed_are_the_reference_bytes(dim, signed):
+    make, ref = (make_signed, _ref_make_signed) if signed else (make_discrete, _ref_make_discrete)
+    rng = np.random.default_rng(101 + dim + 10 * signed)
+    merged = dropped = 0
+    for _ in range(300):
+        pts, w = _builder_case(rng, dim, signed)
+        m, r = make(pts, w), ref(pts, w)
+        assert m.points.tobytes() == r.points.tobytes()
+        assert m.weights.tobytes() == r.weights.tobytes()
+        merged += m.n_atoms < len(w)
+        dropped += not signed and np.count_nonzero(w) < len(w)
+    assert merged > 50 and (signed or dropped > 50)
+
+
+def test_signed_weights_that_overflow_when_merged_are_refused():
+    # two coincident atoms of weight 1e308 merge to inf, refused with no numpy warning first;
+    # apart, the same weights are a signed measure
+    for build in (lambda: make_signed([0.0, 0.0], [1e308, 1e308]),
+                  lambda: make_signed([[0.5, 0.1], [0.5, 0.1 + 1e-13]], [-1e308, -1e308]),
+                  lambda: measure_from_csv("x_1,w\n0,1e308\n0,1e308\n", signed=True),
+                  lambda: pack_measures(np.zeros((3, 1)), np.array([1.0, 1e308, 1e308]),
+                                        np.array([0, 1, 1]), 2, signed=True)):
+        with pytest.raises(PreconditionViolated, match="finite total"):
+            build()
+    assert make_signed([0.0, 1.0], [1e308, 1e308]).weights.tolist() == [1e308, 1e308]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_packed_measures_are_random_measure_bytes(dim):
-    # every row of one pack equals make_discrete of its own draw, byte for byte
+    # every row of one pack equals the reference make_discrete of its own draw, byte for byte
     box = BoxDomain.unit(dim)
     draws = [random_atoms(child_rng(5, dim, t), dim, box) for t in range(400)]
     rows = np.repeat(np.arange(400), [len(w) for _, w in draws])
@@ -314,7 +390,7 @@ def test_packed_measures_are_random_measure_bytes(dim):
                               np.concatenate([w for _, w in draws]), rows, 400)
     assert np.count_nonzero(n == 8) > 20 and pts.shape == (400, 8, dim)
     for t in range(400):
-        m = random_measure(child_rng(5, dim, t), dim, box)
+        m = _ref_make_discrete(*draws[t])
         assert n[t] == m.n_atoms
         assert pts[t, :n[t]].tobytes() == m.points.tobytes()
         assert w[t, :n[t]].tobytes() == m.weights.tobytes()
@@ -322,9 +398,9 @@ def test_packed_measures_are_random_measure_bytes(dim):
 
 
 def _assert_packed_rows_are_make_bytes(rows_in, signed):
-    """pack_measures of rows_in, (points, weights) per row, against make_* of each row alone;
-    returns the counts."""
-    make = make_signed if signed else make_discrete
+    """pack_measures of rows_in, (points, weights) per row, against the reference make_* of
+    each row alone; returns the counts."""
+    make = _ref_make_signed if signed else _ref_make_discrete
     pts = np.concatenate([np.array(p, dtype=float) for p, _ in rows_in])
     wts = np.concatenate([np.array(w, dtype=float) for _, w in rows_in])
     rows = np.repeat(np.arange(len(rows_in)), [len(w) for _, w in rows_in])
