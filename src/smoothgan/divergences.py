@@ -473,14 +473,17 @@ def mmd_sq(mu: DiscreteMeasure, nu: DiscreteMeasure, k: KernelSpec) -> float:
 
     The bilinear form w_mu' K w_mu - 2 w_mu' K w_nu + w_nu' K w_nu needs no
     merging of coincident atoms.  Its first two terms come from one Gram block
-    against the pooled support [x; y], weighted [w_mu; -2 w_nu], so the form
-    takes two Gram calls: K(x, [x; y]) and K(y, y).
+    against the pooled support [x; y], weighted [w_mu; -2 w_nu]: one Gram call per
+    evaluation.  The last term depends on nu and k alone, so K(y, y) is formed once
+    per (nu, k) and its term kept with nu, where a fixed reference pays it once.
     """
     _require_same_dim(mu, nu)
     x, y, wx, wy = mu.points, nu.points, mu.weights, nu.weights
-    val = (wx @ (k.gram(x, np.vstack([x, y])) @ np.concatenate([wx, -2.0 * wy]))
-           + wy @ k.gram(y, y) @ wy)
-    return max(float(val), 0.0)
+    cross = wx @ (k.gram(x, np.vstack([x, y])) @ np.concatenate([wx, -2.0 * wy]))
+    own = nu._self_terms.get(k)
+    if own is None:
+        own = nu._self_terms[k] = wy @ k.gram(y, y) @ wy
+    return max(float(cross + own), 0.0)
 
 
 def loss_eval(kind: LossKind, mu: DiscreteMeasure) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,15 +119,25 @@ class DiscreteMeasure:
     """Finitely supported measure: weighted atoms in R^d.
 
     make_discrete builds a probability measure (positive weights summing to 1);
-    make_signed and diff build signed ones (weights of any sign).
+    make_signed and diff build signed ones (weights of any sign).  Its arrays are
+    read-only from construction (a view is copied first: its base could still be
+    written), so a value computed from them may be kept with the measure: _self_terms
+    holds w' K(y, y) w per kernel, which divergences.mmd_sq alone reads and writes.  It
+    takes no part in construction, repr or comparison, and a new measure,
+    dataclasses.replace included, starts with it empty.
     """
 
     points: np.ndarray
     weights: np.ndarray
+    _self_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        for name in ("points", "weights"):
+            a = getattr(self, name)
+            if a.base is not None:
+                a = a.copy()
+                object.__setattr__(self, name, a)
+            a.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -154,8 +164,8 @@ def _atoms(points, weights) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2:
-        raise DimensionMismatch(f"points must be (n, d), got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise DimensionMismatch(f"points must be (n, d) with d >= 1, got shape {pts.shape}")
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape != (pts.shape[0],):
         raise DimensionMismatch(f"{pts.shape[0]} points vs weights of shape {w.shape}")
@@ -230,8 +240,14 @@ def random_atoms(rng: np.random.Generator, dim: int,
     if box.dim != dim:
         raise DimensionMismatch(f"a {dim}-D measure cannot be drawn in a {box.dim}-D domain")
     k = int(rng.integers(2, 9))
-    pts = rng.uniform(box.lo, box.hi, size=(k, dim))
-    return pts, rng.dirichlet(np.ones(k))
+    # rng.uniform(box.lo, box.hi) and rng.dirichlet(ones(k)) without their argument checks:
+    # the same draws, as gamma(1) is an exponential and dirichlet sums in order
+    pts = box.lo + (box.hi - box.lo) * rng.random((k, dim))
+    e = rng.standard_exponential(k)
+    total = 0.0
+    for v in e.tolist():    # in order: e.sum() pairs from 8 terms; sum() compensates from 3.12
+        total += v
+    return pts, e * (1.0 / total)
 
 
 def random_measure(rng: np.random.Generator, dim: int,

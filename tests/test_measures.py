@@ -13,7 +13,7 @@ from smoothgan.errors import (DimensionMismatch, EmptySupport, NegativeWeight, N
                               PreconditionViolated, UnknownKind)
 from smoothgan import measures
 from smoothgan.measures import (BoxDomain, _cdf_sweep, diff, make_discrete, make_signed,
-                                measure_from_csv, measure_to_csv, random_measure,
+                                measure_from_csv, measure_to_csv, random_atoms, random_measure,
                                 require_mass_zero, sample_target)
 from smoothgan.divergences import align_many
 from smoothgan.errors import ConfigError
@@ -371,6 +371,26 @@ def test_sample_target_takes_numpy_integers():
                           sample_target("ring", 8, 5).points)
 
 
+def _random_atoms_ref(rng, dim, box):
+    """random_atoms by numpy's own uniform and Dirichlet draws."""
+    k = int(rng.integers(2, 9))
+    return rng.uniform(box.lo, box.hi, size=(k, dim)), rng.dirichlet(np.ones(k))
+
+
+@pytest.mark.parametrize("dim,box", [(1, BoxDomain.unit(1)), (2, BoxDomain.unit(2)),
+                                     (2, BoxDomain([-3.0, 0.5], [2.0, 0.75]))])
+def test_random_atoms_are_numpys_uniform_and_dirichlet_draws(dim, box):
+    seen = set()
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts, w = random_atoms(rng, dim, box)
+        ref_pts, ref_w = _random_atoms_ref(ref, dim, box)
+        assert pts.tobytes() == ref_pts.tobytes() and w.tobytes() == ref_w.tobytes()
+        assert rng.random() == ref.random()                 # the stream goes on as before
+        seen.add(len(w))
+    assert seen == set(range(2, 9))
+
+
 # --- the merge kernel's early exit, bit for bit, on the measures estimators draw ---
 
 def _small_draws(d):
@@ -436,6 +456,8 @@ _BAD_INPUTS = {
     "empty": ([], [], EmptySupport, EmptySupport),
     "shape mismatch": ([0.0, 1.0], [1.0], DimensionMismatch, DimensionMismatch),
     "points of rank 3": (np.zeros((2, 1, 1)), [1.0, 1.0], DimensionMismatch, DimensionMismatch),
+    "points without coordinates": (np.zeros((2, 0)), [0.5, 0.5], DimensionMismatch,
+                                   DimensionMismatch),
     "nan point": ([[_NAN], [0.0]], [1.0, 1.0], PreconditionViolated, PreconditionViolated),
     "inf point": ([[0.0, _INF]], [1.0], PreconditionViolated, PreconditionViolated),
     # past ~1.3e154 the kernel Gram's squared norms overflow

@@ -1,12 +1,16 @@
-"""The matmul-form Gram, the merge-free MMD and the row-sum particle gradient
-against the direct forms they replace, written out here as oracles."""
+"""The matmul-form Gram, the merge-free MMD, its kept reference term and the row-sum
+particle gradient against the direct forms they replace, written out here as oracles."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from smoothgan import trainer
+from smoothgan.cli import main
 from smoothgan.discriminators import grad_phi_mmd
 from smoothgan.divergences import KernelSpec, mmd_sq
-from smoothgan.measures import DiscreteMeasure, diff, make_discrete, sample_target
+from smoothgan.measures import DiscreteMeasure, diff, make_discrete, random_measure, sample_target
 from smoothgan.trainer import mmd_particle_grad
 
 KERNELS = (KernelSpec.critical(), KernelSpec(sigma_sq=0.3))
@@ -71,6 +75,77 @@ def test_mmd_matches_merged_form(k):
         merged = max(embedding_gram(diff(mu, target), k), 0.0)
         assert mmd_sq(mu, target, k) == pytest.approx(merged, abs=1e-14)
         assert mmd_sq(target, mu, k) == pytest.approx(merged, abs=1e-14)
+
+
+def mmd_sq_uncached(mu: DiscreteMeasure, nu: DiscreteMeasure, k: KernelSpec) -> float:
+    """mmd_sq with K(y, y) formed on every call, as before the reference term was kept."""
+    x, y, wx, wy = mu.points, nu.points, mu.weights, nu.weights
+    val = (wx @ (k.gram(x, np.vstack([x, y])) @ np.concatenate([wx, -2.0 * wy]))
+           + wy @ k.gram(y, y) @ wy)
+    return max(float(val), 0.0)
+
+
+def _gram_calls(monkeypatch) -> list:
+    calls = []
+    gram = KernelSpec.gram
+    monkeypatch.setattr(KernelSpec, "gram",
+                        lambda self, x, y: calls.append((len(x), len(y))) or gram(self, x, y))
+    return calls
+
+
+def test_kept_reference_term_is_per_kernel():
+    # one target under two kernels in turn: each value is the uncached one, bit for bit
+    rng = np.random.default_rng(5)
+    target = random_measure(rng, 2)
+    for _ in range(4):
+        mu = random_measure(rng, 2)
+        for k in (KernelSpec.critical(), KernelSpec(sigma_sq=0.5)):
+            assert repr(mmd_sq(mu, target, k)) == repr(mmd_sq_uncached(mu, target, k))
+
+
+def test_kept_reference_term_starts_empty_on_a_new_measure(monkeypatch):
+    calls = _gram_calls(monkeypatch)
+    target = sample_target("ring", 8, 3)
+    mu = DiscreteMeasure(np.zeros((3, 2)), np.full(3, 1.0 / 3))
+    k = KernelSpec.critical()
+    value = mmd_sq(mu, target, k)
+    assert calls == [(3, 11), (8, 8)]
+    calls.clear()
+    assert mmd_sq(mu, target, k) == value and calls == [(3, 11)]
+    for fresh in (DiscreteMeasure(target.points, target.weights), dataclasses.replace(target)):
+        assert fresh == target
+        calls.clear()
+        assert mmd_sq(mu, fresh, k) == value and calls == [(3, 11), (8, 8)]
+
+
+def test_a_measure_on_views_does_not_follow_their_base():
+    # the kept term stays right only while the atoms cannot change: a view is copied
+    base, w = np.zeros((2, 2)), np.array([0.5, 0.5])
+    nu = DiscreteMeasure(base[:], w[:])
+    mu = DiscreteMeasure(np.ones((1, 2)), np.ones(1))
+    k = KernelSpec.critical()
+    before = mmd_sq(mu, nu, k)
+    base[0], w[0] = 0.7, 0.2
+    assert np.array_equal(nu.points, np.zeros((2, 2))) and np.array_equal(nu.weights, [0.5, 0.5])
+    assert mmd_sq(mu, nu, k) == mmd_sq_uncached(mu, nu, k) == before
+
+
+@pytest.mark.parametrize("n,lr_ratio", [(1, 1.0), (8, 1.0), (64, 1.0), (1, 1e4), (8, 1e4),
+                                        (64, 1e4), (8, 1e300)])
+def test_particle_traces_match_the_uncached_step(tmp_path, monkeypatch, n, lr_ratio):
+    # train particles' CSV and JSON outputs, with and without the kept target term
+    def run(name, fmt):
+        out = tmp_path / name
+        assert main(["train", "particles", "--target", "gaussian_mixture", "--n", str(n),
+                     "--steps", "150", "--seed", "11", "--lr-ratio", repr(lr_ratio),
+                     "--format", fmt, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    outputs = [run(f"new.{fmt}", fmt) for fmt in ("csv", "json")]
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "mmd_sq", mmd_sq_uncached)
+        assert outputs == [run(f"old.{fmt}", fmt) for fmt in ("csv", "json")]
+    assert (b'"diverged": true' in outputs[1]) == (lr_ratio == 1e300)
 
 
 def test_mmd_particles_on_target_is_zero():

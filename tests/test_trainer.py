@@ -194,9 +194,9 @@ def test_both_trainers_share_one_descent_loop(monkeypatch):
     assert len(calls) == 2
 
 
-def test_particle_step_takes_three_grams(monkeypatch):
-    # pooled supports: K(theta, [theta; Y]) and K(Y, Y) for the loss, K(theta, [theta; Y])
-    # for the gradient, and one K(x, [mu; mu0]) for a witness gradient
+def test_particle_step_takes_two_grams_and_one_target_gram(monkeypatch):
+    # pooled supports: K(theta, [theta; Y]) for the loss and again for the gradient, K(Y, Y)
+    # once for a fresh target, kept with it after, and one K(x, [mu; mu0]) for a witness gradient
     calls = []
     gram = KernelSpec.gram
 
@@ -208,12 +208,13 @@ def test_particle_step_takes_three_grams(monkeypatch):
     target = sample_target("ring", 8, 3)
     trace = train_particles(TrainConfig(target=target, kernel=KC, n_particles=6, n_steps=5,
                                         seed=1))
-    assert len(calls) == 3 * len(trace) == 15
-    assert sorted(calls[:3]) == [(6, 14), (6, 14), (8, 8)]
+    assert len(calls) == 2 * len(trace) + 1 == 11
+    assert calls[:3] == [(6, 14), (8, 8), (6, 14)]
+    assert set(calls[3:]) == {(6, 14)}
     mu = DiscreteMeasure(np.zeros((6, 2)), np.full(6, 1.0 / 6))
     calls.clear()
     mmd_sq(mu, target, KC)
-    assert len(calls) == 2
+    assert calls == [(6, 14)]
     calls.clear()
     grad_phi_mmd(mu, target, KC, np.zeros((4, 2)))
     assert calls == [(4, 14)]
